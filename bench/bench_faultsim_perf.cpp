@@ -4,9 +4,9 @@
 //  (1) PPSFP: serial (num_threads=1) vs sharded (one worker per hardware
 //      thread) run_block over full-scan expansions, up to the largest
 //      generated netlist;
-//  (2) sequential: the old full-resimulation-per-fault simulator vs the
-//      event-driven divergence-carrying engine (serial and sharded) on the
-//      EXP-SEQATPG circuits and a non-scan datapath expansion;
+//  (2) sequential: the Netlist-walking full-resimulation oracle vs the
+//      engine's dense SimGraph re-simulation (serial and sharded) on the
+//      EXP-SEQATPG circuits and non-scan datapath expansions;
 //  (3) soa: the compiled SoA core's wide-lane grading (64 vs 256 vs 512
 //      pattern lanes) on the detection-matrix and dropping workloads,
 //      plus the one-time lowering cost and thread scaling.
@@ -52,6 +52,16 @@ namespace {
 bool single_core() { return gl::FaultSimOptions{}.resolved_threads() <= 1; }
 
 constexpr double kSkipped = -1.0;
+
+/// Result mismatches found so far. Any one fails the run (exit 1) once the
+/// tables and BENCH_faultsim.json are written: timing a wrong result is not
+/// a measurement.
+int g_mismatches = 0;
+
+void report_mismatch(const std::string& what) {
+  ++g_mismatches;
+  std::fprintf(stderr, "MISMATCH: %s\n", what.c_str());
+}
 
 /// JSON image of a measurement: "null" when skipped, else fixed-point.
 std::string num_or_null(double v, int digits) {
@@ -156,14 +166,14 @@ struct SeqRow {
   std::string circuit;
   std::size_t faults = 0;
   int frames = 0;
-  double full_resim_ms = 0, event_serial_ms = 0, event_parallel_ms = kSkipped;
+  double full_resim_ms = 0, engine_serial_ms = 0, engine_parallel_ms = kSkipped;
   long detected = 0;
   double speedup_algorithmic() const {
-    return event_serial_ms > 0 ? full_resim_ms / event_serial_ms : kSkipped;
+    return engine_serial_ms > 0 ? full_resim_ms / engine_serial_ms : kSkipped;
   }
   double speedup_total() const {
-    return event_parallel_ms > 0 ? full_resim_ms / event_parallel_ms
-                                 : kSkipped;
+    return engine_parallel_ms > 0 ? full_resim_ms / engine_parallel_ms
+                                  : kSkipped;
   }
 };
 
@@ -197,8 +207,7 @@ PpsfpRow ppsfp_case(const std::string& name, const gl::Netlist& n,
                           },
                           reps);
   if (cov_serial != cov_parallel)
-    std::fprintf(stderr, "WARNING: %s serial/parallel coverage mismatch\n",
-                 name.c_str());
+    report_mismatch(name + " serial/parallel coverage");
   row.coverage = cov_serial;
   return row;
 }
@@ -234,7 +243,7 @@ SeqRow seq_suite_case(const std::string& name,
   }
   // Interleave the two engines' timing samples so slow phases of the host
   // machine hit both rather than biasing whichever ran second.
-  double best_full = 1e300, best_event = 1e300;
+  double best_full = 1e300, best_engine = 1e300;
   for (int t = 0; t < reps; ++t) {
     best_full = std::min(
         best_full, time_ms([&] {
@@ -243,8 +252,8 @@ SeqRow seq_suite_case(const std::string& name,
               got = gl::sequential_fault_sim_full_resim(circs[c], frames[c],
                                                         faults[c]);
         }));
-    best_event = std::min(
-        best_event, time_ms([&] {
+    best_engine = std::min(
+        best_engine, time_ms([&] {
           for (int r = 0; r < reps_inner; ++r)
             for (std::size_t c = 0; c < circs.size(); ++c)
               got = gl::sequential_fault_sim(circs[c], frames[c], faults[c],
@@ -252,13 +261,13 @@ SeqRow seq_suite_case(const std::string& name,
         }));
   }
   row.full_resim_ms = best_full / reps_inner;
-  row.event_serial_ms = best_event / reps_inner;
+  row.engine_serial_ms = best_engine / reps_inner;
   for (std::size_t c = 0; c < circs.size(); ++c) {
     got = gl::sequential_fault_sim(circs[c], frames[c], faults[c],
                                    gl::FaultSimOptions{0});
     mismatch = mismatch || got != base[c];
   }
-  row.event_parallel_ms =
+  row.engine_parallel_ms =
       single_core()
           ? kSkipped
           : time_ms(
@@ -271,9 +280,7 @@ SeqRow seq_suite_case(const std::string& name,
                 },
                 reps) /
                 reps_inner;
-  if (mismatch)
-    std::fprintf(stderr, "WARNING: %s sequential result mismatch\n",
-                 name.c_str());
+  if (mismatch) report_mismatch(name + " sequential result vs full resim");
   for (const auto& b : base)
     for (bool d : b) row.detected += d;
   return row;
@@ -289,33 +296,32 @@ SeqRow seq_case(const std::string& name, const gl::Netlist& n,
   row.faults = faults.size();
   row.frames = frames_count;
 
-  std::vector<bool> base, event_serial, event_parallel;
+  std::vector<bool> base, engine_serial, engine_parallel;
   // Interleaved sampling — see seq_suite_case.
-  double best_full = 1e300, best_event = 1e300;
+  double best_full = 1e300, best_engine = 1e300;
   for (int t = 0; t < reps; ++t) {
     best_full = std::min(best_full, time_ms([&] {
       base = gl::sequential_fault_sim_full_resim(n, frames, faults);
     }));
-    best_event = std::min(best_event, time_ms([&] {
-      event_serial =
+    best_engine = std::min(best_engine, time_ms([&] {
+      engine_serial =
           gl::sequential_fault_sim(n, frames, faults, gl::FaultSimOptions{1});
     }));
   }
   row.full_resim_ms = best_full;
-  row.event_serial_ms = best_event;
-  event_parallel =
+  row.engine_serial_ms = best_engine;
+  engine_parallel =
       gl::sequential_fault_sim(n, frames, faults, gl::FaultSimOptions{0});
-  row.event_parallel_ms =
+  row.engine_parallel_ms =
       single_core() ? kSkipped
                     : time_ms(
                           [&] {
-                            event_parallel = gl::sequential_fault_sim(
+                            engine_parallel = gl::sequential_fault_sim(
                                 n, frames, faults, gl::FaultSimOptions{0});
                           },
                           reps);
-  if (base != event_serial || base != event_parallel)
-    std::fprintf(stderr, "WARNING: %s sequential result mismatch\n",
-                 name.c_str());
+  if (base != engine_serial || base != engine_parallel)
+    report_mismatch(name + " sequential result vs full resim");
   for (bool d : base) row.detected += d;
   return row;
 }
@@ -697,8 +703,8 @@ SoaCase soa_case(const std::string& name, const gl::Netlist& n,
       ref_masks = masks;
       ref_detected = detected;
     } else if (masks != ref_masks || detected != ref_detected) {
-      std::fprintf(stderr, "WARNING: %s w%d result differs from w64\n",
-                   name.c_str(), lanes);
+      report_mismatch(name + " w" + std::to_string(lanes) +
+                      " result vs w64");
     }
     row.matrix_speedup_vs_w64 =
         sc.widths.empty() ? 1.0 : sc.widths.front().matrix_ms / row.matrix_ms;
@@ -718,8 +724,8 @@ SoaCase soa_case(const std::string& name, const gl::Netlist& n,
       row.matrix_ms = median_ms(
           [&] { gl::detection_masks(n, blocks, faults, masks, o); }, reps);
       if (masks != ref_masks)
-        std::fprintf(stderr, "WARNING: %s t%d masks differ from serial\n",
-                     name.c_str(), t);
+        report_mismatch(name + " t" + std::to_string(t) +
+                        " masks vs serial");
     }
     sc.threads.push_back(row);
   }
@@ -763,10 +769,10 @@ void write_json(const std::vector<PpsfpRow>& ppsfp,
         f,
         "    {\"circuit\": \"%s\", \"faults\": %zu, \"frames\": %d, "
         "\"detected\": %ld, \"full_resim_ms\": %.3f, "
-        "\"event_serial_ms\": %.3f, \"event_parallel_ms\": %s, "
+        "\"engine_serial_ms\": %.3f, \"engine_parallel_ms\": %s, "
         "\"speedup_algorithmic\": %s, \"speedup_total\": %s}%s\n",
         r.circuit.c_str(), r.faults, r.frames, r.detected, r.full_resim_ms,
-        r.event_serial_ms, num_or_null(r.event_parallel_ms, 3).c_str(),
+        r.engine_serial_ms, num_or_null(r.engine_parallel_ms, 3).c_str(),
         num_or_null(r.speedup_algorithmic(), 2).c_str(),
         num_or_null(r.speedup_total(), 2).c_str(),
         i + 1 < seq.size() ? "," : "");
@@ -859,8 +865,9 @@ int main() {
   bench::print_header(
       "PERF-FAULTSIM",
       "Engine claim: sharding the fault list over workers scales PPSFP with "
-      "the\nhardware, and the event-driven sequential simulator beats "
-      "full per-fault\nresimulation outright.");
+      "the\nhardware, and the sequential engine's dense SimGraph "
+      "re-simulation matches\nthe Netlist-walking full-resimulation oracle "
+      "and scales over faults.");
   std::printf("hardware threads: %d\n\n", hw);
 
   std::vector<PpsfpRow> ppsfp;
@@ -927,8 +934,6 @@ int main() {
   // The EXP-SEQATPG circuit set (rings L=1..6 at L+4 frames, pipelines
   // D=1..8 at D+3 frames) aggregated over enough repetitions to time the
   // microsecond-scale campaigns, plus non-scan datapath expansions.
-  // Rings/pipelines are also the adversarial case for divergence tracking:
-  // an XOR/NOT chain re-diverges every flop it reaches.
   {
     std::vector<gl::Netlist> circs;
     std::vector<int> nframes;
@@ -952,13 +957,13 @@ int main() {
                          32, 5));
 
   util::Table st({"circuit", "faults", "frames", "full resim ms",
-                  "event serial ms", "event parallel ms", "alg speedup",
+                  "engine serial ms", "engine parallel ms", "alg speedup",
                   "total speedup"});
   for (const SeqRow& r : seq)
     st.add_row({r.circuit, std::to_string(r.faults), std::to_string(r.frames),
                 util::fmt(r.full_resim_ms, 1),
-                util::fmt(r.event_serial_ms, 1),
-                fmt_or_dash(r.event_parallel_ms, 1),
+                util::fmt(r.engine_serial_ms, 1),
+                fmt_or_dash(r.engine_parallel_ms, 1),
                 util::fmt(r.speedup_algorithmic(), 2),
                 fmt_or_dash(r.speedup_total(), 2)});
   bench::print_table(st);
@@ -1110,16 +1115,24 @@ int main() {
                 r.identical ? "yes" : "NO", util::fmt(r.off_ms, 2),
                 util::fmt(r.on_ms, 2), util::fmt(r.overhead_pct, 1) + "%"});
   bench::print_table(et);
+  for (const ServeRow& r : serve)
+    if (!r.identical) report_mismatch(r.case_name + " served vs bare result");
 
   write_json(ppsfp, seq, soa, ledger, prov, telemetry, serve, hw, hw);
   std::printf(
       "Wrote BENCH_faultsim.json. Shape check: PPSFP speedup should track "
       "the\nhardware thread count (>= 3x on >= 4 cores, skipped on 1 core); "
-      "the\nevent-driven sequential engine should win on every circuit "
-      "regardless of\ncores; the 512-lane matrix speedup should reach >= 3x "
-      "on the largest\nnetlist; ledger recording overhead should stay within "
-      "5%%; provenance\nrecording within 2%%; live telemetry (heartbeats + "
-      "stacks + sampler)\nwithin 2%%; the scraped observability endpoint "
-      "within 2%% with every\nserve row identical=yes.\n");
+      "the\nsequential engine should match the oracle on every circuit and "
+      "run at least\nas fast serially (alg speedup >= 1); the 512-lane "
+      "matrix speedup should\nreach >= 3x on the largest netlist; ledger "
+      "recording overhead should stay\nwithin 5%%; provenance recording "
+      "within 2%%; live telemetry (heartbeats +\nstacks + sampler) within "
+      "2%%; the scraped observability endpoint within 2%%\nwith every serve "
+      "row identical=yes. Any result mismatch exits 1.\n");
+  if (g_mismatches > 0) {
+    std::fprintf(stderr, "FAIL: %d result mismatch(es), see above\n",
+                 g_mismatches);
+    return 1;
+  }
   return 0;
 }

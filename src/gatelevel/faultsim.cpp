@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -38,40 +37,28 @@ int FaultSimOptions::resolved_threads() const {
 }
 
 // ---------------------------------------------------------------------------
-// FaultPropagator — the one propagation routine every path shares.
+// FaultPropagator — the propagation routine both PPSFP paths share.
 // ---------------------------------------------------------------------------
 
-FaultPropagator::FaultPropagator(const Netlist& n)
-    : n_(n), g_(&SimGraph::of(n)) {
+FaultPropagator::FaultPropagator(const Netlist& n) : g_(&SimGraph::of(n)) {
+  assert(n.flops().empty() && "FaultPropagator is combinational");
   const int nn = g_->num_nodes();
-  flags_.assign(nn, 0);
-  const std::uint8_t* gf = g_->flags();
-  for (int id = 0; id < nn; ++id)
-    if (gf[id] & SimGraph::kFlagPo) flags_[id] |= 1;
   faulty_.assign(nn, Bits::unknown());
   stamp_.assign(nn, -1);
   sched_stamp_.assign(nn, -1);
   po_stamp_.assign(nn, -1);
-  watch_stamp_.assign(nn, -1);
   lvl_stamp_.assign(g_->num_levels(), -1);
   lvl_lo_.assign(g_->num_levels(), 0);
   lvl_hi_.assign(g_->num_levels(), 0);
 }
 
-void FaultPropagator::set_watches(const std::vector<int>& nodes) {
-  for (char& f : flags_) f &= ~2;
-  for (int id : nodes)
-    if (id >= 0) flags_[id] |= 2;
-}
-
 void FaultPropagator::begin(const std::vector<Bits>& good) {
-  assert(good.size() == static_cast<std::size_t>(n_.num_nodes()));
+  assert(good.size() == static_cast<std::size_t>(g_->num_nodes()));
   good_ = &good;
   if (current_stamp_ == std::numeric_limits<int>::max()) {
     std::fill(stamp_.begin(), stamp_.end(), -1);
     std::fill(sched_stamp_.begin(), sched_stamp_.end(), -1);
     std::fill(po_stamp_.begin(), po_stamp_.end(), -1);
-    std::fill(watch_stamp_.begin(), watch_stamp_.end(), -1);
     std::fill(lvl_stamp_.begin(), lvl_stamp_.end(), -1);
     current_stamp_ = 0;
   }
@@ -79,12 +66,11 @@ void FaultPropagator::begin(const std::vector<Bits>& good) {
   min_lvl_ = g_->num_levels();
   max_lvl_ = -1;
   touched_pos_.clear();
-  touched_watches_.clear();
 }
 
 void FaultPropagator::schedule_fanouts(int id) {
   // The SimGraph fanout CSR carries combinational edges only, so there is
-  // no D-edge check here — state capture is the sequential engine's job.
+  // no D-edge check here.
   const std::int32_t* foff = g_->fanout_off();
   const std::int32_t* fo = g_->fanout();
   const std::int32_t* pos_of = g_->pos_of();
@@ -114,16 +100,10 @@ void FaultPropagator::force(int id, Bits v) {
   if (old.v == v.v && old.x == v.x) return;
   faulty_[id] = v;
   stamp_[id] = current_stamp_;
-  const char fl = flags_[id];
-  if (fl & 3) {  // PO / watched bookkeeping, off the fast path
-    if ((fl & 1) && po_stamp_[id] != current_stamp_) {
-      po_stamp_[id] = current_stamp_;
-      touched_pos_.push_back(id);
-    }
-    if ((fl & 2) && watch_stamp_[id] != current_stamp_) {
-      watch_stamp_[id] = current_stamp_;
-      touched_watches_.push_back(id);
-    }
+  if ((g_->flags()[id] & SimGraph::kFlagPo) &&
+      po_stamp_[id] != current_stamp_) {
+    po_stamp_[id] = current_stamp_;
+    touched_pos_.push_back(id);
   }
   schedule_fanouts(id);
 }
@@ -134,19 +114,16 @@ void FaultPropagator::inject(const Fault& f) {
     force(f.node, stuck);
     return;
   }
-  const GateType t = g_->type(f.node);
-  if (t == GateType::kDff) return;  // sampled at state capture
   const std::int32_t* fin = g_->fanin();
   const std::int32_t lo = g_->fanin_off()[f.node];
   const int nf = g_->num_fanins(f.node);
   Bits fanin_vals[16];
   for (int i = 0; i < nf; ++i)
     fanin_vals[i] = i == f.fanin_index ? stuck : value(fin[lo + i]);
-  force(f.node, eval_gate(t, fanin_vals, nf));
+  force(f.node, eval_gate(g_->type(f.node), fanin_vals, nf));
 }
 
-void FaultPropagator::drain(const Fault& f) {
-  const Bits stuck = f.stuck_at_one ? Bits::all1() : Bits::all0();
+void FaultPropagator::drain() {
   Bits fanin_vals[16];
   const std::int32_t* order = g_->order().data();
   const std::int32_t* foff = g_->fanin_off();
@@ -155,7 +132,9 @@ void FaultPropagator::drain(const Fault& f) {
   // Fanouts sit at strictly deeper levels, so scheduling during the sweep
   // only ever stamps levels ahead of the cursor (max_lvl_ may grow, the
   // current level's span cannot) — one ascending pass over the stamped
-  // levels suffices, and untouched levels cost one compare each.
+  // levels suffices, and untouched levels cost one compare each. For the
+  // same reason the fault site itself is never scheduled: inject() has
+  // already set its faulty value for good.
   for (int lvl = min_lvl_; lvl <= max_lvl_; ++lvl) {
     if (lvl_stamp_[lvl] != current_stamp_) continue;
     const int hi = lvl_hi_[lvl];
@@ -163,20 +142,9 @@ void FaultPropagator::drain(const Fault& f) {
       const int id = order[pos];
       if (sched_stamp_[id] != current_stamp_) continue;
       ++events_;
-      // Only combinational gates ever get scheduled (the fanout CSR
-      // excludes DFF targets and sources are never fanout targets).
-      // An output-faulted node stays pinned at its stuck value even when
-      // its fanins diverge (possible through flip-flop feedback in the
-      // sequential engine); inject() already forced it.
-      if (f.fanin_index < 0 && id == f.node) continue;
       const std::int32_t lo = foff[id];
       const int nf = foff[id + 1] - lo;
-      for (int i = 0; i < nf; ++i) {
-        Bits v = value(fin[lo + i]);
-        if (f.fanin_index >= 0 && id == f.node && i == f.fanin_index)
-          v = stuck;
-        fanin_vals[i] = v;
-      }
+      for (int i = 0; i < nf; ++i) fanin_vals[i] = value(fin[lo + i]);
       force(id, eval_gate(static_cast<GateType>(types[id]), fanin_vals, nf));
     }
   }
@@ -198,7 +166,7 @@ std::uint64_t FaultPropagator::propagate(const Fault& f,
   const long before = events_;
   begin(good);
   inject(f);
-  drain(f);
+  drain();
   last_propagate_events_ = events_ - before;
   return po_diff_mask();
 }
@@ -434,57 +402,65 @@ std::vector<bool> sequential_fault_sim(
   if (ledger_on) observe::record_universe(static_cast<long>(faults.size()));
   static util::Progress& p_seq = util::progress("sim.seq.faults");
   p_seq.add_total(static_cast<std::int64_t>(faults.size()));
-  // Good trace, simulated once and shared (read-only) by every worker.
-  const auto good = simulate_sequence(n, input_frames);
   const int count = static_cast<int>(faults.size());
   std::vector<bool> detected(faults.size(), false);
   if (count == 0 || input_frames.empty()) return detected;
-  SimGraph::of(n);  // build the lowered form before any worker reads it
 
-  const auto& flops = n.flops();
-  const int workers = std::min(options.resolved_threads(), count);
+  // Lowered on this thread before any worker reads it.
+  const SimGraph& g = SimGraph::of(n);
+  const std::vector<std::int32_t>& pis = g.pis();
+  const std::vector<std::int32_t>& pos = g.pos();
+  const std::vector<std::int32_t>& ffs = g.ffs();
+  std::vector<std::int32_t> d_of(ffs.size());  // -1 = unconnected D pin
+  for (std::size_t i = 0; i < ffs.size(); ++i)
+    d_of[i] = g.fanin()[g.fanin_off()[ffs[i]]];
+  long gates_per_frame = 0;
+  for (int id = 0; id < g.num_nodes(); ++id)
+    if (g.type(id) != GateType::kInput && g.type(id) != GateType::kDff)
+      ++gates_per_frame;
 
-  // D-pin watch set: the faulty next-state of a flip-flop can differ from
-  // the good trace only if its D node was touched this frame, so state
-  // capture walks the touched watches — O(divergence), not O(flops).
-  // Flip-flops may share a D node (CSR map below); unconnected (d < 0)
-  // flops stay unknown in both machines and never diverge.
-  std::vector<int> d_count(n.num_nodes(), 0);
-  std::vector<int> watch_nodes;
-  for (std::size_t i = 0; i < flops.size(); ++i) {
-    const int d = n.node(flops[i]).fanins[0];
-    if (d < 0) continue;
-    if (d_count[d]++ == 0) watch_nodes.push_back(d);
+  // One clock frame of the good (f == nullptr) or faulty machine: preset
+  // the PIs (missing values are X) and the carried state, evaluate the
+  // whole frame, capture the next state from the D nodes.
+  auto step = [&](std::size_t frame, const Fault* f, std::vector<Bits>& state,
+                  std::vector<Bits>& values) {
+    const std::vector<Bits>& in = input_frames[frame];
+    for (std::size_t i = 0; i < pis.size(); ++i)
+      values[pis[i]] = i < in.size() ? in[i] : Bits::unknown();
+    for (std::size_t i = 0; i < ffs.size(); ++i) values[ffs[i]] = state[i];
+    simulate_frame(n, values, f);
+    for (std::size_t i = 0; i < ffs.size(); ++i)
+      state[i] = d_of[i] >= 0 ? values[d_of[i]] : Bits::unknown();
+  };
+
+  // Good-machine PO values per frame, simulated once and shared
+  // (read-only) by every worker.
+  const std::size_t num_frames = input_frames.size();
+  const std::size_t num_pos = pos.size();
+  std::vector<Bits> good_po(num_frames * num_pos);
+  {
+    std::vector<Bits> state(ffs.size(), Bits::unknown());
+    std::vector<Bits> values(g.num_nodes(), Bits::unknown());
+    for (std::size_t frame = 0; frame < num_frames; ++frame) {
+      step(frame, nullptr, state, values);
+      for (std::size_t k = 0; k < num_pos; ++k)
+        good_po[frame * num_pos + k] = values[pos[k]];
+    }
   }
-  std::vector<int> fd_off(n.num_nodes() + 1, 0);
-  for (int id = 0; id < n.num_nodes(); ++id)
-    fd_off[id + 1] = fd_off[id] + d_count[id];
-  std::vector<int> fd_flat(fd_off.back());
-  std::vector<int> fd_fill = fd_off;
-  for (std::size_t i = 0; i < flops.size(); ++i) {
-    const int d = n.node(flops[i]).fanins[0];
-    if (d >= 0) fd_flat[fd_fill[d]++] = static_cast<int>(i);
-  }
 
-  // Per-worker scratch: propagator plus the faulty flip-flop state (sparse:
-  // state[i] is meaningful only while i is in div_list). All of it is
-  // reused across the worker's whole fault shard — no per-frame or
-  // per-fault allocation.
+  // Per-worker scratch, allocated once and reused across the worker's
+  // whole fault shard.
   struct Scratch {
-    FaultPropagator prop;
-    std::vector<Bits> state;
-    std::vector<int> div_list, new_div;
+    std::vector<Bits> values, state;
     /// Slot-private effort counters, merged into the registry at the end.
     long faults_done = 0, frames_done = 0, detected = 0, dropped_mid = 0;
-    Scratch(const Netlist& net, const std::vector<int>& watches)
-        : prop(net), state(net.flops().size()) {
-      prop.set_watches(watches);
-    }
   };
-  std::vector<Scratch> scratch;
-  scratch.reserve(static_cast<std::size_t>(std::max(workers, 1)));
-  for (int w = 0; w < std::max(workers, 1); ++w)
-    scratch.emplace_back(n, watch_nodes);
+  const int workers = std::min(options.resolved_threads(), count);
+  std::vector<Scratch> scratch(static_cast<std::size_t>(workers));
+  for (Scratch& s : scratch) {
+    s.values.assign(g.num_nodes(), Bits::unknown());
+    s.state.resize(ffs.size());
+  }
 
   util::Histogram& frames_to_detect =
       util::metrics().histogram("faultsim.seq.frames_to_detect");
@@ -493,51 +469,32 @@ std::vector<bool> sequential_fault_sim(
     const Fault& f = faults[fi];
     Scratch& s = scratch[slot];
     ++s.faults_done;
-    const long events_before = s.prop.events_processed();
-    // FFs start unknown in both machines: no initial divergence.
-    s.div_list.clear();
-    for (std::size_t frame = 0; frame < input_frames.size(); ++frame) {
-      ++s.frames_done;
-      s.prop.begin(good[frame]);
-      // Seed: flip-flops whose faulty state differs from the good trace,
-      // then the fault site itself (a stuck DFF output overrides its
-      // state; DFF D-pin faults are sampled at capture below, matching
-      // the full-resim reference).
-      for (int i : s.div_list) s.prop.force(flops[i], s.state[i]);
-      s.prop.inject(f);
-      s.prop.drain(f);
-      if (s.prop.po_diff_mask() != 0) {
-        det[fi] = 1;  // detected: drop the fault mid-sequence
-        ++s.detected;
-        if (frame + 1 < input_frames.size()) ++s.dropped_mid;
-        frames_to_detect.observe(static_cast<std::int64_t>(frame) + 1);
-        if (ledger_on) {
-          const observe::FaultKey key = observe::make_fault_key(f);
-          observe::record_seq_detected(key, static_cast<long>(frame) + 1);
-          observe::record_sim_effort(
-              key, s.prop.events_processed() - events_before);
-        }
-        p_seq.add(1);
-        return;
+    std::fill(s.state.begin(), s.state.end(), Bits::unknown());
+    std::size_t frame = 0;  // frames simulated so far
+    bool hit = false;
+    while (!hit && frame < num_frames) {
+      step(frame, &f, s.state, s.values);
+      const Bits* good = &good_po[frame++ * num_pos];
+      for (std::size_t k = 0; k < num_pos && !hit; ++k) {
+        const Bits& gv = good[k];
+        const Bits& fv = s.values[pos[k]];
+        hit = ((gv.v ^ fv.v) & ~gv.x & ~fv.x) != 0;
       }
-      // Capture the next frame's state, keeping only the divergence.
-      s.new_div.clear();
-      for (int d : s.prop.touched_watches()) {
-        const Bits fv = s.prop.value(d);
-        const Bits& gv = good[frame][d];
-        if (fv.v == gv.v && fv.x == gv.x) continue;
-        const int end = fd_off[d + 1];
-        for (int k = fd_off[d]; k < end; ++k) {
-          const int i = fd_flat[k];
-          s.new_div.push_back(i);
-          s.state[i] = fv;
-        }
-      }
-      s.div_list.swap(s.new_div);
     }
-    if (ledger_on)
-      observe::record_sim_effort(observe::make_fault_key(f),
-                                 s.prop.events_processed() - events_before);
+    // A detected fault is dropped at its first detecting frame.
+    det[fi] = hit;
+    s.frames_done += static_cast<long>(frame);
+    if (hit) {
+      ++s.detected;
+      if (frame < num_frames) ++s.dropped_mid;
+      frames_to_detect.observe(static_cast<std::int64_t>(frame));
+    }
+    if (ledger_on) {
+      const observe::FaultKey key = observe::make_fault_key(f);
+      if (hit) observe::record_seq_detected(key, static_cast<long>(frame));
+      observe::record_sim_effort(key,
+                                 static_cast<long>(frame) * gates_per_frame);
+    }
     p_seq.add(1);
   };
   if (workers <= 1) {
@@ -559,9 +516,9 @@ std::vector<bool> sequential_fault_sim(
   static util::Counter& m_dropped =
       util::metrics().counter("faultsim.seq.faults_dropped_midseq");
   long done = 0, biggest = 0;
-  for (Scratch& s : scratch) {
+  for (const Scratch& s : scratch) {
     m_frames.add(s.frames_done);
-    m_events.add(s.prop.events_processed());
+    m_events.add(s.frames_done * gates_per_frame);
     m_detected.add(s.detected);
     m_dropped.add(s.dropped_mid);
     done += s.faults_done;

@@ -11,9 +11,10 @@
 // super-block of patterns. The fault list is spread over a worker pool
 // with chunked work-stealing: each worker drains its own contiguous range
 // chunk by chunk, then steals chunks from the others, so cone-size
-// imbalance stops costing wall-clock. Sequential circuits get an
-// event-driven faulty-machine simulator that carries only the divergent
-// flip-flop state between frames and drops detected faults mid-sequence.
+// imbalance stops costing wall-clock. Sequential circuits are graded by
+// dense per-fault frame re-simulation: each fault re-evaluates every frame
+// with the fault injected, carrying its own flip-flop state, until a
+// primary output provably differs.
 #pragma once
 
 #include <cstdint>
@@ -72,61 +73,27 @@ struct FaultSimOptions {
 };
 
 /// Per-thread fault-propagation scratch plus the one propagation routine
-/// both the serial and the sharded PPSFP paths (and the sequential engine)
-/// share. Values are copy-on-write against a caller-owned good-value
-/// vector: a node reads as good until touched in the current epoch.
-/// Internally runs on the netlist's cached SimGraph: flat CSR fanouts,
-/// levelized sweep with per-level event buckets (untouched levels are
-/// skipped wholesale — on shallow scan netlists most of them are).
+/// both the serial and the sharded PPSFP paths share. Values are
+/// copy-on-write against a caller-owned good-value vector: a node reads as
+/// good until touched in the current epoch. Internally runs on the
+/// netlist's cached SimGraph: flat CSR fanouts, levelized sweep with
+/// per-level event buckets (untouched levels are skipped wholesale — on
+/// shallow scan netlists most of them are). Combinational netlists only,
+/// like FaultSimulator.
 class FaultPropagator {
  public:
   explicit FaultPropagator(const Netlist& n);
 
-  /// Starts a new epoch against `good` (node-indexed). The reference must
-  /// stay valid until the epoch's last call.
-  void begin(const std::vector<Bits>& good);
-
-  /// Sets node `id` to `v`; schedules its fanouts if the value diverges
-  /// from the current (faulty-machine) value. Used to seed divergent
-  /// flip-flop state in the sequential engine.
-  void force(int id, Bits v);
-
-  /// Injects fault `f`: output faults force the node, input-pin faults
-  /// re-evaluate the gate with the pin forced. Pin faults on DFFs are
-  /// ignored (matching the reference simulator: the D pin is sampled by
-  /// the state capture, which the caller owns).
-  void inject(const Fault& f);
-
-  /// Drains the event buckets level by level, re-evaluating `f`'s gate
-  /// with the faulted pin forced whenever it is reached.
-  void drain(const Fault& f);
-
-  /// 64-bit lane mask of primary outputs where the faulty machine provably
-  /// differs from the good machine (both known, values differ). Valid
-  /// after drain().
-  std::uint64_t po_diff_mask() const;
-
-  /// Faulty-machine value of `id` in the current epoch.
-  Bits value(int id) const {
-    return stamp_[id] == current_stamp_ ? faulty_[id] : (*good_)[id];
-  }
-
-  /// Marks nodes to watch (negative ids ignored). force() records which
-  /// watched nodes get touched each epoch; the sequential engine watches
-  /// the DFF D-pins so state capture is O(touched), not O(flops).
-  void set_watches(const std::vector<int>& nodes);
-
-  /// Watched node ids touched in the current epoch (deduplicated).
-  const std::vector<int>& touched_watches() const { return touched_watches_; }
-
-  /// begin() + inject() + drain() + po_diff_mask(): one combinational
-  /// fault, start to finish.
+  /// Injects `f` against the good-machine values `good` (node-indexed),
+  /// propagates its divergence, and returns the 64-bit lane mask of
+  /// primary outputs where the faulty machine provably differs (both
+  /// known, values differ).
   std::uint64_t propagate(const Fault& f, const std::vector<Bits>& good);
 
-  /// Work counters for the metrics registry: gate evaluations drain() has
-  /// performed and faults propagate() has run since construction or the
-  /// last reset_work_counters(). Owned by the propagator's worker — read
-  /// them only between parallel sections (after ThreadPool::run returns).
+  /// Work counters for the metrics registry: gate evaluations propagate()
+  /// has performed and faults it has run since construction or the last
+  /// reset_work_counters(). Owned by the propagator's worker — read them
+  /// only between parallel sections (after ThreadPool::run returns).
   long events_processed() const { return events_; }
   long faults_propagated() const { return faults_; }
   /// Gate evaluations the most recent propagate() cost (for per-fault
@@ -139,10 +106,24 @@ class FaultPropagator {
   }
 
  private:
+  /// Starts a new epoch against `good`.
+  void begin(const std::vector<Bits>& good);
+  /// Sets node `id` to `v`; schedules its fanouts if the value diverges
+  /// from the current (faulty-machine) value.
+  void force(int id, Bits v);
+  /// Output faults force the node, input-pin faults re-evaluate the gate
+  /// with the pin forced.
+  void inject(const Fault& f);
+  /// Drains the event buckets level by level.
+  void drain();
+  std::uint64_t po_diff_mask() const;
+  /// Faulty-machine value of `id` in the current epoch.
+  Bits value(int id) const {
+    return stamp_[id] == current_stamp_ ? faulty_[id] : (*good_)[id];
+  }
   void schedule_fanouts(int id);
 
-  const Netlist& n_;
-  const SimGraph* g_ = nullptr;  ///< cached lowered form (owned by n_)
+  const SimGraph* g_ = nullptr;  ///< cached lowered form (netlist-owned)
   const std::vector<Bits>* good_ = nullptr;
   // Timestamped copy-on-write faulty values: faulty_[id] is valid only
   // when stamp_[id] == current_stamp_.
@@ -150,10 +131,6 @@ class FaultPropagator {
   std::vector<int> stamp_;
   std::vector<int> sched_stamp_;  ///< node already scheduled this epoch
   int current_stamp_ = 0;
-  /// Per-node flags: bit0 = primary output, bit1 = watched (SimGraph
-  /// flags plus the propagator-local watch bit). One load on the force()
-  /// fast path instead of parallel arrays.
-  std::vector<char> flags_;
   /// Per-level event buckets replacing the single global sweep range:
   /// scheduling stamps the node's level and widens that level's
   /// [lvl_lo_, lvl_hi_] position span; drain() walks levels
@@ -166,9 +143,6 @@ class FaultPropagator {
   /// a parallel array), so po_diff_mask() is O(touched POs).
   std::vector<int> touched_pos_;
   std::vector<int> po_stamp_;
-  /// Watched nodes (see set_watches) touched this epoch.
-  std::vector<int> watch_stamp_;
-  std::vector<int> touched_watches_;
   /// Work counters (see events_processed); plain longs, worker-private.
   long events_ = 0;
   long faults_ = 0;
@@ -247,19 +221,21 @@ void detection_masks(const Netlist& n,
                      const FaultSimOptions& options = {});
 
 /// Per-fault sequential simulation over a vector sequence (64 lanes of
-/// sequences in parallel; lane l of frame f is vector f of sequence l).
-/// FFs start unknown. Event-driven: the good trace is simulated once, each
-/// fault then propagates only its divergence per frame, carrying only the
-/// flip-flops that differ from the good machine across frame boundaries,
-/// and stops at its first detecting frame. The fault list is spread over
-/// the worker pool with chunked work-stealing. Returns the detected mask.
+/// sequences in parallel; lane l of frame f is vector f of sequence l;
+/// missing PI values are X). FFs start unknown. Dense re-simulation: the
+/// good machine's outputs are simulated once, then each fault re-evaluates
+/// every frame in full with the fault injected (simulate_frame), carrying
+/// its own flip-flop state, and stops at its first detecting frame. The
+/// fault list is spread over the worker pool with chunked work-stealing.
+/// Returns the detected mask.
 std::vector<bool> sequential_fault_sim(
     const Netlist& n, const std::vector<std::vector<Bits>>& input_frames,
     const std::vector<Fault>& faults, const FaultSimOptions& options = {});
 
 /// Reference implementation of sequential_fault_sim: full-circuit
-/// re-simulation of every frame for every fault, single-threaded. Kept as
-/// the equivalence oracle for tests and the baseline for the perf bench.
+/// re-simulation of every frame for every fault, single-threaded, walking
+/// the Netlist directly (not the SimGraph). Kept as the independent
+/// equivalence oracle for tests and the baseline for the perf bench.
 std::vector<bool> sequential_fault_sim_full_resim(
     const Netlist& n, const std::vector<std::vector<Bits>>& input_frames,
     const std::vector<Fault>& faults);

@@ -5,6 +5,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "gatelevel/faults.h"
 #include "gatelevel/simgraph.h"
 
 namespace tsyn::gl {
@@ -287,24 +288,32 @@ void Netlist::validate() const {
   topo_order();  // throws on combinational cycles
 }
 
-void simulate_frame(const Netlist& n, std::vector<Bits>& values) {
+void simulate_frame(const Netlist& n, std::vector<Bits>& values,
+                    const Fault* fault) {
   assert(values.size() == static_cast<std::size_t>(n.num_nodes()));
   // Runs on the compiled SoA form: flat fanin arena, levelized order —
   // one indexed load per pin instead of chasing per-node heap vectors.
   const SimGraph& g = SimGraph::of(n);
+  const int fnode = fault ? fault->node : -1;
+  const int fpin = fault ? fault->fanin_index : -1;
+  const Bits stuck =
+      fault && fault->stuck_at_one ? Bits::all1() : Bits::all0();
   Bits fanin_vals[16];
   const std::int32_t* fanin = g.fanin();
   const std::int32_t* off = g.fanin_off();
   Bits* vals = values.data();
   for (const std::int32_t id : g.order()) {
     const GateType type = g.type(id);
-    if (type == GateType::kInput || type == GateType::kDff)
-      continue;  // sources, preset by the caller
-    const std::int32_t lo = off[id];
-    const int nf = off[id + 1] - lo;
-    assert(nf <= 16);
-    for (int i = 0; i < nf; ++i) fanin_vals[i] = vals[fanin[lo + i]];
-    vals[id] = eval_gate(type, fanin_vals, nf);
+    // Sources (kInput, kDff) are preset by the caller.
+    if (type != GateType::kInput && type != GateType::kDff) {
+      const std::int32_t lo = off[id];
+      const int nf = off[id + 1] - lo;
+      assert(nf <= 16);
+      for (int i = 0; i < nf; ++i) fanin_vals[i] = vals[fanin[lo + i]];
+      if (id == fnode && fpin >= 0) fanin_vals[fpin] = stuck;
+      vals[id] = eval_gate(type, fanin_vals, nf);
+    }
+    if (id == fnode && fpin < 0) vals[id] = stuck;
   }
 }
 

@@ -200,10 +200,16 @@ inline Bits eval_gate(GateType type, const Bits* in, int num_fanins) {
   return Bits::unknown();
 }
 
-/// Full-parallel good simulation of one clock frame.
+struct Fault;
+
+/// Full-parallel simulation of one clock frame.
 /// `values` must be sized num_nodes; entries for kInput and kDff nodes are
 /// taken as given (set them before calling), all others are computed.
-void simulate_frame(const Netlist& n, std::vector<Bits>& values);
+/// With `fault` set, simulates the faulty machine instead: a stuck output
+/// pins its node (sources included), a stuck input pin feeds its gate the
+/// stuck value, and DFF pin faults have no effect.
+void simulate_frame(const Netlist& n, std::vector<Bits>& values,
+                    const Fault* fault = nullptr);
 
 /// Multi-frame sequential simulation. `input_frames[f]` gives the PI values
 /// of frame f (indexed by position in primary_inputs()). FFs start unknown

@@ -1,15 +1,17 @@
 // The multi-threaded fault-simulation engine: the sharded PPSFP path must
-// be indistinguishable from the serial one, the event-driven sequential
-// simulator must match the full-resimulation oracle, and repeated
-// multi-threaded runs must be deterministic.
+// be indistinguishable from the serial one, the sequential simulator must
+// match the full-resimulation oracle, and repeated multi-threaded runs
+// (ledger included) must be deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 
 #include "gatelevel/bistgen.h"
 #include "gatelevel/faults.h"
 #include "gatelevel/faultsim.h"
+#include "observe/ledger.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -158,7 +160,7 @@ TEST_P(ParallelSweep, RunBlockDetailMatchesSerial) {
   }
 }
 
-TEST_P(ParallelSweep, EventDrivenSequentialMatchesFullResim) {
+TEST_P(ParallelSweep, SequentialMatchesFullResim) {
   const gl::Netlist n = random_sequential_netlist(GetParam());
   const auto faults = gl::enumerate_faults(n);
   const auto frames = gl::lfsr_pattern_blocks(
@@ -202,7 +204,7 @@ TEST_P(ParallelSweep, FaultCoverageDeterministicAcrossRuns) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelSweep, ::testing::Range(1, 11));
 
-TEST(SequentialEventDriven, MatchesOracleOnSeqAtpgEffortCircuits) {
+TEST(SequentialFaultSim, MatchesOracleOnSeqAtpgEffortCircuits) {
   // The bench_seqatpg_effort workloads: rings (long S-graph cycles, DFF
   // primary output) and pipelines (pure depth).
   for (int length = 1; length <= 6; ++length) {
@@ -225,7 +227,57 @@ TEST(SequentialEventDriven, MatchesOracleOnSeqAtpgEffortCircuits) {
   }
 }
 
-TEST(SequentialEventDriven, DropsDetectedFaultEarly) {
+TEST_P(ParallelSweep, SequentialMatchesFullResimOnRaggedAndEmptyFrames) {
+  // Frames with fewer values than PIs (the missing inputs read as X), and
+  // no frames at all (nothing can be detected).
+  const gl::Netlist n = random_sequential_netlist(GetParam());
+  const auto faults = gl::enumerate_faults(n);
+  auto ragged = gl::lfsr_pattern_blocks(
+      static_cast<int>(n.primary_inputs().size()), 6, GetParam() * 7 + 3);
+  for (std::size_t f = 0; f < ragged.size(); ++f)
+    ragged[f].resize(f % n.primary_inputs().size());
+  std::vector<std::vector<gl::Bits>> empty;
+  ASSERT_EQ(gl::sequential_fault_sim_full_resim(n, empty, faults),
+            std::vector<bool>(faults.size(), false));
+
+  for (const auto* frames : {&ragged, &empty}) {
+    const auto oracle =
+        gl::sequential_fault_sim_full_resim(n, *frames, faults);
+    EXPECT_EQ(oracle, gl::sequential_fault_sim(n, *frames, faults,
+                                              gl::FaultSimOptions{1}));
+    EXPECT_EQ(oracle, gl::sequential_fault_sim(n, *frames, faults,
+                                              gl::FaultSimOptions{4}));
+  }
+}
+
+TEST(SequentialFaultSim, LedgerIdenticalAcrossThreadCounts) {
+  const gl::Netlist n = random_sequential_netlist(29, 120, 10);
+  const auto faults = gl::enumerate_faults(n);
+  const auto frames = gl::lfsr_pattern_blocks(
+      static_cast<int>(n.primary_inputs().size()), 12, 29);
+
+  std::string base_json;
+  std::vector<bool> base_det;
+  for (int threads : {1, 2, 8}) {
+    observe::ledger_reset();
+    observe::ledger_enable();
+    const auto det = gl::sequential_fault_sim(n, frames, faults,
+                                              gl::FaultSimOptions{threads});
+    observe::ledger_disable();
+    const std::string json = observe::ledger_to_json();
+    observe::ledger_reset();
+    if (threads == 1) {
+      base_json = json;
+      base_det = det;
+      EXPECT_NE(std::count(det.begin(), det.end(), true), 0);
+    } else {
+      EXPECT_EQ(det, base_det) << "threads " << threads;
+      EXPECT_EQ(json, base_json) << "threads " << threads;
+    }
+  }
+}
+
+TEST(SequentialFaultSim, DropsDetectedFaultEarly) {
   // A buffer pipeline: an output SA fault is caught as soon as the effect
   // marches to the PO; later frames must not resurrect it.
   const gl::Netlist n = pipeline_circuit(3);

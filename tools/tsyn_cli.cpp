@@ -482,8 +482,8 @@ void gatelevel_quicklook(const rtl::Datapath& dp) {
   };
 
   if (ed.sequential()) {
-    // 64 lanes x 8 frames of random vectors through the event-driven
-    // sequential engine, then bounded sequential ATPG on a fault slice.
+    // 64 lanes x 8 frames of random vectors through the sequential fault
+    // simulator, then bounded sequential ATPG on a fault slice.
     std::vector<std::vector<gl::Bits>> frames;
     for (int f = 0; f < 8; ++f) frames.push_back(random_frame());
     std::vector<gl::Fault> sim_faults = faults;
