@@ -136,8 +136,8 @@ void Podem::rebuild_assignable_cones() {
 
 void Podem::imply(const std::vector<Fault>& sites) {
   ++stats_.implications;
-  V fanin_good[16];
-  V fanin_faulty[16];
+  V fanin_good[kMaxFanin];
+  V fanin_faulty[kMaxFanin];
   for (int id : n_.topo_order()) {
     const Node& node = n_.node(id);
     if (node.type == GateType::kInput) {

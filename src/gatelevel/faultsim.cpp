@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <limits>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -19,13 +19,9 @@ namespace tsyn::gl {
 
 namespace {
 
-/// Items claimed per work-stealing grab. Fault propagations are cheap
-/// (microseconds on small benches), so claiming one per atomic add is pure
-/// contention; a chunk this size amortizes it while the tail imbalance
-/// stays under a handful of propagations.
-constexpr int kPpsfpStealChunk = 16;
-/// Sequential faults cost a whole frame sweep each; smaller chunks keep
-/// the tail short.
+/// Items claimed per work-stealing grab by the sequential engine: each
+/// fault costs a whole frame sweep, so chunks smaller than PPSFP's
+/// (kPpsfpStealChunk) keep the tail short.
 constexpr int kSeqStealChunk = 4;
 
 }  // namespace
@@ -37,143 +33,13 @@ int FaultSimOptions::resolved_threads() const {
 }
 
 // ---------------------------------------------------------------------------
-// FaultPropagator — the propagation routine both PPSFP paths share.
+// FaultSimulator — the shared PPSFP shard loop, one 64-lane block per pass.
 // ---------------------------------------------------------------------------
 
-FaultPropagator::FaultPropagator(const Netlist& n) : g_(&SimGraph::of(n)) {
-  assert(n.flops().empty() && "FaultPropagator is combinational");
-  const int nn = g_->num_nodes();
-  faulty_.assign(nn, Bits::unknown());
-  stamp_.assign(nn, -1);
-  sched_stamp_.assign(nn, -1);
-  po_stamp_.assign(nn, -1);
-  lvl_stamp_.assign(g_->num_levels(), -1);
-  lvl_lo_.assign(g_->num_levels(), 0);
-  lvl_hi_.assign(g_->num_levels(), 0);
-}
-
-void FaultPropagator::begin(const std::vector<Bits>& good) {
-  assert(good.size() == static_cast<std::size_t>(g_->num_nodes()));
-  good_ = &good;
-  if (current_stamp_ == std::numeric_limits<int>::max()) {
-    std::fill(stamp_.begin(), stamp_.end(), -1);
-    std::fill(sched_stamp_.begin(), sched_stamp_.end(), -1);
-    std::fill(po_stamp_.begin(), po_stamp_.end(), -1);
-    std::fill(lvl_stamp_.begin(), lvl_stamp_.end(), -1);
-    current_stamp_ = 0;
-  }
-  ++current_stamp_;
-  min_lvl_ = g_->num_levels();
-  max_lvl_ = -1;
-  touched_pos_.clear();
-}
-
-void FaultPropagator::schedule_fanouts(int id) {
-  // The SimGraph fanout CSR carries combinational edges only, so there is
-  // no D-edge check here.
-  const std::int32_t* foff = g_->fanout_off();
-  const std::int32_t* fo = g_->fanout();
-  const std::int32_t* pos_of = g_->pos_of();
-  const std::int32_t* level_of = g_->level_of();
-  const std::int32_t end = foff[id + 1];
-  for (std::int32_t k = foff[id]; k < end; ++k) {
-    const int s = fo[k];
-    if (sched_stamp_[s] == current_stamp_) continue;
-    sched_stamp_[s] = current_stamp_;
-    const int pos = pos_of[s];
-    const int lvl = level_of[s];
-    if (lvl_stamp_[lvl] != current_stamp_) {
-      lvl_stamp_[lvl] = current_stamp_;
-      lvl_lo_[lvl] = pos;
-      lvl_hi_[lvl] = pos;
-      if (lvl < min_lvl_) min_lvl_ = lvl;
-      if (lvl > max_lvl_) max_lvl_ = lvl;
-    } else {
-      if (pos < lvl_lo_[lvl]) lvl_lo_[lvl] = pos;
-      if (pos > lvl_hi_[lvl]) lvl_hi_[lvl] = pos;
-    }
-  }
-}
-
-void FaultPropagator::force(int id, Bits v) {
-  const Bits old = value(id);
-  if (old.v == v.v && old.x == v.x) return;
-  faulty_[id] = v;
-  stamp_[id] = current_stamp_;
-  if ((g_->flags()[id] & SimGraph::kFlagPo) &&
-      po_stamp_[id] != current_stamp_) {
-    po_stamp_[id] = current_stamp_;
-    touched_pos_.push_back(id);
-  }
-  schedule_fanouts(id);
-}
-
-void FaultPropagator::inject(const Fault& f) {
-  const Bits stuck = f.stuck_at_one ? Bits::all1() : Bits::all0();
-  if (f.fanin_index < 0) {
-    force(f.node, stuck);
-    return;
-  }
-  const std::int32_t* fin = g_->fanin();
-  const std::int32_t lo = g_->fanin_off()[f.node];
-  const int nf = g_->num_fanins(f.node);
-  Bits fanin_vals[16];
-  for (int i = 0; i < nf; ++i)
-    fanin_vals[i] = i == f.fanin_index ? stuck : value(fin[lo + i]);
-  force(f.node, eval_gate(g_->type(f.node), fanin_vals, nf));
-}
-
-void FaultPropagator::drain() {
-  Bits fanin_vals[16];
-  const std::int32_t* order = g_->order().data();
-  const std::int32_t* foff = g_->fanin_off();
-  const std::int32_t* fin = g_->fanin();
-  const std::uint8_t* types = g_->types();
-  // Fanouts sit at strictly deeper levels, so scheduling during the sweep
-  // only ever stamps levels ahead of the cursor (max_lvl_ may grow, the
-  // current level's span cannot) — one ascending pass over the stamped
-  // levels suffices, and untouched levels cost one compare each. For the
-  // same reason the fault site itself is never scheduled: inject() has
-  // already set its faulty value for good.
-  for (int lvl = min_lvl_; lvl <= max_lvl_; ++lvl) {
-    if (lvl_stamp_[lvl] != current_stamp_) continue;
-    const int hi = lvl_hi_[lvl];
-    for (int pos = lvl_lo_[lvl]; pos <= hi; ++pos) {
-      const int id = order[pos];
-      if (sched_stamp_[id] != current_stamp_) continue;
-      ++events_;
-      const std::int32_t lo = foff[id];
-      const int nf = foff[id + 1] - lo;
-      for (int i = 0; i < nf; ++i) fanin_vals[i] = value(fin[lo + i]);
-      force(id, eval_gate(static_cast<GateType>(types[id]), fanin_vals, nf));
-    }
-  }
-}
-
-std::uint64_t FaultPropagator::po_diff_mask() const {
-  std::uint64_t mask = 0;
-  for (int id : touched_pos_) {
-    const Bits& g = (*good_)[id];
-    const Bits& b = faulty_[id];
-    mask |= (g.v ^ b.v) & ~g.x & ~b.x;
-  }
-  return mask;
-}
-
-std::uint64_t FaultPropagator::propagate(const Fault& f,
-                                         const std::vector<Bits>& good) {
-  ++faults_;
-  const long before = events_;
-  begin(good);
-  inject(f);
-  drain();
-  last_propagate_events_ = events_ - before;
-  return po_diff_mask();
-}
-
-// ---------------------------------------------------------------------------
-// FaultSimulator — PPSFP with the fault list spread over the worker pool.
-// ---------------------------------------------------------------------------
+struct FaultSimulator::Engine {
+  explicit Engine(const SimGraph& g) : shard(g) {}
+  wide_detail::PpsfpShard<1, ScalarWords<1>> shard;
+};
 
 FaultSimulator::FaultSimulator(const Netlist& n,
                                const FaultSimOptions& options)
@@ -181,76 +47,34 @@ FaultSimulator::FaultSimulator(const Netlist& n,
   if (!n.flops().empty())
     throw std::runtime_error(
         "FaultSimulator is combinational; expand state as PI/PO first");
-  SimGraph::of(n);  // build the lowered form before any worker reads it
-  good_.assign(n.num_nodes(), Bits::unknown());
+  // Lowers the netlist before any worker reads it.
+  engine_ = std::make_unique<Engine>(SimGraph::of(n));
 }
 
-void FaultSimulator::simulate_good(const std::vector<Bits>& pi_values) {
+FaultSimulator::FaultSimulator(FaultSimulator&&) noexcept = default;
+FaultSimulator::~FaultSimulator() = default;
+
+Bits FaultSimulator::good_value(int node) const {
+  const std::uint64_t* r = engine_->shard.good().row(node);
+  return Bits{r[0], r[1]};
+}
+
+void FaultSimulator::grade(const std::vector<Bits>& pi_values,
+                           const std::vector<Fault>& faults,
+                           const std::vector<bool>* skip,
+                           std::vector<std::uint64_t>& masks) {
   assert(pi_values.size() == n_.primary_inputs().size());
-  std::fill(good_.begin(), good_.end(), Bits::unknown());
-  for (std::size_t i = 0; i < pi_values.size(); ++i)
-    good_[n_.primary_inputs()[i]] = pi_values[i];
-  simulate_frame(n_, good_);
+  engine_->shard.grade(std::span(&pi_values, 1), faults, skip,
+                       options_.resolved_threads(), masks);
   good_po_.clear();
-  for (int po : n_.primary_outputs()) good_po_.push_back(good_[po]);
-}
-
-void FaultSimulator::propagate_shard(const std::vector<Fault>& faults,
-                                     const std::vector<bool>* skip,
-                                     std::vector<std::uint64_t>& masks) {
-  const int count = static_cast<int>(faults.size());
-  masks.assign(faults.size(), 0);
-  if (count == 0) return;
-  const int workers = std::min(options_.resolved_threads(), count);
-  while (static_cast<int>(propagators_.size()) < std::max(workers, 1))
-    propagators_.emplace_back(n_);
-
-  const bool ledger_on = observe::ledger_enabled();
-  auto job = [&](int i, int slot) {
-    if (skip && (*skip)[i]) return;
-    FaultPropagator& p = propagators_[slot];
-    masks[i] = p.propagate(faults[i], good_);
-    if (ledger_on)
-      observe::record_sim_effort(observe::make_fault_key(faults[i]),
-                                 p.last_propagate_events());
-  };
-  if (workers <= 1) {
-    for (int i = 0; i < count; ++i) job(i, 0);
-  } else {
-    util::ThreadPool::shared().run_chunked(count, workers, kPpsfpStealChunk,
-                                           job);
-  }
-
-  // Publish the shard's work into the registry off the hot path — worker
-  // counters are stable once run_chunked() has returned. Imbalance is the
-  // largest slot's share over the ideal equal share (1.0 = perfectly
-  // balanced, `workers` = one slot did everything).
-  static util::Counter& m_events =
-      util::metrics().counter("faultsim.ppsfp.events");
-  static util::Counter& m_sims =
-      util::metrics().counter("faultsim.ppsfp.faults_simulated");
-  long events = 0, done = 0, biggest = 0;
-  for (FaultPropagator& p : propagators_) {
-    events += p.events_processed();
-    done += p.faults_propagated();
-    biggest = std::max(biggest, p.faults_propagated());
-    p.reset_work_counters();
-  }
-  m_events.add(events);
-  m_sims.add(done);
-  if (workers > 1 && done > 0)
-    util::metrics()
-        .gauge("faultsim.ppsfp.shard_imbalance")
-        .set(static_cast<double>(biggest) * workers /
-             static_cast<double>(done));
+  for (int po : n_.primary_outputs()) good_po_.push_back(good_value(po));
 }
 
 int FaultSimulator::run_block(const std::vector<Bits>& pi_values,
                               const std::vector<Fault>& faults,
                               std::vector<bool>& detected) {
   detected.resize(faults.size(), false);
-  simulate_good(pi_values);
-  propagate_shard(faults, &detected, masks_);
+  grade(pi_values, faults, &detected, masks_);
   const long pattern_base = 64 * blocks_run_++;
   const bool ledger_on = observe::ledger_enabled();
   int newly_detected = 0;
@@ -276,14 +100,13 @@ int FaultSimulator::run_block(const std::vector<Bits>& pi_values,
 void FaultSimulator::run_block_detail(const std::vector<Bits>& pi_values,
                                       const std::vector<Fault>& faults,
                                       std::vector<std::uint64_t>& lane_masks) {
-  simulate_good(pi_values);
-  propagate_shard(faults, nullptr, lane_masks);
+  grade(pi_values, faults, nullptr, lane_masks);
   static util::Progress& p_patterns = util::progress("sim.patterns");
   p_patterns.add(64);
 }
 
 // ---------------------------------------------------------------------------
-// Wide-lane engine: W×64 patterns per good-machine pass and per fault
+// Campaigns: W×64 patterns per good-machine pass and per fault
 // propagation, value rows stored SoA (W value words then W x-words per
 // node) so the kernels stream whole rows through the chosen SIMD backend.
 // The engine itself lives in faultsim_wide.h, instantiated per ISA in
@@ -300,6 +123,7 @@ using wide_detail::wide_campaign;
 /// (active_simd_backend). The ISA-specific entry points live in TUs
 /// compiled with the matching -m flags; this TU stays portable, so the
 /// binary runs on any x86-64 and still uses AVX where the CPU has it.
+/// W=1 rows are a single {v, x} word pair, so W=1 is always scalar.
 template <int W>
 void run_wide_campaign(const Netlist& n,
                        const std::vector<std::vector<Bits>>& blocks,
@@ -319,18 +143,38 @@ void run_wide_campaign(const Netlist& n,
   }
 #endif
 #if defined(TSYN_WIDE_AVX2)
-  if (be == SimdBackend::kAvx2 || be == SimdBackend::kAvx512) {
-    if constexpr (W == 4)
-      wide_detail::wide_campaign_avx2_w4(n, blocks, faults, options, detected,
-                                         matrix);
-    else
-      wide_detail::wide_campaign_avx2_w8(n, blocks, faults, options, detected,
-                                         matrix);
-    return;
+  if constexpr (W > 1) {
+    if (be == SimdBackend::kAvx2 || be == SimdBackend::kAvx512) {
+      if constexpr (W == 4)
+        wide_detail::wide_campaign_avx2_w4(n, blocks, faults, options,
+                                           detected, matrix);
+      else
+        wide_detail::wide_campaign_avx2_w8(n, blocks, faults, options,
+                                           detected, matrix);
+      return;
+    }
   }
 #endif
   wide_campaign<W, ScalarWords<W>>(n, blocks, faults, options, detected,
                                    matrix);
+}
+
+/// Runs the campaign at options' resolved lane width.
+void run_campaign(const Netlist& n,
+                  const std::vector<std::vector<Bits>>& blocks,
+                  const std::vector<Fault>& faults,
+                  const FaultSimOptions& options, std::vector<bool>* detected,
+                  std::vector<std::uint64_t>* matrix) {
+  switch (options.resolved_lanes()) {
+    case 256:
+      run_wide_campaign<4>(n, blocks, faults, options, detected, matrix);
+      break;
+    case 512:
+      run_wide_campaign<8>(n, blocks, faults, options, detected, matrix);
+      break;
+    default:
+      run_wide_campaign<1>(n, blocks, faults, options, detected, matrix);
+  }
 }
 
 }  // namespace
@@ -346,16 +190,7 @@ double fault_coverage(const Netlist& n,
   util::progress("sim.patterns")
       .add_total(64 * static_cast<std::int64_t>(blocks.size()));
   std::vector<bool> detected(faults.size(), false);
-  const int lanes = options.resolved_lanes();
-  if (lanes != 64 && !blocks.empty() && !faults.empty()) {
-    if (lanes == 256)
-      run_wide_campaign<4>(n, blocks, faults, options, &detected, nullptr);
-    else
-      run_wide_campaign<8>(n, blocks, faults, options, &detected, nullptr);
-  } else {
-    FaultSimulator sim(n, options);
-    for (const auto& block : blocks) sim.run_block(block, faults, detected);
-  }
+  run_campaign(n, blocks, faults, options, &detected, nullptr);
   const long hit = std::count(detected.begin(), detected.end(), true);
   if (detected_out) *detected_out = std::move(detected);
   return faults.empty() ? 1.0
@@ -374,20 +209,7 @@ void detection_masks(const Netlist& n,
   masks.assign(count * nb, 0);
   if (count == 0 || nb == 0) return;
   util::progress("sim.patterns").add_total(64 * static_cast<std::int64_t>(nb));
-  const int lanes = options.resolved_lanes();
-  if (lanes == 64) {
-    FaultSimulator sim(n, options);
-    std::vector<std::uint64_t> row;
-    for (std::size_t b = 0; b < nb; ++b) {
-      sim.run_block_detail(blocks[b], faults, row);
-      for (std::size_t i = 0; i < count; ++i) masks[i * nb + b] = row[i];
-    }
-    return;
-  }
-  if (lanes == 256)
-    run_wide_campaign<4>(n, blocks, faults, options, nullptr, &masks);
-  else
-    run_wide_campaign<8>(n, blocks, faults, options, nullptr, &masks);
+  run_campaign(n, blocks, faults, options, nullptr, &masks);
 }
 
 // ---------------------------------------------------------------------------
@@ -542,7 +364,7 @@ namespace {
 void simulate_frame_with_fault(const Netlist& n, const Fault& f,
                                std::vector<Bits>& values) {
   const Bits stuck = f.stuck_at_one ? Bits::all1() : Bits::all0();
-  Bits fanin_vals[16];
+  Bits fanin_vals[kMaxFanin];
   for (int id : n.topo_order()) {
     const Node& node = n.node(id);
     if (node.type != GateType::kInput && node.type != GateType::kDff) {

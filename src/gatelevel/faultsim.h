@@ -3,21 +3,23 @@
 // Parallel-pattern single-fault propagation with fault dropping for
 // combinational circuits — the workhorse behind every fault-coverage
 // number in the benches (full-scan coverage, BIST coverage, test-point
-// evaluation). The engines run on the compiled SoA form (simgraph.h):
-// levelized order, flat fanin/fanout arenas, per-level event buckets.
-// Grading is 64 lanes per pass by default and can widen to 256/512 lanes
-// (FaultSimOptions::lanes) with SIMD-dispatched kernels (widebits.h), so
-// one good-machine pass and one propagation per fault cover a whole
-// super-block of patterns. The fault list is spread over a worker pool
-// with chunked work-stealing: each worker drains its own contiguous range
-// chunk by chunk, then steals chunks from the others, so cone-size
-// imbalance stops costing wall-clock. Sequential circuits are graded by
-// dense per-fault frame re-simulation: each fault re-evaluates every frame
-// with the fault injected, carrying its own flip-flop state, until a
-// primary output provably differs.
+// evaluation). One propagation engine (faultsim_wide.h) serves every entry
+// point: it runs on the compiled SoA form (simgraph.h) — levelized order,
+// flat fanin/fanout arenas, per-level worklists — over W 64-lane blocks
+// per pass: W=1 for FaultSimulator and 64-lane grading, W=4/8 with
+// SIMD-dispatched kernels (widebits.h) for 256/512 lanes
+// (FaultSimOptions::lanes), so one good-machine pass and one propagation
+// per fault cover a whole super-block of patterns. The fault list is
+// spread over a worker pool with chunked work-stealing: each worker drains
+// its own contiguous range chunk by chunk, then steals chunks from the
+// others, so cone-size imbalance stops costing wall-clock. Sequential
+// circuits are graded by dense per-fault frame re-simulation: each fault
+// re-evaluates every frame with the fault injected, carrying its own
+// flip-flop state, until a primary output provably differs.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "gatelevel/faults.h"
@@ -45,9 +47,9 @@ struct FaultSimOptions {
   int atpg_wave = 1;
 
   /// Pattern lanes graded per good-machine pass: 64 (one machine word,
-  /// the default — byte-identical to the historical engine, including
-  /// ledger JSON), 256, or 512. Wider widths produce the exact same
-  /// detected-fault set and per-fault first-detecting pattern as the
+  /// the default; its ledger JSON is pinned by digest in
+  /// tests/test_simgraph.cpp), 256, or 512. Wider widths produce the exact
+  /// same detected-fault set and per-fault first-detecting pattern as the
   /// corresponding sequence of 64-lane blocks (asserted in
   /// tests/test_simgraph.cpp); only per-fault simulation-effort event
   /// counts in the ledger differ (fewer, wider propagations). Widening
@@ -72,89 +74,17 @@ struct FaultSimOptions {
   }
 };
 
-/// Per-thread fault-propagation scratch plus the one propagation routine
-/// both the serial and the sharded PPSFP paths share. Values are
-/// copy-on-write against a caller-owned good-value vector: a node reads as
-/// good until touched in the current epoch. Internally runs on the
-/// netlist's cached SimGraph: flat CSR fanouts, levelized sweep with
-/// per-level event buckets (untouched levels are skipped wholesale — on
-/// shallow scan netlists most of them are). Combinational netlists only,
-/// like FaultSimulator.
-class FaultPropagator {
- public:
-  explicit FaultPropagator(const Netlist& n);
-
-  /// Injects `f` against the good-machine values `good` (node-indexed),
-  /// propagates its divergence, and returns the 64-bit lane mask of
-  /// primary outputs where the faulty machine provably differs (both
-  /// known, values differ).
-  std::uint64_t propagate(const Fault& f, const std::vector<Bits>& good);
-
-  /// Work counters for the metrics registry: gate evaluations propagate()
-  /// has performed and faults it has run since construction or the last
-  /// reset_work_counters(). Owned by the propagator's worker — read them
-  /// only between parallel sections (after ThreadPool::run returns).
-  long events_processed() const { return events_; }
-  long faults_propagated() const { return faults_; }
-  /// Gate evaluations the most recent propagate() cost (for per-fault
-  /// ledger attribution; worker-private like the totals above).
-  long last_propagate_events() const { return last_propagate_events_; }
-  void reset_work_counters() {
-    events_ = 0;
-    faults_ = 0;
-    last_propagate_events_ = 0;
-  }
-
- private:
-  /// Starts a new epoch against `good`.
-  void begin(const std::vector<Bits>& good);
-  /// Sets node `id` to `v`; schedules its fanouts if the value diverges
-  /// from the current (faulty-machine) value.
-  void force(int id, Bits v);
-  /// Output faults force the node, input-pin faults re-evaluate the gate
-  /// with the pin forced.
-  void inject(const Fault& f);
-  /// Drains the event buckets level by level.
-  void drain();
-  std::uint64_t po_diff_mask() const;
-  /// Faulty-machine value of `id` in the current epoch.
-  Bits value(int id) const {
-    return stamp_[id] == current_stamp_ ? faulty_[id] : (*good_)[id];
-  }
-  void schedule_fanouts(int id);
-
-  const SimGraph* g_ = nullptr;  ///< cached lowered form (netlist-owned)
-  const std::vector<Bits>* good_ = nullptr;
-  // Timestamped copy-on-write faulty values: faulty_[id] is valid only
-  // when stamp_[id] == current_stamp_.
-  std::vector<Bits> faulty_;
-  std::vector<int> stamp_;
-  std::vector<int> sched_stamp_;  ///< node already scheduled this epoch
-  int current_stamp_ = 0;
-  /// Per-level event buckets replacing the single global sweep range:
-  /// scheduling stamps the node's level and widens that level's
-  /// [lvl_lo_, lvl_hi_] position span; drain() walks levels
-  /// [min_lvl_, max_lvl_] skipping unstamped ones. Fanouts sit at
-  /// strictly deeper levels, so one ascending pass suffices and a level's
-  /// span is frozen by the time the sweep reaches it.
-  std::vector<int> lvl_stamp_, lvl_lo_, lvl_hi_;
-  int min_lvl_ = 0, max_lvl_ = -1;
-  /// Primary outputs touched this epoch (deduplicated via sched stamps on
-  /// a parallel array), so po_diff_mask() is O(touched POs).
-  std::vector<int> touched_pos_;
-  std::vector<int> po_stamp_;
-  /// Work counters (see events_processed); plain longs, worker-private.
-  long events_ = 0;
-  long faults_ = 0;
-  long last_propagate_events_ = 0;
-};
-
-/// Parallel-pattern combinational fault simulator. The netlist must be
-/// combinational (no DFFs) — expand scan/BIST registers as PI/PO first.
+/// Parallel-pattern combinational fault simulator, one 64-lane block per
+/// call — the incremental form of fault_coverage for callers that grade
+/// block by block (ATPG campaigns, compaction's per-slot detection matrix,
+/// two-pattern grading). The netlist must be combinational (no DFFs) —
+/// expand scan/BIST registers as PI/PO first.
 class FaultSimulator {
  public:
   explicit FaultSimulator(const Netlist& n,
                           const FaultSimOptions& options = {});
+  FaultSimulator(FaultSimulator&&) noexcept;
+  ~FaultSimulator();
 
   /// Simulates one 64-lane block. `pi_values[i]` is the Bits value of
   /// primary input i (by position in primary_inputs()). Marks faults
@@ -176,23 +106,25 @@ class FaultSimulator {
                         std::vector<std::uint64_t>& lane_masks);
 
   /// Good-machine value of any node after the last block.
-  const Bits& good_value(int node) const { return good_[node]; }
+  Bits good_value(int node) const;
 
  private:
-  void simulate_good(const std::vector<Bits>& pi_values);
-  /// Spreads `faults` over the worker pool (chunked work-stealing);
-  /// masks[i] receives the detecting lane mask (0 for faults where
-  /// skip[i] is true).
-  void propagate_shard(const std::vector<Fault>& faults,
-                       const std::vector<bool>* skip,
-                       std::vector<std::uint64_t>& masks);
+  /// The shared PPSFP shard loop at one block per pass (faultsim_wide.h,
+  /// kept out of this header so its templates never reach ISA-flagged TUs).
+  struct Engine;
+
+  /// Simulates the good machine on `pi_values`, then propagates every
+  /// fault not marked in `skip` over the worker pool; masks[i] receives
+  /// fault i's detecting lane mask.
+  void grade(const std::vector<Bits>& pi_values,
+             const std::vector<Fault>& faults, const std::vector<bool>* skip,
+             std::vector<std::uint64_t>& masks);
 
   const Netlist& n_;
   FaultSimOptions options_;
-  std::vector<Bits> good_;
+  std::unique_ptr<Engine> engine_;
   std::vector<Bits> good_po_;
-  std::vector<FaultPropagator> propagators_;  ///< one per worker slot
-  std::vector<std::uint64_t> masks_;          ///< run_block scratch
+  std::vector<std::uint64_t> masks_;  ///< run_block scratch
   /// Blocks run_block has graded, so ledger detect events carry global
   /// pattern indices (64 * block + lane) across a whole campaign.
   long blocks_run_ = 0;
@@ -200,8 +132,8 @@ class FaultSimulator {
 
 /// Convenience: coverage of `faults` under `blocks` of PI patterns.
 /// Returns the fraction detected; `detected` (optional) receives the mask.
-/// options.lanes = 256/512 grades 4/8 blocks per pass with the wide-lane
-/// engine — same detected set and first-detecting patterns, fewer passes.
+/// options.lanes = 256/512 grades 4/8 blocks per pass instead of one —
+/// same detected set and first-detecting patterns, fewer passes.
 double fault_coverage(const Netlist& n,
                       const std::vector<std::vector<Bits>>& blocks,
                       const std::vector<Fault>& faults,

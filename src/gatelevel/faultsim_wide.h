@@ -1,9 +1,12 @@
-// Wide-lane PPSFP engine, templated over the lane width W and the SIMD
-// word-vector backend V (widebits.h). This header is instantiated by
-// several translation units compiled with different ISA flags:
+// The combinational PPSFP engine, templated over the lane width W (64-lane
+// blocks per pass: 1, 4 or 8) and the SIMD word-vector backend V
+// (widebits.h). It is the only combinational fault propagator: W=1 serves
+// FaultSimulator and 64-lane grading, W=4/8 the 256/512-lane campaigns.
+// This header is instantiated by several translation units compiled with
+// different ISA flags:
 //
-//   faultsim.cpp         (portable flags)  -> wide_campaign<W, ScalarWords<W>>
-//   faultsim_avx2.cpp    (-mavx2)          -> wide_campaign<W, Avx2Words>
+//   faultsim.cpp         (portable flags)  -> W=1/4/8 on ScalarWords<W>
+//   faultsim_avx2.cpp    (-mavx2)          -> wide_campaign<4|8, Avx2Words>
 //   faultsim_avx512.cpp  (-mavx512f)       -> wide_campaign<8, Avx512Words>
 //
 // and run_wide_campaign (faultsim.cpp) picks an entry point at runtime
@@ -11,7 +14,8 @@
 // its parameter list even where the code never touches V: instantiations
 // from differently-flagged TUs must have distinct symbols, or the linker
 // could keep an AVX-encoded comdat copy and hand it to the scalar path on
-// a CPU without that ISA.
+// a CPU without that ISA. For the same reason only faultsim*.cpp include
+// this header; faultsim.h keeps it out of every other TU.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -34,10 +39,11 @@
 
 namespace tsyn::gl::wide_detail {
 
-/// Items claimed per work-stealing grab; mirrors the narrow engine's
-/// kPpsfpStealChunk (faultsim.cpp) and for the same reason — per-fault
-/// propagation is microseconds, one atomic add each is pure contention.
-constexpr int kWideStealChunk = 16;
+/// Items claimed per work-stealing grab. Fault propagations are cheap
+/// (microseconds on small benches), so claiming one per atomic add is pure
+/// contention; a chunk this size amortizes it while the tail imbalance
+/// stays under a handful of propagations.
+constexpr int kPpsfpStealChunk = 16;
 
 /// Good-machine value rows for one super-block, shared read-only by every
 /// worker's propagator. Rows are interleaved: node id owns 2W contiguous
@@ -154,14 +160,16 @@ inline bool wide_eval_diff(GateType type, const std::uint64_t* const* fr,
   return true;
 }
 
-/// Loads PI rows for the super-block starting at block `base`. Blocks past
-/// the end of the campaign pad with all-X lanes; three-valued monotonicity
-/// makes them inert (an X-input lane can only detect a fault that every
-/// real lane also detects, so first-detection attribution stays real).
+/// Loads PI rows for one super-block: lane group w takes `blocks[w]`.
+/// Lane groups past blocks.size() (the campaign's last, partial
+/// super-block) pad with all-X lanes; three-valued monotonicity makes them
+/// inert (an X-input lane can only detect a fault that every real lane
+/// also detects, so first-detection attribution stays real).
 template <int W, class V>
 void wide_set_inputs(const SimGraph& g,
-                     const std::vector<std::vector<Bits>>& blocks,
-                     std::size_t base, WideGood<W>& good) {
+                     std::span<const std::vector<Bits>> blocks,
+                     WideGood<W>& good) {
+  assert(blocks.size() <= static_cast<std::size_t>(W));
   const std::size_t nn = static_cast<std::size_t>(g.num_nodes());
   good.rows.assign(nn * 2 * W, 0);
   for (std::size_t id = 0; id < nn; ++id) {  // default all lanes to X
@@ -169,13 +177,12 @@ void wide_set_inputs(const SimGraph& g,
     for (int w = 0; w < W; ++w) rx[w] = ~0ULL;
   }
   const auto& pis = g.pis();
-  for (std::size_t i = 0; i < pis.size(); ++i) {
-    std::uint64_t* r = &good.rows[static_cast<std::size_t>(pis[i]) * 2 * W];
-    for (int w = 0; w < W; ++w) {
-      const std::size_t b = base + static_cast<std::size_t>(w);
-      if (b >= blocks.size() || i >= blocks[b].size()) continue;
-      r[w] = blocks[b][i].v;
-      r[W + w] = blocks[b][i].x;
+  for (std::size_t w = 0; w < blocks.size(); ++w) {
+    const std::size_t known = std::min(pis.size(), blocks[w].size());
+    for (std::size_t i = 0; i < known; ++i) {
+      std::uint64_t* r = &good.rows[static_cast<std::size_t>(pis[i]) * 2 * W];
+      r[w] = blocks[w][i].v;
+      r[W + w] = blocks[w][i].x;
     }
   }
 }
@@ -183,7 +190,7 @@ void wide_set_inputs(const SimGraph& g,
 /// Full good simulation of the preset rows (one levelized pass).
 template <int W, class V>
 void wide_simulate_good(const SimGraph& g, WideGood<W>& good) {
-  const std::uint64_t* frp[16];
+  const std::uint64_t* frp[kMaxFanin];
   const std::int32_t* foff = g.fanin_off();
   const std::int32_t* fin = g.fanin();
   for (const std::int32_t id : g.order()) {
@@ -191,7 +198,7 @@ void wide_simulate_good(const SimGraph& g, WideGood<W>& good) {
     if (t == GateType::kInput || t == GateType::kDff) continue;
     const std::int32_t lo = foff[id];
     const int nf = foff[id + 1] - lo;
-    assert(nf <= 16);
+    assert(nf <= kMaxFanin);
     for (int i = 0; i < nf; ++i)
       frp[i] = &good.rows[static_cast<std::size_t>(fin[lo + i]) * 2 * W];
     wide_eval_row<W, V>(t, frp, nf,
@@ -199,8 +206,12 @@ void wide_simulate_good(const SimGraph& g, WideGood<W>& good) {
   }
 }
 
-/// FaultPropagator widened to W×64 lanes: same copy-on-write stamps, same
-/// per-level event buckets, value rows instead of single Bits. One
+/// Per-worker fault-propagation scratch: injects one fault against a
+/// super-block's shared good rows and propagates only its divergence.
+/// Faulty rows are copy-on-write — a node reads as good until touched in
+/// the current epoch, so starting the next fault is one epoch bump — and
+/// scheduled nodes sit in per-level worklists drained in one ascending
+/// pass (fanouts are strictly deeper). Combinational SimGraphs only. One
 /// instance per worker slot.
 template <int W, class V>
 class WideProp {
@@ -223,7 +234,7 @@ class WideProp {
     const long before = events_;
     begin(good);
     inject(f);
-    drain(f);
+    drain(f.node);
     last_events_ = events_ - before;
     po_diff(out_mask);
   }
@@ -270,10 +281,13 @@ class WideProp {
       if (sched_stamp_[s] == cur_) continue;
       sched_stamp_[s] = cur_;
       // The sweep reaches `s` strictly later (deeper level); start pulling
-      // its good row in now so the eval doesn't stall on it.
-      const std::uint64_t* gr = good_->row(s);
-      __builtin_prefetch(gr);
-      __builtin_prefetch(gr + W);
+      // its good row in now so the eval doesn't stall on it. A W=1 row is
+      // 16 bytes — the prefetch costs more than the miss it hides.
+      if constexpr (W > 1) {
+        const std::uint64_t* gr = good_->row(s);
+        __builtin_prefetch(gr);
+        __builtin_prefetch(gr + W);
+      }
       const int lvl = level_of[s];
       if (lvl_stamp_[lvl] != cur_) {
         lvl_stamp_[lvl] = cur_;
@@ -308,11 +322,11 @@ class WideProp {
   /// Re-evaluates node `id` with fanin pin `pin` (or -1: none) overridden
   /// to the `srow` row, directly into its copy-on-write row.
   void eval_node(int id, int pin, const std::uint64_t* srow) {
-    const std::uint64_t* frp[16];
+    const std::uint64_t* frp[kMaxFanin];
     const std::int32_t* fin = g_->fanin();
     const std::int32_t lo = g_->fanin_off()[id];
     const int nf = g_->fanin_off()[id + 1] - lo;
-    assert(nf <= 16);
+    assert(nf <= kMaxFanin);
     for (int i = 0; i < nf; ++i)
       frp[i] = i == pin ? srow : row(fin[lo + i]);
     std::uint64_t* dst = &frows_[static_cast<std::size_t>(id) * 2 * W];
@@ -320,38 +334,33 @@ class WideProp {
     if (wide_eval_diff<W, V>(g_->type(id), frp, nf, old, dst)) touch(id);
   }
 
-  /// The faulted pin/node row: stuck value in every lane, nothing unknown.
-  void stuck_row(const Fault& f, std::uint64_t* srow) const {
+  void inject(const Fault& f) {
+    assert(g_->type(f.node) != GateType::kDff && "combinational only");
+    // The faulted pin/node row: stuck value in every lane, nothing unknown.
+    std::uint64_t srow[2 * W];
     for (int w = 0; w < W; ++w) {
       srow[w] = f.stuck_at_one ? ~0ULL : 0;
       srow[W + w] = 0;
     }
-  }
-
-  void inject(const Fault& f) {
-    std::uint64_t srow[2 * W];
-    stuck_row(f, srow);
-    if (f.fanin_index < 0) {
+    if (f.fanin_index < 0)
       force(f.node, srow);
-      return;
-    }
-    if (g_->type(f.node) == GateType::kDff) return;
-    eval_node(f.node, f.fanin_index, srow);
+    else
+      eval_node(f.node, f.fanin_index, srow);
   }
 
-  void drain(const Fault& f) {
-    std::uint64_t srow[2 * W];
-    stuck_row(f, srow);
+  void drain([[maybe_unused]] int site) {
     // Scheduled nodes sit in per-level worklists (no scanning a level's
     // position span for the few scheduled entries — cones here are small
     // and the holes would dominate). A level's list is complete once the
-    // sweep reaches it: scheduling only ever targets deeper levels.
+    // sweep reaches it: scheduling only ever targets deeper levels. For
+    // the same reason the fault site is never scheduled: a combinational
+    // node is not its own fanout, so inject() has set its row for good.
     for (int lvl = min_lvl_; lvl <= max_lvl_; ++lvl) {
       if (lvl_stamp_[lvl] != cur_) continue;
       for (const int id : lvl_nodes_[lvl]) {
         ++events_;
-        if (f.fanin_index < 0 && id == f.node) continue;  // pinned
-        eval_node(id, id == f.node ? f.fanin_index : -1, srow);
+        assert(id != site && "fault site rescheduled");
+        eval_node(id, -1, nullptr);
       }
     }
   }
@@ -378,10 +387,86 @@ class WideProp {
   long events_ = 0, faults_ = 0, last_events_ = 0;
 };
 
-/// One wide campaign over all blocks. Drop mode when `detected` is given
-/// (fault dropping plus ledger detect events, exactly the serial
-/// first-detection attribution); matrix mode when `matrix` is given (no
-/// dropping, every block's lane mask recorded).
+/// The one PPSFP shard loop, shared by every lane width and entry point:
+/// a good-machine pass over one super-block (up to W 64-lane blocks), then
+/// every live fault propagated once across all of it, the fault list
+/// spread over the worker pool with chunked work-stealing. Holds one
+/// propagator per worker slot, grown on demand and reused across passes.
+template <int W, class V>
+class PpsfpShard {
+ public:
+  explicit PpsfpShard(const SimGraph& g) : g_(&g) {}
+
+  /// Grades `faults` against `blocks` (at most W; lane groups past the end
+  /// are X). masks[i * W + w] receives fault i's detecting lane mask in
+  /// block w — 0 where skip[i] is set (fault dropping). Records each
+  /// propagation's effort in the ledger and publishes the pass's
+  /// faultsim.ppsfp.* work counters.
+  void grade(std::span<const std::vector<Bits>> blocks,
+             const std::vector<Fault>& faults, const std::vector<bool>* skip,
+             int threads, std::vector<std::uint64_t>& masks) {
+    wide_set_inputs<W, V>(*g_, blocks, good_);
+    wide_simulate_good<W, V>(*g_, good_);
+    const int count = static_cast<int>(faults.size());
+    masks.assign(static_cast<std::size_t>(count) * W, 0);
+    if (count == 0) return;
+    const int workers = std::min(threads, count);
+    while (static_cast<int>(props_.size()) < std::max(workers, 1))
+      props_.emplace_back(*g_);
+
+    const bool ledger_on = observe::ledger_enabled();
+    auto job = [&](int i, int slot) {
+      if (skip && (*skip)[i]) return;
+      WideProp<W, V>& p = props_[slot];
+      p.propagate(faults[i], good_, &masks[static_cast<std::size_t>(i) * W]);
+      if (ledger_on)
+        observe::record_sim_effort(observe::make_fault_key(faults[i]),
+                                   p.last_events());
+    };
+    if (workers <= 1) {
+      for (int i = 0; i < count; ++i) job(i, 0);
+    } else {
+      util::ThreadPool::shared().run_chunked(count, workers, kPpsfpStealChunk,
+                                             job);
+    }
+
+    // Publish the pass's work off the hot path — worker counters are
+    // stable once run_chunked() has returned. Imbalance is the largest
+    // slot's share over the ideal equal share (1.0 = perfectly balanced,
+    // `workers` = one slot did everything).
+    static util::Counter& m_events =
+        util::metrics().counter("faultsim.ppsfp.events");
+    static util::Counter& m_sims =
+        util::metrics().counter("faultsim.ppsfp.faults_simulated");
+    long events = 0, done = 0, biggest = 0;
+    for (WideProp<W, V>& p : props_) {
+      events += p.events();
+      done += p.faults();
+      biggest = std::max(biggest, p.faults());
+      p.reset_work_counters();
+    }
+    m_events.add(events);
+    m_sims.add(done);
+    if (workers > 1 && done > 0)
+      util::metrics()
+          .gauge("faultsim.ppsfp.shard_imbalance")
+          .set(static_cast<double>(biggest) * workers /
+               static_cast<double>(done));
+  }
+
+  /// Good-machine rows of the last grade() pass.
+  const WideGood<W>& good() const { return good_; }
+
+ private:
+  const SimGraph* g_;
+  WideGood<W> good_;
+  std::vector<WideProp<W, V>> props_;  ///< one per worker slot
+};
+
+/// One campaign over all blocks, W blocks per pass. Drop mode when
+/// `detected` is given (fault dropping plus ledger detect events, exactly
+/// the serial first-detection attribution); matrix mode when `matrix` is
+/// given (no dropping, every block's lane mask recorded).
 template <int W, class V>
 void wide_campaign(const Netlist& n,
                    const std::vector<std::vector<Bits>>& blocks,
@@ -390,43 +475,19 @@ void wide_campaign(const Netlist& n,
                    std::vector<std::uint64_t>* matrix) {
   if (!n.flops().empty())
     throw std::runtime_error(
-        "wide fault sim is combinational; expand state as PI/PO first");
-  const SimGraph& g = SimGraph::of(n);  // built before workers fan out
-  const int count = static_cast<int>(faults.size());
+        "PPSFP fault sim is combinational; expand state as PI/PO first");
   const std::size_t nb = blocks.size();
-  if (count == 0 || nb == 0) return;
+  if (nb == 0) return;
+  const int count = static_cast<int>(faults.size());
   const std::size_t nsuper = (nb + W - 1) / W;
-  const int workers = std::min(options.resolved_threads(), count);
-  std::vector<WideProp<W, V>> props;
-  props.reserve(static_cast<std::size_t>(std::max(workers, 1)));
-  for (int w = 0; w < std::max(workers, 1); ++w) props.emplace_back(g);
-
-  WideGood<W> good;
-  std::vector<std::uint64_t> block_masks(static_cast<std::size_t>(count) * W);
+  PpsfpShard<W, V> shard(SimGraph::of(n));  // lowered before workers fan out
+  std::vector<std::uint64_t> block_masks;
   const bool ledger_on = observe::ledger_enabled();
-  long newly = 0, blocks_done = 0;
+  long newly = 0;
   for (std::size_t s = 0; s < nsuper; ++s) {
-    wide_set_inputs<W, V>(g, blocks, s * W, good);
-    wide_simulate_good<W, V>(g, good);
-    auto job = [&](int i, int slot) {
-      std::uint64_t* mw = &block_masks[static_cast<std::size_t>(i) * W];
-      if (detected && (*detected)[i]) {
-        std::fill(mw, mw + W, 0);
-        return;
-      }
-      props[slot].propagate(faults[i], good, mw);
-      if (ledger_on)
-        observe::record_sim_effort(observe::make_fault_key(faults[i]),
-                                   props[slot].last_events());
-    };
-    if (workers <= 1) {
-      for (int i = 0; i < count; ++i) job(i, 0);
-    } else {
-      util::ThreadPool::shared().run_chunked(count, workers, kWideStealChunk,
-                                             job);
-    }
-    const int real = static_cast<int>(
-        std::min<std::size_t>(W, nb - s * W));  // blocks, minus padding
+    const std::size_t real = std::min<std::size_t>(W, nb - s * W);
+    shard.grade(std::span(blocks).subspan(s * W, real), faults, detected,
+                options.resolved_threads(), block_masks);
     if (detected) {
       const long pattern_base = 64 * static_cast<long>(s * W);
       for (int i = 0; i < count; ++i) {
@@ -450,25 +511,16 @@ void wide_campaign(const Netlist& n,
         const std::uint64_t* mw =
             &block_masks[static_cast<std::size_t>(i) * W];
         std::uint64_t* row = &(*matrix)[static_cast<std::size_t>(i) * nb];
-        for (int w = 0; w < real; ++w) row[s * W + w] = mw[w];
+        for (std::size_t w = 0; w < real; ++w) row[s * W + w] = mw[w];
       }
     }
-    blocks_done += real;
     // Live progress after each good-machine pass, not once at the end, so
     // heartbeats see pattern-grained advance inside long campaigns.
     static util::Progress& p_patterns = util::progress("sim.patterns");
     p_patterns.add(64 * static_cast<std::int64_t>(real));
   }
 
-  long events = 0, done = 0;
-  for (WideProp<W, V>& p : props) {
-    events += p.events();
-    done += p.faults();
-    p.reset_work_counters();
-  }
-  util::metrics().counter("faultsim.ppsfp.events").add(events);
-  util::metrics().counter("faultsim.ppsfp.faults_simulated").add(done);
-  util::metrics().counter("faultsim.ppsfp.blocks").add(blocks_done);
+  util::metrics().counter("faultsim.ppsfp.blocks").add(static_cast<long>(nb));
   util::metrics().counter("faultsim.ppsfp.faults_detected").add(newly);
   util::metrics()
       .counter("faultsim.wide.super_blocks")

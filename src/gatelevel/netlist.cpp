@@ -166,6 +166,25 @@ int Netlist::add_gate(GateType type, const std::vector<int>& fanins,
       break;
   }
 
+  // Only AND/OR/NAND/NOR are n-ary. A wide one becomes near-equal groups
+  // of at most kMaxFanin fanins, each reduced by the non-inverting gate;
+  // the group outputs recurse under the requested type, so the inversion
+  // stays at the root. Groups hold >= 8 fanins, never a lone wire.
+  const std::size_t width = fanins.size();
+  if (width > static_cast<std::size_t>(kMaxFanin)) {
+    const GateType inner = type == GateType::kNand  ? GateType::kAnd
+                           : type == GateType::kNor ? GateType::kOr
+                                                    : type;
+    const std::size_t groups = (width + kMaxFanin - 1) / kMaxFanin;
+    std::vector<int> roots;
+    for (std::size_t g = 0, lo = 0; g < groups; ++g) {
+      const std::size_t hi = lo + (width - lo) / (groups - g);
+      roots.push_back(add_gate_raw(
+          inner, std::vector<int>(fanins.begin() + lo, fanins.begin() + hi)));
+      lo = hi;
+    }
+    return add_gate(type, roots, name);
+  }
   return add_gate_raw(type, fanins, name);
 }
 
@@ -176,6 +195,8 @@ int Netlist::add_gate_raw(GateType type, const std::vector<int>& fanins,
     throw std::runtime_error("gate arity mismatch for " + to_string(type));
   if (arity < 0 && fanins.size() < 2)
     throw std::runtime_error("n-ary gate needs >= 2 fanins");
+  if (fanins.size() > static_cast<std::size_t>(kMaxFanin))
+    throw std::runtime_error("gate wider than kMaxFanin fanins");
   for (int f : fanins)
     if (f < 0 || f >= num_nodes())
       throw std::runtime_error("bad fanin id");
@@ -298,7 +319,7 @@ void simulate_frame(const Netlist& n, std::vector<Bits>& values,
   const int fpin = fault ? fault->fanin_index : -1;
   const Bits stuck =
       fault && fault->stuck_at_one ? Bits::all1() : Bits::all0();
-  Bits fanin_vals[16];
+  Bits fanin_vals[kMaxFanin];
   const std::int32_t* fanin = g.fanin();
   const std::int32_t* off = g.fanin_off();
   Bits* vals = values.data();
@@ -308,7 +329,7 @@ void simulate_frame(const Netlist& n, std::vector<Bits>& values,
     if (type != GateType::kInput && type != GateType::kDff) {
       const std::int32_t lo = off[id];
       const int nf = off[id + 1] - lo;
-      assert(nf <= 16);
+      assert(nf <= kMaxFanin);
       for (int i = 0; i < nf; ++i) fanin_vals[i] = vals[fanin[lo + i]];
       if (id == fnode && fpin >= 0) fanin_vals[fpin] = stuck;
       vals[id] = eval_gate(type, fanin_vals, nf);

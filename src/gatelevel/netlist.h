@@ -34,6 +34,11 @@ enum class GateType {
 
 std::string to_string(GateType t);
 
+/// Widest gate the netlist holds. Every simulator evaluates a gate from a
+/// fixed on-stack fanin buffer of this size; add_gate splits wider n-ary
+/// gates into a tree, add_gate_raw rejects them.
+inline constexpr int kMaxFanin = 16;
+
 struct Node {
   GateType type = GateType::kBuf;
   std::vector<int> fanins;
@@ -64,11 +69,15 @@ class Netlist {
   /// expand_datapath does, and reallocation during expansion is pure
   /// waste. A hint, not a limit.
   void reserve_nodes(int expected_nodes);
+  /// Adds a gate after constant folding. An AND/OR/NAND/NOR wider than
+  /// kMaxFanin becomes a balanced tree of AND/OR gates of at most kMaxFanin
+  /// inputs under a root of the requested type (which gets `name`).
   int add_gate(GateType type, const std::vector<int>& fanins,
                const std::string& name = "");
-  /// add_gate without constant folding. For experiment rigs that need two
-  /// netlists to stay structurally identical while a tied constant differs
-  /// (e.g. a test-mode pin strapped 0 vs 1).
+  /// add_gate without constant folding or splitting (throws above
+  /// kMaxFanin fanins). For experiment rigs that need two netlists to stay
+  /// structurally identical while a tied constant differs (e.g. a
+  /// test-mode pin strapped 0 vs 1).
   int add_gate_raw(GateType type, const std::vector<int>& fanins,
                    const std::string& name = "");
   /// Adds a DFF; its D connection may be set later with set_dff_input
@@ -127,10 +136,10 @@ class Netlist {
 };
 
 /// Evaluates one combinational gate from fanin values. Header-inline so
-/// the simulation hot loops (simulate_frame, FaultPropagator::drain) fold
+/// the simulation hot loops (simulate_frame, the sequential engine) fold
 /// the whole evaluation into one switch instead of an out-of-line call;
-/// the wide-lane kernels in widebits.h are these same formulas lifted to
-/// W words and must stay bit-identical at W=1.
+/// the PPSFP kernels in widebits.h are these same formulas lifted to W
+/// words and must stay bit-identical to them at every W.
 inline Bits eval_gate(GateType type, const Bits* in, int num_fanins) {
   auto and2 = [](Bits a, Bits b) {
     Bits r;

@@ -18,7 +18,7 @@
 //
 // Lowering is cached on the Netlist (SimGraph::of) and invalidated by
 // structural edits, so callers holding a mutable Netlist keep their
-// existing entry points: simulate_frame, FaultPropagator, and the PPSFP
+// existing entry points: simulate_frame, FaultSimulator, and the PPSFP
 // and sequential engines all lower-and-cache internally. Contract: the
 // cache is built on the calling thread — entry points that shard work
 // call SimGraph::of (or construct their propagators) before fanning out,

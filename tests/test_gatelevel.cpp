@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "cdfg/benchmarks.h"
+#include "cdfg/parser.h"
+#include "gatelevel/atpg_comb.h"
 #include "gatelevel/bistgen.h"
 #include "gatelevel/expand.h"
 #include "gatelevel/faults.h"
@@ -182,6 +185,78 @@ TEST(Netlist, SequentialAccumulator) {
   EXPECT_EQ(trace[0][x].v, ~0ULL);  // 0 xor 1
   EXPECT_EQ(trace[1][x].v, 0u);     // 1 xor 1
   EXPECT_EQ(trace[2][x].v, ~0ULL);
+}
+
+// Gates wider than kMaxFanin (the simulators' on-stack fanin buffers) are
+// split by add_gate into a tree that keeps the gate's three-valued truth
+// function, with the requested (possibly inverting) type at the root.
+TEST(Netlist, WideGatesSplitIntoTreesKeepTheirFunction) {
+  util::Rng rng(17);
+  for (int width : {17, 40}) {
+    for (GateType type :
+         {GateType::kAnd, GateType::kNand, GateType::kOr, GateType::kNor}) {
+      Netlist n;
+      std::vector<int> ins;
+      for (int i = 0; i < width; ++i) ins.push_back(n.add_input());
+      const int root = n.add_gate(type, ins, "root");
+      n.mark_output(root);
+      n.validate();
+      EXPECT_EQ(n.node(root).type, type);
+      EXPECT_EQ(n.node(root).name, "root");
+      for (const Node& node : n.nodes())
+        EXPECT_LE(static_cast<int>(node.fanins.size()), kMaxFanin);
+
+      // Mostly-1 (AND) or mostly-0 (OR) lanes so the output is not
+      // constant, plus sparse unknowns.
+      std::vector<Bits> values(n.num_nodes(), Bits::unknown());
+      std::vector<Bits> in_vals;
+      for (int pi : ins) {
+        const std::uint64_t sparse = rng.next_u64() & rng.next_u64() &
+                                     rng.next_u64() & rng.next_u64();
+        Bits b;
+        b.x = sparse & rng.next_u64() & rng.next_u64();
+        const bool and_like =
+            type == GateType::kAnd || type == GateType::kNand;
+        b.v = (and_like ? ~sparse : sparse) & ~b.x;
+        values[pi] = b;
+        in_vals.push_back(b);
+      }
+      simulate_frame(n, values);
+      const Bits want = eval_gate(type, in_vals.data(), width);
+      EXPECT_EQ(values[root].v, want.v) << to_string(type) << width;
+      EXPECT_EQ(values[root].x, want.x) << to_string(type) << width;
+    }
+  }
+}
+
+TEST(Netlist, AddGateRawRejectsGatesWiderThanMaxFanin) {
+  Netlist n;
+  std::vector<int> ins;
+  for (int i = 0; i <= kMaxFanin; ++i) ins.push_back(n.add_input());
+  EXPECT_THROW(n.add_gate_raw(GateType::kAnd, ins), std::runtime_error);
+  ins.pop_back();
+  EXPECT_NO_THROW(n.add_gate_raw(GateType::kAnd, ins));
+}
+
+// A CDFG equality op expands to a `width`-input AND of XNORs; at widths
+// past kMaxFanin it must still expand and run the ATPG campaign.
+TEST(Expand, WideEqualityComparatorRunsAtpg) {
+  const cdfg::Cdfg g =
+      cdfg::parse_cdfg("input a\ninput b\nop eq c a b\noutput c\n");
+  const hls::Synthesis syn = hls::synthesize(g);
+  for (int width : {17, 32}) {
+    rtl::Datapath dp = syn.rtl.datapath;
+    for (auto& reg : dp.regs) reg.test_kind = rtl::TestRegKind::kScan;
+    ExpandOptions opts;
+    opts.width_override = width;
+    const Netlist n = expand_datapath(dp, opts).netlist;
+    for (const Node& node : n.nodes())
+      EXPECT_LE(static_cast<int>(node.fanins.size()), kMaxFanin);
+    const auto faults = enumerate_faults(n);
+    const AtpgCampaign c = run_combinational_atpg(n, faults);
+    EXPECT_EQ(c.status.size(), faults.size());
+    EXPECT_GT(c.fault_coverage, 0.5) << "width " << width;
+  }
 }
 
 TEST(Faults, EnumerationCountsAndCollapse) {

@@ -6,8 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "gatelevel/faultsim.h"
-#include "gatelevel/faults.h"
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -272,33 +270,6 @@ TEST(Log, LevelGateRoundTrips) {
   EXPECT_EQ(log_level(), LogLevel::kDebug);
   EXPECT_STREQ(log_level_name(LogLevel::kDebug), "debug");
   set_log_level(before);
-}
-
-// The per-fault effort attribution the ledger reads (last_propagate_events)
-// must be cleared together with the totals, or the first fault after a
-// metrics publish inherits the previous shard's attribution.
-TEST(WorkCounters, PropagatorResetClearsAllThree) {
-  gl::Netlist n;
-  const int a = n.add_input("a");
-  const int b = n.add_input("b");
-  const int g = n.add_gate(gl::GateType::kAnd, {a, b});
-  const int h = n.add_gate(gl::GateType::kXor, {g, b});
-  n.mark_output(h);
-  n.validate();
-  std::vector<gl::Bits> good(n.num_nodes(), gl::Bits::unknown());
-  good[a] = gl::Bits::all1();
-  good[b] = gl::Bits::all1();
-  gl::simulate_frame(n, good);
-
-  gl::FaultPropagator prop(n);
-  prop.propagate(gl::Fault{a, -1, false}, good);  // a stuck-at-0
-  EXPECT_GT(prop.events_processed(), 0);
-  EXPECT_EQ(prop.faults_propagated(), 1);
-  EXPECT_GT(prop.last_propagate_events(), 0);
-  prop.reset_work_counters();
-  EXPECT_EQ(prop.events_processed(), 0);
-  EXPECT_EQ(prop.faults_propagated(), 0);
-  EXPECT_EQ(prop.last_propagate_events(), 0);
 }
 
 }  // namespace

@@ -177,8 +177,8 @@ gl::Netlist random_netlist(std::uint64_t seed, int gates = 60) {
 }
 
 TEST_P(GateSweep, FaultSimAgreesWithSequentialSim) {
-  // The event-driven combinational fault simulator and the brute-force
-  // full-resimulation must agree on every fault.
+  // The levelized PPSFP fault simulator (SimGraph) and the Netlist-walking
+  // full re-simulation oracle must agree on every fault.
   const gl::Netlist n = random_netlist(GetParam());
   const auto faults = gl::enumerate_faults(n);
   const auto blocks = gl::lfsr_pattern_blocks(
@@ -190,7 +190,8 @@ TEST_P(GateSweep, FaultSimAgreesWithSequentialSim) {
 
   std::vector<std::vector<gl::Bits>> frames;
   frames.push_back(blocks[0]);
-  const std::vector<bool> slow = gl::sequential_fault_sim(n, frames, faults);
+  const std::vector<bool> slow =
+      gl::sequential_fault_sim_full_resim(n, frames, faults);
   for (std::size_t i = 0; i < faults.size(); ++i)
     EXPECT_EQ(fast[i], slow[i]) << gl::describe(n, faults[i]);
 }

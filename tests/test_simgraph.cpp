@@ -1,11 +1,13 @@
 // The compiled SoA simulation core: SimGraph lowering must mirror the
 // Netlist exactly, the levelized engines must match a direct reference
-// evaluation bit for bit, the wide-lane (256/512) engines must reproduce
-// serial 64-lane grading — detected set AND first-detecting pattern — and
-// the work-stealing shard must be invisible in every result, ledger JSON
-// included.
+// evaluation bit for bit, 256/512-lane grading must reproduce serial
+// 64-lane grading — detected set AND first-detecting pattern — every lane
+// width must match the Netlist-walking full re-simulation oracle lane by
+// lane, and the work-stealing shard must be invisible in every result,
+// ledger JSON included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
@@ -16,10 +18,12 @@
 #include "gatelevel/bistgen.h"
 #include "gatelevel/faults.h"
 #include "gatelevel/faultsim.h"
+#include "gatelevel/faultsim_wide.h"
 #include "gatelevel/netlist.h"
 #include "gatelevel/simgraph.h"
 #include "gatelevel/widebits.h"
 #include "observe/ledger.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -57,7 +61,7 @@ gl::Netlist random_netlist(std::uint64_t seed, int gates = 80,
 // Direct Netlist-walking frame evaluation — the shape simulate_frame had
 // before the SoA port, kept here as the equivalence oracle.
 void reference_frame(const gl::Netlist& n, std::vector<gl::Bits>& values) {
-  gl::Bits fanin_vals[16];
+  gl::Bits fanin_vals[gl::kMaxFanin];
   for (int id : n.topo_order()) {
     const gl::Node& node = n.node(id);
     if (node.type == gl::GateType::kInput || node.type == gl::GateType::kDff)
@@ -275,7 +279,8 @@ TEST(SimGraph, ForcedScalarBackendIsBitIdentical) {
 }
 
 // The work-stealing shard must be invisible: coverage, detected set, and
-// the ledger JSON byte-identical at every thread count, narrow and wide.
+// the ledger JSON byte-identical at every thread count, at 64 and 512
+// lanes.
 TEST(SimGraph, ThreadCountInvarianceIncludingLedger) {
   const gl::Netlist n = random_netlist(46, 160, 10);
   const auto faults = gl::enumerate_faults(n);
@@ -306,6 +311,86 @@ TEST(SimGraph, ThreadCountInvarianceIncludingLedger) {
                                    << threads;
       }
     }
+  }
+}
+
+// Ledger byte identity pinned across engine rewrites: a drop-mode
+// coverage campaign followed by a detection matrix at 64 lanes must
+// produce exactly this ledger JSON (by FNV-1a digest) at any thread count.
+// A change to the digest is a change to the recorded effort or detection
+// attribution, never a refactoring detail.
+TEST(SimGraph, Lanes64LedgerDigestIsPinned) {
+  const gl::Netlist n = random_netlist(46, 160, 10);
+  const auto faults = gl::enumerate_faults(n);
+  const auto blocks = gl::lfsr_pattern_blocks(
+      static_cast<int>(n.primary_inputs().size()), 4, 46);
+  for (int threads : {1, 4}) {
+    gl::FaultSimOptions o;
+    o.num_threads = threads;
+    o.lanes = 64;
+    observe::ledger_reset();
+    observe::ledger_enable();
+    gl::fault_coverage(n, blocks, faults, nullptr, o);
+    std::vector<std::uint64_t> masks;
+    gl::detection_masks(n, blocks, faults, masks, o);
+    observe::ledger_disable();
+    const std::string json = observe::ledger_to_json();
+    observe::ledger_reset();
+    EXPECT_EQ(util::fnv1a(json), 0x680e1254f1cb45c0ULL) << "threads " << threads;
+  }
+}
+
+// Independent oracle for the lane masks: every lane of every block is
+// replayed through the Netlist-walking full re-simulation as its own
+// single frame (each PI broadcast from that lane's bit), so a defect
+// shared by every lane width of the propagation template cannot hide
+// behind width-vs-width comparisons. Sparse unknown PI lanes exercise the
+// three-valued detection rule too.
+TEST(SimGraph, DetectionMasksMatchFullResimOraclePerLane) {
+  const gl::Netlist n = random_netlist(48, 80, 8);
+  const auto faults = gl::enumerate_faults(n);
+  auto blocks = gl::lfsr_pattern_blocks(
+      static_cast<int>(n.primary_inputs().size()), 2, 48);
+  util::Rng rng(48);
+  for (auto& block : blocks)
+    for (gl::Bits& pi : block) {
+      pi.x = rng.next_u64() & rng.next_u64() & rng.next_u64();
+      pi.v &= ~pi.x;
+    }
+  const std::size_t nb = blocks.size();
+
+  std::vector<std::uint64_t> oracle(faults.size() * nb, 0);
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (int lane = 0; lane < 64; ++lane) {
+      std::vector<gl::Bits> frame;
+      for (const gl::Bits& pi : blocks[b]) {
+        const bool x = (pi.x >> lane) & 1;
+        const bool v = (pi.v >> lane) & 1;
+        frame.push_back(x   ? gl::Bits::unknown()
+                        : v ? gl::Bits::all1()
+                            : gl::Bits::all0());
+      }
+      const std::vector<bool> det =
+          gl::sequential_fault_sim_full_resim(n, {frame}, faults);
+      for (std::size_t i = 0; i < faults.size(); ++i)
+        if (det[i]) oracle[i * nb + b] |= 1ULL << lane;
+    }
+  }
+  ASSERT_NE(std::count(oracle.begin(), oracle.end(), 0ULL),
+            static_cast<std::ptrdiff_t>(oracle.size()));
+
+  for (int lanes : {64, 256, 512}) {
+    gl::FaultSimOptions o;
+    o.num_threads = 1;
+    o.lanes = lanes;
+    std::vector<std::uint64_t> masks;
+    gl::detection_masks(n, blocks, faults, masks, o);
+    ASSERT_EQ(masks.size(), oracle.size());
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      for (std::size_t b = 0; b < nb; ++b)
+        EXPECT_EQ(masks[i * nb + b], oracle[i * nb + b])
+            << "lanes " << lanes << " fault " << gl::describe(n, faults[i])
+            << " block " << b;
   }
 }
 
@@ -340,27 +425,50 @@ TEST(ThreadPool, RunChunkedRethrowsJobExceptions) {
                std::runtime_error);
 }
 
-// Satellite regression: reset_work_counters must clear the last-propagate
-// attribution counter too, not just the totals.
-TEST(FaultPropagator, ResetClearsLastPropagateEvents) {
-  const gl::Netlist n = random_netlist(47, 80, 8);
-  const auto faults = gl::enumerate_faults(n);
-  ASSERT_FALSE(faults.empty());
-  std::vector<gl::Bits> good = random_pi_values(n, 47);
-  gl::simulate_frame(n, good);
+// The per-fault effort attribution the ledger reads (last_events) must be
+// cleared together with the totals, or the first fault after a metrics
+// publish inherits the previous pass's attribution. Checked on a two-gate
+// netlist and a random one. The propagator is instantiated here with the
+// same portable flags and backend as in faultsim.cpp.
+TEST(WideProp, ResetClearsAllThreeWorkCounters) {
+  using Words = gl::ScalarWords<1>;
+  const gl::Netlist small = [] {
+    gl::Netlist n;
+    const int a = n.add_input("a");
+    const int b = n.add_input("b");
+    const int g = n.add_gate(gl::GateType::kAnd, {a, b});
+    n.mark_output(n.add_gate(gl::GateType::kXor, {g, b}));
+    n.validate();
+    return n;
+  }();
+  const gl::Netlist random = random_netlist(47, 80, 8);
 
-  gl::FaultPropagator prop(n);
-  std::uint64_t mask = 0;
-  for (const auto& f : faults) {
-    mask |= prop.propagate(f, good);
-    if (prop.last_propagate_events() > 0) break;
+  for (const gl::Netlist* n : {&small, &random}) {
+    const gl::SimGraph& g = gl::SimGraph::of(*n);
+    const auto faults = gl::enumerate_faults(*n);
+    ASSERT_FALSE(faults.empty());
+    const auto blocks = gl::lfsr_pattern_blocks(
+        static_cast<int>(n->primary_inputs().size()), 1, 47);
+    gl::wide_detail::WideGood<1> good;
+    gl::wide_detail::wide_set_inputs<1, Words>(g, blocks, good);
+    gl::wide_detail::wide_simulate_good<1, Words>(g, good);
+
+    gl::wide_detail::WideProp<1, Words> prop(g);
+    std::uint64_t mask = 0;
+    long propagated = 0;
+    for (const auto& f : faults) {
+      prop.propagate(f, good, &mask);
+      ++propagated;
+      if (prop.last_events() > 0) break;
+    }
+    ASSERT_GT(prop.last_events(), 0);
+    EXPECT_GE(prop.events(), prop.last_events());
+    EXPECT_EQ(prop.faults(), propagated);
+    prop.reset_work_counters();
+    EXPECT_EQ(prop.events(), 0);
+    EXPECT_EQ(prop.faults(), 0);
+    EXPECT_EQ(prop.last_events(), 0);
   }
-  (void)mask;
-  ASSERT_GT(prop.last_propagate_events(), 0);
-  prop.reset_work_counters();
-  EXPECT_EQ(prop.events_processed(), 0);
-  EXPECT_EQ(prop.faults_propagated(), 0);
-  EXPECT_EQ(prop.last_propagate_events(), 0);
 }
 
 }  // namespace
