@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <climits>
-#include <deque>
 #include <stdexcept>
 
 #include "gatelevel/faultsim.h"
@@ -83,6 +82,11 @@ V controlling_value(GateType t) {
   }
 }
 
+/// Both planes defined and different: the node carries a fault effect.
+bool is_effect(V good, V faulty) {
+  return good != V::kX && faulty != V::kX && good != faulty;
+}
+
 bool inverts(GateType t) {
   return t == GateType::kNot || t == GateType::kNand ||
          t == GateType::kNor || t == GateType::kXnor;
@@ -90,20 +94,27 @@ bool inverts(GateType t) {
 
 }  // namespace
 
-Podem::Podem(const Netlist& n) : n_(n) {
+Podem::Podem(const Netlist& n) : n_(n), g_(SimGraph::of(n)) {
   if (!n.flops().empty())
     throw std::runtime_error("PODEM is combinational; unroll first");
-  vals_.resize(n.num_nodes());
-  pi_assignment_.assign(n.num_nodes(), V::kX);
-  frozen_.assign(n.num_nodes(), 0);
-  pi_position_.assign(n.num_nodes(), -1);
-  for (std::size_t i = 0; i < n.primary_inputs().size(); ++i)
-    pi_position_[n.primary_inputs()[i]] = static_cast<int>(i);
+  const int nn = g_.num_nodes();
+  vals_.resize(nn);
+  pi_assignment_.assign(nn, V::kX);
+  frozen_.assign(nn, 0);
+  topo_rank_.resize(nn);
+  const std::vector<int>& topo = n.topo_order();
+  for (std::size_t i = 0; i < topo.size(); ++i)
+    topo_rank_[topo[i]] = static_cast<std::int32_t>(i);
+  is_site_.assign(nn, 0);
+  events_.resize(nn);
+  level_fill_.assign(g_.num_levels(), 0);
+  queued_.assign(nn, 0);
+  stamp_.assign(nn, 0);
   rebuild_assignable_cones();
 }
 
 void Podem::freeze_inputs(const std::vector<int>& pi_positions) {
-  for (int pos : pi_positions) frozen_[n_.primary_inputs()[pos]] = 1;
+  for (int pos : pi_positions) frozen_[g_.pis()[pos]] = 1;
   rebuild_assignable_cones();
 }
 
@@ -119,127 +130,195 @@ void Podem::use_scoap_guidance(bool enable) {
 }
 
 void Podem::rebuild_assignable_cones() {
-  assignable_cone_.assign(n_.num_nodes(), 0);
-  for (int id : n_.topo_order()) {
-    const Node& node = n_.node(id);
-    if (node.type == GateType::kInput) {
+  assignable_cone_.assign(g_.num_nodes(), 0);
+  const std::int32_t* fanin = g_.fanin();
+  const std::int32_t* fanin_off = g_.fanin_off();
+  for (int id : g_.order()) {
+    if (g_.type(id) == GateType::kInput) {
       assignable_cone_[id] = !frozen_[id];
       continue;
     }
-    for (int f : node.fanins)
-      if (f >= 0 && assignable_cone_[f]) {
+    for (int k = fanin_off[id]; k < fanin_off[id + 1]; ++k)
+      if (assignable_cone_[fanin[k]]) {
         assignable_cone_[id] = 1;
         break;
       }
   }
 }
 
-void Podem::imply(const std::vector<Fault>& sites) {
-  ++stats_.implications;
-  V fanin_good[kMaxFanin];
-  V fanin_faulty[kMaxFanin];
-  for (int id : n_.topo_order()) {
-    const Node& node = n_.node(id);
-    if (node.type == GateType::kInput) {
-      vals_[id].good = pi_assignment_[id];
-      vals_[id].faulty = pi_assignment_[id];
-    } else {
-      for (std::size_t i = 0; i < node.fanins.size(); ++i) {
-        fanin_good[i] = vals_[node.fanins[i]].good;
-        fanin_faulty[i] = vals_[node.fanins[i]].faulty;
-      }
-      // Pin-fault overrides on the faulty plane.
+int Podem::fault_line(const Fault& f) const {
+  return f.fanin_index < 0 ? f.node
+                           : g_.fanin()[g_.fanin_off()[f.node] + f.fanin_index];
+}
+
+std::uint32_t Podem::next_epoch() {
+  if (++epoch_ == 0) {  // wrapped: old marks could alias the new epoch
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  return epoch_;
+}
+
+Podem::NodeVal Podem::eval_node(int id,
+                                const std::vector<Fault>& sites) const {
+  const GateType type = g_.type(id);
+  const bool site = is_site_[id];
+  NodeVal out;
+  if (type == GateType::kInput) {
+    out.good = out.faulty = pi_assignment_[id];
+  } else {
+    const std::int32_t* fanin = g_.fanin() + g_.fanin_off()[id];
+    const int num = g_.num_fanins(id);
+    V fanin_good[kMaxFanin];
+    V fanin_faulty[kMaxFanin];
+    for (int i = 0; i < num; ++i) {
+      fanin_good[i] = vals_[fanin[i]].good;
+      fanin_faulty[i] = vals_[fanin[i]].faulty;
+    }
+    // Pin-fault overrides on the faulty plane.
+    if (site)
       for (const Fault& f : sites)
         if (f.fanin_index >= 0 && f.node == id)
           fanin_faulty[f.fanin_index] = f.stuck_at_one ? V::k1 : V::k0;
-      vals_[id].good = eval_plane(node.type, fanin_good,
-                                  static_cast<int>(node.fanins.size()));
-      vals_[id].faulty = eval_plane(node.type, fanin_faulty,
-                                    static_cast<int>(node.fanins.size()));
-    }
-    // Output-fault overrides.
+    out.good = eval_plane(type, fanin_good, num);
+    out.faulty = eval_plane(type, fanin_faulty, num);
+  }
+  // Output-fault overrides.
+  if (site)
     for (const Fault& f : sites)
       if (f.fanin_index < 0 && f.node == id)
-        vals_[id].faulty = f.stuck_at_one ? V::k1 : V::k0;
+        out.faulty = f.stuck_at_one ? V::k1 : V::k0;
+  return out;
+}
+
+void Podem::imply_all(const std::vector<Fault>& sites) {
+  ++stats_.implications;
+  changed_pis_.clear();
+  for (int id : g_.order()) vals_[id] = eval_node(id, sites);
+}
+
+void Podem::assign(int pi_node, V value) {
+  pi_assignment_[pi_node] = value;
+  changed_pis_.push_back(pi_node);
+}
+
+void Podem::imply(const std::vector<Fault>& sites) {
+  ++stats_.implications;
+  const std::int32_t* level_of = g_.level_of();
+  const std::int32_t* level_off = g_.level_off();
+  const std::int32_t* fanout = g_.fanout();
+  const std::int32_t* fanout_off = g_.fanout_off();
+  int deepest = -1;
+  auto schedule = [&](int id) {
+    if (queued_[id]) return;
+    queued_[id] = 1;
+    const int level = level_of[id];
+    events_[level_off[level] + level_fill_[level]++] = id;
+    deepest = std::max(deepest, level);
+  };
+  for (int pi : changed_pis_) schedule(pi);
+  changed_pis_.clear();
+  // Fanouts sit strictly deeper than their source, so a level's bucket is
+  // complete by the time the sweep reaches it.
+  for (int level = 0; level <= deepest; ++level) {
+    const std::int32_t* bucket = events_.data() + level_off[level];
+    for (int k = 0; k < level_fill_[level]; ++k) {
+      const int id = bucket[k];
+      queued_[id] = 0;
+      const NodeVal v = eval_node(id, sites);
+      if (v == vals_[id]) continue;
+      vals_[id] = v;
+      for (int e = fanout_off[id]; e < fanout_off[id + 1]; ++e)
+        schedule(fanout[e]);
+    }
+    level_fill_[level] = 0;
   }
 }
 
 bool Podem::detected_at_po() const {
-  for (int po : n_.primary_outputs()) {
-    const NodeVal& v = vals_[po];
-    if (v.good != V::kX && v.faulty != V::kX && v.good != v.faulty)
-      return true;
-  }
+  for (int po : g_.pos())
+    if (is_effect(vals_[po].good, vals_[po].faulty)) return true;
   return false;
 }
 
-bool Podem::x_path_exists(const std::vector<Fault>& sites) const {
-  // BFS from nodes carrying (or still capable of carrying) a fault effect
-  // through X-valued nodes to a PO. A fault site whose composite value is
-  // still X is a potential effect source — for a pin fault the divergence
-  // lives inside the gate and only shows once the good value resolves.
-  std::vector<char> po_mark(n_.num_nodes(), 0);
-  for (int po : n_.primary_outputs()) po_mark[po] = 1;
-  std::vector<char> visited(n_.num_nodes(), 0);
-  std::deque<int> queue;
-  for (int id = 0; id < n_.num_nodes(); ++id) {
-    const NodeVal& v = vals_[id];
-    const bool effect =
-        v.good != V::kX && v.faulty != V::kX && v.good != v.faulty;
-    if (effect) {
-      if (po_mark[id]) return true;
-      queue.push_back(id);
-      visited[id] = 1;
+void Podem::collect_effects(const std::vector<Fault>& sites) {
+  // Planes only split at a site; a non-site node whose fanins agree on
+  // both planes evaluates equal on both. So every node with differing
+  // planes is reached from a site through such nodes.
+  const std::int32_t* fanout = g_.fanout();
+  const std::int32_t* fanout_off = g_.fanout_off();
+  const std::uint32_t mark = next_epoch();
+  effects_.clear();
+  work_.clear();
+  for (const Fault& f : sites)
+    if (stamp_[f.node] != mark) {
+      stamp_[f.node] = mark;
+      work_.push_back(f.node);
+    }
+  for (std::size_t head = 0; head < work_.size(); ++head) {
+    const int id = work_[head];
+    if (is_effect(vals_[id].good, vals_[id].faulty)) effects_.push_back(id);
+    for (int e = fanout_off[id]; e < fanout_off[id + 1]; ++e) {
+      const int s = fanout[e];
+      if (stamp_[s] == mark || vals_[s].good == vals_[s].faulty) continue;
+      stamp_[s] = mark;
+      work_.push_back(s);
     }
   }
+}
+
+bool Podem::x_path_exists(const std::vector<Fault>& sites) {
+  // Search from nodes carrying (or still capable of carrying) a fault
+  // effect through X-valued nodes to a PO. A fault site whose composite
+  // value is still X is a potential effect source — for a pin fault the
+  // divergence lives inside the gate and only shows once the good value
+  // resolves.
+  const std::uint8_t* flags = g_.flags();
+  const std::int32_t* fanout = g_.fanout();
+  const std::int32_t* fanout_off = g_.fanout_off();
+  const std::uint32_t mark = next_epoch();
+  work_.clear();
+  auto reach = [&](int id) {
+    stamp_[id] = mark;
+    work_.push_back(id);
+    return (flags[id] & SimGraph::kFlagPo) != 0;
+  };
+  for (int id : effects_)
+    if (reach(id)) return true;
   for (const Fault& f : sites) {
     const NodeVal& v = vals_[f.node];
-    if (visited[f.node]) continue;
-    if (v.good == V::kX || v.faulty == V::kX) {
-      if (po_mark[f.node]) return true;
-      queue.push_back(f.node);
-      visited[f.node] = 1;
-    }
+    if (stamp_[f.node] == mark) continue;
+    if ((v.good == V::kX || v.faulty == V::kX) && reach(f.node)) return true;
   }
-  const auto& fanouts = n_.fanouts();
-  while (!queue.empty()) {
-    const int id = queue.front();
-    queue.pop_front();
-    for (int s : fanouts[id]) {
-      if (visited[s]) continue;
+  for (std::size_t head = 0; head < work_.size(); ++head) {
+    const int id = work_[head];
+    for (int e = fanout_off[id]; e < fanout_off[id + 1]; ++e) {
+      const int s = fanout[e];
+      if (stamp_[s] == mark) continue;
       const NodeVal& v = vals_[s];
       // Propagation possible only through nodes still X on some plane.
       if (v.good != V::kX && v.faulty != V::kX && v.good == v.faulty)
         continue;
-      visited[s] = 1;
-      if (po_mark[s]) return true;
-      queue.push_back(s);
+      if (reach(s)) return true;
     }
   }
   return false;
 }
 
 bool Podem::next_assignment(const std::vector<Fault>& sites, int* pi_node,
-                            V* pi_value) const {
-  int node = -1;
-  V value = V::kX;
-  auto try_objective = [&](int obj_node, V obj_value) {
-    return backtrace(obj_node, obj_value, pi_node, pi_value);
-  };
-  (void)node;
-  (void)value;
+                            V* pi_value) {
+  const std::int32_t* fanin = g_.fanin();
+  const std::int32_t* fanin_off = g_.fanin_off();
   // Activation first: the line each fault sits on must carry the opposite
   // of the stuck value in the good machine.
   for (const Fault& f : sites) {
-    const int line = f.fanin_index < 0
-                         ? f.node
-                         : n_.node(f.node).fanins[f.fanin_index];
+    const int line = fault_line(f);
     const V need = f.stuck_at_one ? V::k0 : V::k1;
     // A line without an assignable PI in its cone can never be justified
     // (e.g. the frame-0 replica over a pinned unknown state): try the
     // fault's other frames/sites instead.
     if (vals_[line].good == V::kX && assignable_cone_[line] &&
-        try_objective(line, need))
+        backtrace(line, need, pi_node, pi_value))
       return true;
   }
   // Pin-fault sites whose good output is still undetermined: resolving the
@@ -250,35 +329,42 @@ bool Podem::next_assignment(const std::vector<Fault>& sites, int* pi_node,
     if (f.fanin_index < 0) continue;
     const NodeVal& out = vals_[f.node];
     if (out.good != V::kX && out.faulty != V::kX) continue;
-    const Node& site = n_.node(f.node);
-    for (std::size_t i = 0; i < site.fanins.size(); ++i) {
-      if (static_cast<int>(i) == f.fanin_index) continue;
-      if (vals_[site.fanins[i]].good != V::kX) continue;
-      if (!assignable_cone_[site.fanins[i]]) continue;
-      V target = controlling_value(site.type);
+    const GateType type = g_.type(f.node);
+    for (int k = fanin_off[f.node]; k < fanin_off[f.node + 1]; ++k) {
+      const int in = fanin[k];
+      if (k - fanin_off[f.node] == f.fanin_index) continue;
+      if (vals_[in].good != V::kX) continue;
+      if (!assignable_cone_[in]) continue;
+      V target = controlling_value(type);
       target = target == V::kX ? V::k0 : !target;
-      if (try_objective(site.fanins[i], target)) return true;
+      if (backtrace(in, target, pi_node, pi_value)) return true;
     }
   }
-  // Propagation: pick a D-frontier gate, set one X input to the
-  // non-controlling value.
-  for (int id : n_.topo_order()) {
-    const Node& g = n_.node(id);
-    if (g.fanins.empty()) continue;
-    const NodeVal& out = vals_[id];
-    if (out.good != V::kX && out.faulty != V::kX) continue;  // already set
-    bool has_effect_input = false;
-    for (int f : g.fanins) {
-      const NodeVal& v = vals_[f];
-      if (v.good != V::kX && v.faulty != V::kX && v.good != v.faulty)
-        has_effect_input = true;
+  // Propagation: pick a D-frontier gate — output not yet defined on both
+  // planes, some input carrying an effect — and set one X input to the
+  // non-controlling value. The candidates are exactly the effect nodes'
+  // fanouts, tried in Netlist::topo_order() rank.
+  const std::int32_t* fanout = g_.fanout();
+  const std::int32_t* fanout_off = g_.fanout_off();
+  const std::uint32_t mark = next_epoch();
+  frontier_.clear();
+  for (int id : effects_)
+    for (int e = fanout_off[id]; e < fanout_off[id + 1]; ++e) {
+      const int s = fanout[e];
+      if (stamp_[s] == mark) continue;
+      stamp_[s] = mark;
+      if (vals_[s].good == V::kX || vals_[s].faulty == V::kX)
+        frontier_.push_back(s);
     }
-    if (!has_effect_input) continue;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const NodeVal& v = vals_[g.fanins[i]];
-      if (v.good != V::kX) continue;
-      if (!assignable_cone_[g.fanins[i]]) continue;
-      V target = controlling_value(g.type);
+  std::sort(frontier_.begin(), frontier_.end(),
+            [&](int a, int b) { return topo_rank_[a] < topo_rank_[b]; });
+  for (int id : frontier_) {
+    const GateType type = g_.type(id);
+    for (int k = fanin_off[id]; k < fanin_off[id + 1]; ++k) {
+      const int in = fanin[k];
+      if (vals_[in].good != V::kX) continue;
+      if (!assignable_cone_[in]) continue;
+      V target = controlling_value(type);
       if (target == V::kX) {
         // XOR/MUX-like: any defined value unblocks; for a mux select,
         // steer toward the effect leg when recognizable, else pick 0.
@@ -286,25 +372,28 @@ bool Podem::next_assignment(const std::vector<Fault>& sites, int* pi_node,
       } else {
         target = !target;  // non-controlling
       }
-      if (try_objective(g.fanins[i], target)) return true;
+      if (backtrace(in, target, pi_node, pi_value)) return true;
     }
   }
   return false;
 }
 
 bool Podem::backtrace(int node, V value, int* pi_node, V* pi_value) const {
+  const std::int32_t* fanin_off = g_.fanin_off();
   int cur = node;
   V v = value;
-  for (int guard = 0; guard < n_.num_nodes() + 1; ++guard) {
-    const Node& g = n_.node(cur);
-    if (g.type == GateType::kInput) {
+  for (int guard = 0; guard < g_.num_nodes() + 1; ++guard) {
+    const GateType type = g_.type(cur);
+    if (type == GateType::kInput) {
       if (frozen_[cur] || pi_assignment_[cur] != V::kX) return false;
       *pi_node = cur;
       *pi_value = v;
       return true;
     }
-    if (g.fanins.empty()) return false;  // constant: cannot justify
-    if (inverts(g.type)) v = !v;
+    const std::int32_t* fanin = g_.fanin() + fanin_off[cur];
+    const int num = g_.num_fanins(cur);
+    if (num == 0) return false;  // constant: cannot justify
+    if (inverts(type)) v = !v;
     // Choose an X-valued fanin whose cone contains an assignable PI —
     // under SCOAP guidance, the one cheapest to drive to the target value.
     auto eligible = [&](int f) {
@@ -312,14 +401,15 @@ bool Podem::backtrace(int node, V value, int* pi_node, V* pi_value) const {
     };
     int chosen = -1;
     if (cc0_.empty()) {
-      for (int f : g.fanins)
-        if (eligible(f)) {
-          chosen = f;
+      for (int i = 0; i < num; ++i)
+        if (eligible(fanin[i])) {
+          chosen = fanin[i];
           break;
         }
     } else {
       int best_cost = INT_MAX;
-      for (int f : g.fanins) {
+      for (int i = 0; i < num; ++i) {
+        const int f = fanin[i];
         if (!eligible(f)) continue;
         const int cost = v == V::k1 ? cc1_[f] : v == V::k0 ? cc0_[f]
                                               : std::min(cc0_[f], cc1_[f]);
@@ -331,13 +421,12 @@ bool Podem::backtrace(int node, V value, int* pi_node, V* pi_value) const {
     }
     if (chosen < 0) return false;
     // For MUX pursue the select when it is X, else the selected leg.
-    if (g.type == GateType::kMux) {
-      if (eligible(g.fanins[0])) {
-        chosen = g.fanins[0];
+    if (type == GateType::kMux) {
+      if (eligible(fanin[0])) {
+        chosen = fanin[0];
         v = V::k0;
-      } else if (vals_[g.fanins[0]].good != V::kX) {
-        chosen = vals_[g.fanins[0]].good == V::k0 ? g.fanins[1]
-                                                  : g.fanins[2];
+      } else if (vals_[fanin[0]].good != V::kX) {
+        chosen = vals_[fanin[0]].good == V::k0 ? fanin[1] : fanin[2];
         if (!eligible(chosen)) return false;
       } else {
         return false;  // select is X but pinned: legs cannot be steered
@@ -363,22 +452,23 @@ AtpgResult Podem::generate_multi_from_base(const std::vector<Fault>& sites,
   stats_ = {};
   std::fill(pi_assignment_.begin(), pi_assignment_.end(), V::kX);
   if (!base.empty()) {
-    if (base.size() != n_.primary_inputs().size())
+    if (base.size() != g_.pis().size())
       throw std::runtime_error("base cube size != primary input count");
     // Base bits become pre-assigned givens. They are never pushed on the
     // decision stack, so backtracking can neither flip nor unassign them;
     // backtrace() already refuses assigned PIs, so the search only spends
     // decisions on the cube's X bits.
     for (std::size_t i = 0; i < base.size(); ++i)
-      pi_assignment_[n_.primary_inputs()[i]] = base[i];
+      pi_assignment_[g_.pis()[i]] = base[i];
   }
+  for (const Fault& f : sites) is_site_[f.node] = 1;
 
   struct Decision {
     int pi_node;
     bool tried_both;
   };
   std::vector<Decision> stack;
-  imply(sites);
+  imply_all(sites);
 
   AtpgResult result;
   for (;;) {
@@ -391,17 +481,16 @@ AtpgResult Podem::generate_multi_from_base(const std::vector<Fault>& sites,
     bool activated = false;
     bool activation_possible = false;
     for (const Fault& f : sites) {
-      const int line = f.fanin_index < 0
-                           ? f.node
-                           : n_.node(f.node).fanins[f.fanin_index];
       const V need = f.stuck_at_one ? V::k0 : V::k1;
-      if (vals_[line].good == need) activated = true;
-      if (vals_[line].good != !need) activation_possible = true;
+      const V good = vals_[fault_line(f)].good;
+      if (good == need) activated = true;
+      if (good != !need) activation_possible = true;
     }
     if (!activated && !activation_possible) {
       need_backtrack = true;
-    } else if (activated && !x_path_exists(sites)) {
-      need_backtrack = true;
+    } else {
+      collect_effects(sites);
+      if (activated && !x_path_exists(sites)) need_backtrack = true;
     }
 
     int pi = -1;
@@ -412,7 +501,7 @@ AtpgResult Podem::generate_multi_from_base(const std::vector<Fault>& sites,
 
     if (!need_backtrack) {
       ++stats_.decisions;
-      pi_assignment_[pi] = pi_val;
+      assign(pi, pi_val);
       stack.push_back({pi, false});
       imply(sites);
       continue;
@@ -432,15 +521,16 @@ AtpgResult Podem::generate_multi_from_base(const std::vector<Fault>& sites,
           goto done;
         }
         d.tried_both = true;
-        pi_assignment_[d.pi_node] = !pi_assignment_[d.pi_node];
+        assign(d.pi_node, !pi_assignment_[d.pi_node]);
         imply(sites);
         break;
       }
-      pi_assignment_[d.pi_node] = V::kX;
+      assign(d.pi_node, V::kX);
       stack.pop_back();
     }
   }
 done:
+  for (const Fault& f : sites) is_site_[f.node] = 0;
   result.stats = stats_;
   if (observe::ledger_enabled() && !sites.empty()) {
     // One targeted event per PODEM attempt, attributed to the primary
@@ -456,10 +546,10 @@ done:
     observe::record_targeted(observe::make_fault_key(sites[0]), outcome,
                              stats_.decisions, stats_.backtracks);
   }
-  result.pi_values.assign(n_.primary_inputs().size(), V::kX);
+  result.pi_values.assign(g_.pis().size(), V::kX);
   if (result.status == AtpgStatus::kDetected)
-    for (std::size_t i = 0; i < n_.primary_inputs().size(); ++i)
-      result.pi_values[i] = pi_assignment_[n_.primary_inputs()[i]];
+    for (std::size_t i = 0; i < g_.pis().size(); ++i)
+      result.pi_values[i] = pi_assignment_[g_.pis()[i]];
   return result;
 }
 

@@ -13,6 +13,7 @@
 #include "gatelevel/faults.h"
 #include "gatelevel/faultsim.h"
 #include "gatelevel/netlist.h"
+#include "gatelevel/simgraph.h"
 
 namespace tsyn::gl {
 
@@ -40,6 +41,12 @@ struct AtpgResult {
 };
 
 /// PODEM test generator over a combinational netlist.
+///
+/// Implication is event-driven on the netlist's SimGraph: a search
+/// evaluates every node once, then each decision, backtrack flip or
+/// un-assignment re-evaluates only the nodes whose fanin values changed.
+/// The constructor lowers the netlist through SimGraph::of, so construct
+/// engines on the calling thread before sharding work across a pool.
 class Podem {
  public:
   explicit Podem(const Netlist& n);
@@ -77,29 +84,68 @@ class Podem {
   struct NodeVal {
     V good = V::kX;
     V faulty = V::kX;
+    friend bool operator==(const NodeVal&, const NodeVal&) = default;
   };
 
+  /// Good/faulty value of `id` from its fanins' current values (a PI from
+  /// its assignment), with the sites' stuck values applied.
+  NodeVal eval_node(int id, const std::vector<Fault>& sites) const;
+  /// Evaluates every node: the first implication pass of a search.
+  void imply_all(const std::vector<Fault>& sites);
+  /// Sets a PI's assignment; the next imply() propagates it.
+  void assign(int pi_node, V value);
+  /// One implication pass over the PIs assigned since the last one,
+  /// level by level through the fanout cones of the nodes that changed.
   void imply(const std::vector<Fault>& sites);
   bool detected_at_po() const;
-  bool x_path_exists(const std::vector<Fault>& sites) const;
+  /// Fills effects_ with the nodes carrying a fault effect (both planes
+  /// defined and different), walking forward from the sites through the
+  /// nodes whose planes differ — the only places an effect can be.
+  void collect_effects(const std::vector<Fault>& sites);
+  /// Reads effects_, so collect_effects must have run on the current
+  /// values (as must it for next_assignment).
+  bool x_path_exists(const std::vector<Fault>& sites);
   /// Finds the next PI assignment: enumerates candidate objectives
   /// (activation sites, pin-fault side inputs, D-frontier inputs) and
   /// returns the first whose backtrace reaches an assignable PI.
   bool next_assignment(const std::vector<Fault>& sites, int* pi_node,
-                       V* pi_value) const;
+                       V* pi_value);
   /// Maps an objective to an unassigned PI; returns false if blocked.
   bool backtrace(int node, V value, int* pi_node, V* pi_value) const;
+  /// The line a fault's activation is judged on: the node for an output
+  /// fault, the driving fanin for a pin fault.
+  int fault_line(const Fault& f) const;
+  /// A fresh stamp_ generation: nodes stamped with it are "seen".
+  std::uint32_t next_epoch();
 
   void rebuild_assignable_cones();
 
   const Netlist& n_;
+  const SimGraph& g_;
   std::vector<NodeVal> vals_;
   std::vector<V> pi_assignment_;   // by node id
   std::vector<char> frozen_;       // by node id
-  std::vector<int> pi_position_;   // node id -> PI position
   /// Node has an assignable (non-frozen) PI in its transitive fanin — the
   /// backtrace only descends into such cones.
   std::vector<char> assignable_cone_;
+  /// Position in Netlist::topo_order(): the D-frontier is tried in this
+  /// order, which is not SimGraph's level order.
+  std::vector<std::int32_t> topo_rank_;
+  /// Node is a site of the current search (gets the stuck-value overrides).
+  std::vector<char> is_site_;
+  /// PIs assigned since the last implication pass.
+  std::vector<int> changed_pis_;
+  /// Event queue: level L's pending nodes sit at events_[level_off[L] ..
+  /// level_off[L] + level_fill_[L]); queued_ keeps each node in it once.
+  std::vector<std::int32_t> events_;
+  std::vector<std::int32_t> level_fill_;
+  std::vector<char> queued_;
+  /// Generation-stamped visit marks and work lists of the effect walks.
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+  std::vector<int> effects_;
+  std::vector<int> work_;
+  std::vector<int> frontier_;
   /// SCOAP guidance (optional): cc0_/cc1_ empty when disabled.
   std::vector<int> cc0_;
   std::vector<int> cc1_;

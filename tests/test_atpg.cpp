@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "cdfg/benchmarks.h"
 #include "gatelevel/atpg_comb.h"
 #include "gatelevel/atpg_seq.h"
 #include "gatelevel/expand.h"
 #include "gatelevel/faultsim.h"
+#include "hls/synthesis.h"
+#include "testability/scan_select.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace tsyn::gl {
 namespace {
@@ -281,6 +286,191 @@ TEST(SeqAtpg, CampaignOnResettableCounter) {
   const SeqAtpgCampaign c = run_sequential_atpg(n, faults, 8, 4000);
   EXPECT_GT(c.fault_coverage, 0.5);
   EXPECT_GT(c.total.decisions, 0);
+}
+
+// ---- PODEM identity and three-valued detection ----
+
+/// diffeq through the standard synthesis flow, expanded at `width`: with
+/// every register scanned (a combinational netlist) or with the MFVS scan
+/// selection only (still sequential).
+Netlist diffeq_netlist(int width, bool full_scan) {
+  const cdfg::Cdfg g = cdfg::diffeq();
+  const hls::Synthesis syn = hls::synthesize(g);
+  rtl::Datapath dp = syn.rtl.datapath;
+  if (full_scan) {
+    for (auto& reg : dp.regs) reg.test_kind = rtl::TestRegKind::kScan;
+  } else {
+    testability::apply_scan(g, syn.binding,
+                            testability::select_scan_vars_mfvs(g), dp);
+  }
+  ExpandOptions x;
+  x.width_override = width;
+  return expand_datapath(dp, x).netlist;
+}
+
+void fold_stats(util::Fnv1a& h, const AtpgStats& s) {
+  h.i64(s.decisions).i64(s.backtracks).i64(s.implications);
+}
+
+void fold_cube(util::Fnv1a& h, const std::vector<V>& cube) {
+  h.u64(cube.size());
+  for (V v : cube) h.i64(static_cast<int>(v));
+}
+
+void fold_result(util::Fnv1a& h, const AtpgResult& r) {
+  h.i64(static_cast<int>(r.status));
+  fold_cube(h, r.pi_values);
+  fold_stats(h, r.stats);
+}
+
+TEST(Podem, DecisionsAreDigestPinned) {
+  // Every PODEM decision, backtrack, abort, implication pass and cube on
+  // four entry points, folded into one digest. The implication engine may
+  // change how it computes values, never which values it computes — so
+  // the search, and this constant, must not move.
+  util::Fnv1a h;
+  {
+    // Full-scan campaign at a backtrack limit small enough to abort.
+    const Netlist n = diffeq_netlist(8, true);
+    const auto faults = enumerate_faults(n);
+    const AtpgCampaign c = run_combinational_atpg(n, faults, 8);
+    int aborted = 0;
+    for (AtpgStatus s : c.status) {
+      h.i64(static_cast<int>(s));
+      aborted += s == AtpgStatus::kAborted;
+    }
+    EXPECT_GE(aborted, 1);
+    for (const auto& t : c.tests) fold_cube(h, t);
+    fold_stats(h, c.total);
+
+    // Per-target effort, plain and SCOAP-guided, on a strided sample.
+    Podem plain(n);
+    Podem guided(n);
+    guided.use_scoap_guidance(true);
+    for (std::size_t i = 0; i < faults.size(); i += 17) {
+      fold_result(h, plain.generate(faults[i], 8));
+      fold_result(h, guided.generate(faults[i], 8));
+    }
+
+    // Re-entry from a base cube: each fault targeted under the previous
+    // detected cube, the dynamic-compaction shape.
+    std::vector<V> base = c.tests.front();
+    for (std::size_t i = 5; i < faults.size(); i += 23) {
+      const AtpgResult r =
+          plain.generate_multi_from_base({faults[i]}, base, 8);
+      fold_result(h, r);
+      if (r.status == AtpgStatus::kDetected) base = r.pi_values;
+    }
+  }
+  {
+    // Time-frame PODEM on the MFVS partial-scan netlist.
+    const Netlist n = diffeq_netlist(3, false);
+    ASSERT_FALSE(n.flops().empty());
+    const auto faults = enumerate_faults(n);
+    std::vector<Fault> sample;
+    for (std::size_t i = 0; i < faults.size(); i += faults.size() / 6)
+      sample.push_back(faults[i]);
+    const SeqAtpgCampaign c = run_sequential_atpg(n, sample, 4, 60);
+    h.i64(c.detected).i64(c.untestable).i64(c.aborted);
+    fold_stats(h, c.total);
+    for (const Fault& f : sample) {
+      const SeqAtpgResult r = sequential_atpg(n, f, 4, 60);
+      h.i64(static_cast<int>(r.status)).i64(r.frames_used);
+      fold_stats(h, r.stats);
+      for (const auto& frame : r.frame_inputs) fold_cube(h, frame);
+    }
+  }
+  EXPECT_EQ(h.hex(), "28f6315b8aa239ad");
+}
+
+/// Random combinational netlist over every gate kind, with MUXes and
+/// AND/OR/NAND/NOR gates wide enough that add_gate splits them into trees.
+Netlist random_wide_netlist(std::uint64_t seed, int gates, int inputs) {
+  util::Rng rng(seed);
+  Netlist n;
+  std::vector<int> nodes;
+  for (int i = 0; i < inputs; ++i)
+    nodes.push_back(n.add_input("i" + std::to_string(i)));
+  static constexpr GateType kTypes[] = {
+      GateType::kAnd, GateType::kOr,  GateType::kNand, GateType::kNor,
+      GateType::kXor, GateType::kXnor, GateType::kNot, GateType::kBuf,
+      GateType::kMux};
+  for (int i = 0; i < gates; ++i) {
+    const GateType t = kTypes[rng.pick_index(9)];
+    int arity = 2;
+    if (t == GateType::kNot || t == GateType::kBuf) arity = 1;
+    if (t == GateType::kMux) arity = 3;
+    if (t == GateType::kAnd || t == GateType::kOr || t == GateType::kNand ||
+        t == GateType::kNor) {
+      // One in eight is wider than kMaxFanin.
+      arity = rng.pick_index(8) == 0
+                  ? kMaxFanin + 1 + static_cast<int>(rng.pick_index(8))
+                  : 2 + static_cast<int>(rng.pick_index(3));
+    }
+    std::vector<int> fanins;
+    for (int a = 0; a < arity; ++a)
+      fanins.push_back(nodes[rng.pick_index(nodes.size())]);
+    nodes.push_back(n.add_gate(t, fanins));
+  }
+  for (int i = 0; i < 6; ++i) n.mark_output(nodes[nodes.size() - 1 - i]);
+  n.validate();
+  return n;
+}
+
+/// True when the cube, its X inputs left unknown, shows a definite
+/// good != faulty value on some primary output.
+bool cube_detects_three_valued(const Netlist& n, const std::vector<V>& cube,
+                               const Fault& f) {
+  std::vector<Bits> good(n.num_nodes(), Bits::unknown());
+  for (std::size_t p = 0; p < cube.size(); ++p)
+    good[n.primary_inputs()[p]] = cube[p] == V::k1   ? Bits::all1()
+                                  : cube[p] == V::k0 ? Bits::all0()
+                                                     : Bits::unknown();
+  std::vector<Bits> faulty = good;
+  simulate_frame(n, good);
+  simulate_frame(n, faulty, &f);
+  for (int po : n.primary_outputs()) {
+    const Bits g = good[po];
+    const Bits b = faulty[po];
+    if (((g.x | b.x) & 1) == 0 && ((g.v ^ b.v) & 1) != 0) return true;
+  }
+  return false;
+}
+
+TEST(Podem, DetectedCubesDetectWithXInputsUnknown) {
+  int checked = 0, with_base = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Netlist n = random_wide_netlist(seed, 90, 12);
+    const auto faults = enumerate_faults(n, /*collapse=*/false);
+    Podem podem(n);
+    std::vector<V> base;
+    for (const Fault& f : faults) {
+      const AtpgResult r = podem.generate(f, 200);
+      if (r.status != AtpgStatus::kDetected) continue;
+      ++checked;
+      EXPECT_TRUE(cube_detects_three_valued(n, r.pi_values, f))
+          << "seed " << seed << " fault " << describe(n, f);
+      // Re-enter from the previous detected cube; a detected result must
+      // keep every base bit and still detect on its own X.
+      if (!base.empty()) {
+        const AtpgResult rb = podem.generate_multi_from_base({f}, base, 200);
+        if (rb.status == AtpgStatus::kDetected) {
+          ++with_base;
+          for (std::size_t p = 0; p < base.size(); ++p) {
+            if (base[p] != V::kX) {
+              EXPECT_EQ(rb.pi_values[p], base[p]);
+            }
+          }
+          EXPECT_TRUE(cube_detects_three_valued(n, rb.pi_values, f))
+              << "seed " << seed << " fault " << describe(n, f)
+              << " under a base cube";
+        }
+      }
+      base = r.pi_values;
+    }
+  }
+  EXPECT_GE(checked, 500);
+  EXPECT_GE(with_base, 100);
 }
 
 }  // namespace
