@@ -1,53 +1,27 @@
 #include "graph/clique_partition.h"
 
 #include <algorithm>
-#include <cassert>
-#include <numeric>
+#include <bit>
+#include <cstdint>
 
 namespace tsyn::graph {
 
 namespace {
 
-// True if every member of a is compatible with every member of b.
-bool cliques_compatible(const UndirectedGraph& g,
-                        const std::vector<NodeId>& a,
-                        const std::vector<NodeId>& b) {
-  for (NodeId u : a)
-    for (NodeId v : b)
-      if (!g.has_edge(u, v)) return false;
-  return true;
+using Row = std::vector<std::uint64_t>;
+
+void set_bit(Row& row, NodeId u) {
+  row[u / 64] |= std::uint64_t{1} << (u % 64);
 }
 
-double merge_gain(const UndirectedGraph& g, const std::vector<NodeId>& a,
-                  const std::vector<NodeId>& b,
-                  double (*weight)(NodeId, NodeId, const void*),
-                  const void* ctx) {
-  // Common-neighbor count approximated at clique granularity: number of
-  // nodes outside a U b compatible with all of a and all of b.
-  std::vector<bool> in_ab(g.num_nodes(), false);
-  for (NodeId u : a) in_ab[u] = true;
-  for (NodeId u : b) in_ab[u] = true;
-  double gain = 0;
-  for (NodeId w = 0; w < g.num_nodes(); ++w) {
-    if (in_ab[w]) continue;
-    bool common = true;
-    for (NodeId u : a)
-      if (!g.has_edge(u, w)) {
-        common = false;
-        break;
-      }
-    for (NodeId v : b) {
-      if (!common) break;
-      if (!g.has_edge(v, w)) common = false;
-    }
-    if (common) gain += 1.0;
-  }
-  if (weight) {
-    for (NodeId u : a)
-      for (NodeId v : b) gain += weight(u, v, ctx);
-  }
-  return gain;
-}
+// A clique under construction. `common` is the AND of its members'
+// adjacency rows: the nodes compatible with every member. It never holds a
+// member, since the graph has no self-edges.
+struct Clique {
+  std::vector<NodeId> nodes;
+  Row members;
+  Row common;
+};
 
 }  // namespace
 
@@ -56,19 +30,42 @@ CliquePartition clique_partition(const UndirectedGraph& compatibility,
                                                   const void*),
                                  const void* ctx) {
   const int n = compatibility.num_nodes();
-  std::vector<std::vector<NodeId>> cliques(n);
-  for (NodeId u = 0; u < n; ++u) cliques[u] = {u};
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  std::vector<Clique> cliques(n);
+  for (NodeId u = 0; u < n; ++u) {
+    Clique& c = cliques[u];
+    c.nodes = {u};
+    c.members.assign(words, 0);
+    c.common.assign(words, 0);
+    set_bit(c.members, u);
+    for (NodeId v : compatibility.neighbors(u)) set_bit(c.common, v);
+  }
 
   for (;;) {
     int best_a = -1;
     int best_b = -1;
     double best_gain = -1;
     for (std::size_t i = 0; i < cliques.size(); ++i) {
+      const Clique& a = cliques[i];
       for (std::size_t j = i + 1; j < cliques.size(); ++j) {
-        if (!cliques_compatible(compatibility, cliques[i], cliques[j]))
-          continue;
-        const double gain =
-            merge_gain(compatibility, cliques[i], cliques[j], weight, ctx);
+        const Clique& b = cliques[j];
+        // Mergeable iff every member of b is compatible with all of a.
+        // The gain counts the nodes compatible with all of a and all of b.
+        bool compatible = true;
+        int common = 0;
+        for (std::size_t w = 0; w < words; ++w) {
+          if (b.members[w] & ~a.common[w]) {
+            compatible = false;
+            break;
+          }
+          common += std::popcount(a.common[w] & b.common[w]);
+        }
+        if (!compatible) continue;
+        double gain = common;
+        if (weight) {
+          for (NodeId u : a.nodes)
+            for (NodeId v : b.nodes) gain += weight(u, v, ctx);
+        }
         if (gain > best_gain) {
           best_gain = gain;
           best_a = static_cast<int>(i);
@@ -77,19 +74,23 @@ CliquePartition clique_partition(const UndirectedGraph& compatibility,
       }
     }
     if (best_a < 0) break;
-    auto& a = cliques[best_a];
-    auto& b = cliques[best_b];
-    a.insert(a.end(), b.begin(), b.end());
+    Clique& a = cliques[best_a];
+    Clique& b = cliques[best_b];
+    a.nodes.insert(a.nodes.end(), b.nodes.begin(), b.nodes.end());
+    for (std::size_t w = 0; w < words; ++w) {
+      a.members[w] |= b.members[w];
+      a.common[w] &= b.common[w];
+    }
     cliques.erase(cliques.begin() + best_b);
   }
 
   CliquePartition result;
-  result.cliques = std::move(cliques);
   result.clique_of.assign(n, -1);
-  for (std::size_t i = 0; i < result.cliques.size(); ++i) {
-    std::sort(result.cliques[i].begin(), result.cliques[i].end());
-    for (NodeId u : result.cliques[i])
-      result.clique_of[u] = static_cast<int>(i);
+  for (Clique& c : cliques) {
+    std::sort(c.nodes.begin(), c.nodes.end());
+    for (NodeId u : c.nodes)
+      result.clique_of[u] = static_cast<int>(result.cliques.size());
+    result.cliques.push_back(std::move(c.nodes));
   }
   return result;
 }

@@ -12,6 +12,8 @@ namespace tsyn::hls {
 
 namespace {
 
+constexpr int kNumFuTypes = static_cast<int>(cdfg::FuType::kCopyUnit) + 1;
+
 struct Frame {
   int lo = 0;
   int hi = 0;  // inclusive
@@ -25,11 +27,15 @@ class FdsState {
         dep_(g.op_dependence_graph(false)),
         num_steps_(num_steps),
         frames_(g.num_ops()),
-        fixed_(g.num_ops(), false) {
+        fixed_(g.num_ops(), false),
+        type_of_(g.num_ops()) {
     const Schedule asap = asap_schedule(g);
     const Schedule alap = alap_schedule(g, num_steps);
-    for (cdfg::OpId o = 0; o < g.num_ops(); ++o)
+    for (cdfg::OpId o = 0; o < g.num_ops(); ++o) {
       frames_[o] = {asap.step_of_op[o], alap.step_of_op[o]};
+      type_of_[o] = static_cast<int>(cdfg::fu_type_of(g.op(o).kind));
+    }
+    rebuild_dg();
   }
 
   Schedule run() {
@@ -61,19 +67,25 @@ class FdsState {
 
  private:
   // Distribution-graph value for a type at a step.
-  double dg(cdfg::FuType type, int step) const {
-    double sum = 0;
+  double dg(int type, int step) const {
+    return dg_[static_cast<std::size_t>(type) * num_steps_ + step];
+  }
+
+  // Recomputes the distribution graph from the current frames. Each cell
+  // sums its ops' probabilities in ascending op id order, so its value
+  // does not depend on when it was last rebuilt.
+  void rebuild_dg() {
+    dg_.assign(static_cast<std::size_t>(kNumFuTypes) * num_steps_, 0.0);
     for (cdfg::OpId o = 0; o < g_.num_ops(); ++o) {
-      if (cdfg::fu_type_of(g_.op(o).kind) != type) continue;
       const Frame& f = frames_[o];
-      if (step >= f.lo && step <= f.hi) sum += 1.0 / f.width();
+      const double p = 1.0 / f.width();
+      for (int s = f.lo; s <= f.hi; ++s) dg_[type_of_[o] * num_steps_ + s] += p;
     }
-    return sum;
   }
 
   // Self force of placing o at step t.
   double self_force(cdfg::OpId o, int t) const {
-    const cdfg::FuType type = cdfg::fu_type_of(g_.op(o).kind);
+    const int type = type_of_[o];
     const Frame& f = frames_[o];
     const double p = 1.0 / f.width();
     double force = 0;
@@ -106,7 +118,7 @@ class FdsState {
 
   double frame_change_force(cdfg::OpId o, const Frame& from,
                             const Frame& to) const {
-    const cdfg::FuType type = cdfg::fu_type_of(g_.op(o).kind);
+    const int type = type_of_[o];
     const double p_from = 1.0 / from.width();
     const double p_to = 1.0 / to.width();
     double force = 0;
@@ -121,6 +133,7 @@ class FdsState {
     frames_[o] = {t, t};
     fixed_[o] = true;
     propagate();
+    rebuild_dg();
   }
 
   // Re-tighten all frames after a fix (forward ASAP / backward ALAP pass
@@ -143,6 +156,9 @@ class FdsState {
   int num_steps_;
   std::vector<Frame> frames_;
   std::vector<bool> fixed_;
+  std::vector<int> type_of_;  // FuType of each op
+  // Distribution graph, [FuType][step].
+  std::vector<double> dg_;
 };
 
 }  // namespace

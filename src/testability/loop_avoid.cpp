@@ -1,8 +1,11 @@
 #include "testability/loop_avoid.h"
 
 #include <algorithm>
+#include <cassert>
 #include <climits>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -13,25 +16,38 @@ namespace tsyn::testability {
 
 namespace {
 
-/// Reachability in a small adjacency structure, skipping scan registers.
-bool reaches(const std::vector<std::set<int>>& adj,
-             const std::vector<bool>& scan, int from, int to) {
-  if (from == to) return true;
-  std::vector<int> stack{from};
-  std::set<int> seen{from};
-  while (!stack.empty()) {
-    const int u = stack.back();
-    stack.pop_back();
-    if (u >= static_cast<int>(adj.size())) continue;
-    for (int v : adj[u]) {
-      if (scan[v] || seen.count(v)) continue;
-      if (v == to) return true;
-      seen.insert(v);
-      stack.push_back(v);
+/// Transitive closure of a digraph that only gains edges, over nodes
+/// [0, n): row u holds the nodes reachable from u by one or more edges.
+/// Adding edge (from, to) closes a cycle iff `reaches(to, from)` before it.
+class Reachability {
+ public:
+  explicit Reachability(int n)
+      : n_(n),
+        words_((static_cast<std::size_t>(n) + 63) / 64),
+        rows_(static_cast<std::size_t>(n) * words_, 0) {}
+
+  bool reaches(int from, int to) const {
+    return (rows_[from * words_ + to / 64] >> (to % 64)) & 1;
+  }
+
+  /// Everything `to` reaches, and `to` itself, becomes reachable from
+  /// `from` and from every node that already reaches `from`.
+  void add_edge(int from, int to) {
+    std::vector<std::uint64_t> gained(rows_.begin() + to * words_,
+                                      rows_.begin() + (to + 1) * words_);
+    gained[to / 64] |= std::uint64_t{1} << (to % 64);
+    for (int u = 0; u < n_; ++u) {
+      if (u != from && !reaches(u, from)) continue;
+      for (std::size_t w = 0; w < words_; ++w)
+        rows_[u * words_ + w] |= gained[w];
     }
   }
-  return false;
-}
+
+ private:
+  int n_;
+  std::size_t words_;
+  std::vector<std::uint64_t> rows_;
+};
 
 }  // namespace
 
@@ -102,10 +118,19 @@ std::vector<int> loop_aware_register_assignment(
     return a < b;
   });
 
+  // consumers[lt]: the lifetimes that have lt among their predecessors.
+  std::vector<std::vector<int>> consumers(n);
+  for (int i = 0; i < n; ++i)
+    for (int p : lt_preds[i]) consumers[p].push_back(i);
+
   std::vector<int> reg_of(n, -1);
   std::vector<std::vector<int>> reg_members;
   std::vector<bool> reg_scan;
-  std::vector<std::set<int>> reg_adj;  // register-level edges
+  // Register-level paths that run through non-scan registers only: edges
+  // touching a scan register are never added, since scan registers break
+  // loops. A register's scan role is fixed when it opens, so the closure is
+  // only ever extended. Each lifetime opens at most one register.
+  Reachability reach(n);
 
   // Area guard: beyond a small slack over the left-edge optimum, opening
   // another register costs more than tolerating a loop — otherwise the
@@ -117,18 +142,15 @@ std::vector<int> loop_aware_register_assignment(
   graph::left_edge_assign(intervals, lts.num_slots, &min_regs);
   const int reg_budget = min_regs + std::max(2, min_regs / 4);
 
-  auto edges_for = [&](int lt, int candidate_reg) {
-    // Register edges this placement would add (both directions).
-    std::vector<std::pair<int, int>> edges;
+  // Calls fn(from, to) for each register edge this placement would add
+  // (both directions, duplicates kept).
+  auto for_each_edge = [&](int lt, int candidate_reg, auto&& fn) {
     for (int p : lt_preds[lt])
       if (reg_of[p] >= 0 && reg_of[p] != candidate_reg)
-        edges.emplace_back(reg_of[p], candidate_reg);
-    for (int other = 0; other < n; ++other) {
-      if (reg_of[other] < 0) continue;
-      if (lt_preds[other].count(lt) && reg_of[other] != candidate_reg)
-        edges.emplace_back(candidate_reg, reg_of[other]);
-    }
-    return edges;
+        fn(reg_of[p], candidate_reg);
+    for (int c : consumers[lt])
+      if (reg_of[c] >= 0 && reg_of[c] != candidate_reg)
+        fn(candidate_reg, reg_of[c]);
   };
 
   for (int lt : order) {
@@ -162,60 +184,60 @@ std::vector<int> loop_aware_register_assignment(
       if (scan_reuse_reward && !is_new && candidate_scan && !lt_is_scan)
         cost -= 5;
       if (!candidate_scan) {
-        std::vector<bool> scan_mask(reg_members.size() + 1, false);
-        for (std::size_t i = 0; i < reg_scan.size(); ++i)
-          scan_mask[i] = reg_scan[i];
-        for (const auto& [from, to] : edges_for(lt, r)) {
-          if (scan_mask[from] || scan_mask[to]) continue;
-          if (reaches(reg_adj, scan_mask, to, from)) cost += 1000;
-        }
+        // Scan registers hold no rows and sit in none, so edges touching
+        // one never count.
+        for_each_edge(lt, r, [&](int from, int to) {
+          if (reach.reaches(to, from)) cost += 1000;
+        });
       }
       if (cost < best_cost) {
         best_cost = cost;
         best_reg = r;
       }
     }
-    // Place.
-    if (best_reg == static_cast<int>(reg_members.size())) {
+    // Place. A scan lifetime never joins a non-scan register, so no
+    // register turns scan after it opens.
+    assert(!lt_is_scan || best_reg == num_regs || reg_scan[best_reg]);
+    if (best_reg == num_regs) {
       reg_members.emplace_back();
       reg_scan.push_back(lt_is_scan);
-      reg_adj.emplace_back();
     }
     reg_of[lt] = best_reg;
     reg_members[best_reg].push_back(lt);
-    if (lt_is_scan) reg_scan[best_reg] = true;
-    for (const auto& [from, to] : edges_for(lt, best_reg)) {
-      while (static_cast<int>(reg_adj.size()) <= std::max(from, to))
-        reg_adj.emplace_back();
-      reg_adj[from].insert(to);
-    }
+    for_each_edge(lt, best_reg, [&](int from, int to) {
+      if (!reg_scan[from] && !reg_scan[to]) reach.add_edge(from, to);
+    });
   }
   return reg_of;
 }
 
 namespace {
 
+/// A greedy schedule and its FU assignment (compact FU ids, -1 for copies).
+struct GreedySchedule {
+  hls::Schedule schedule;
+  std::vector<int> fu_of_op;
+};
+
 /// One greedy scheduling attempt at a fixed deadline; throws on dead-end.
-LoopAvoidResult loop_avoiding_attempt(const cdfg::Cdfg& g,
+GreedySchedule loop_avoiding_schedule(const cdfg::Cdfg& g,
                                       const LoopAvoidOptions& opts,
                                       int deadline) {
   const hls::Schedule asap = hls::asap_schedule(g);
   const hls::Schedule alap = hls::alap_schedule(
       g, std::max(deadline, hls::critical_path_length(g)));
 
-  // FU instances per constrained type.
+  // FU instances per type used, numbered in order of first use by an op.
   std::map<cdfg::FuType, std::vector<int>> fu_ids;
   int num_fus = 0;
-  auto fus_of_type = [&](cdfg::FuType t) -> std::vector<int>& {
-    auto it = fu_ids.find(t);
-    if (it == fu_ids.end()) {
-      const int count = std::min(opts.resources.get(t), g.num_ops());
-      std::vector<int> ids;
-      for (int i = 0; i < count; ++i) ids.push_back(num_fus++);
-      it = fu_ids.emplace(t, std::move(ids)).first;
-    }
-    return it->second;
-  };
+  for (const cdfg::Operation& op : g.ops()) {
+    if (op.kind == cdfg::OpKind::kCopy) continue;
+    const cdfg::FuType t = cdfg::fu_type_of(op.kind);
+    std::vector<int>& ids = fu_ids[t];
+    if (!ids.empty()) continue;
+    const int count = std::min(opts.resources.get(t), g.num_ops());
+    for (int i = 0; i < count; ++i) ids.push_back(num_fus++);
+  }
 
   const graph::Digraph dep = g.op_dependence_graph(false);
   std::vector<int> step_of(g.num_ops(), -1);
@@ -225,9 +247,8 @@ LoopAvoidResult loop_avoiding_attempt(const cdfg::Cdfg& g,
   std::vector<int> alap_eff = alap.step_of_op;
   // (fu, step) occupancy.
   std::set<std::pair<int, int>> busy;
-  // FU dependence edges accumulated so far.
-  std::vector<std::set<int>> fu_adj;
-  std::vector<bool> fu_no_scan;  // scan registers don't exist at FU level
+  // Closure of the FU dependence edges accumulated so far.
+  Reachability fu_reach(num_fus);
 
   auto earliest = [&](cdfg::OpId o) {
     int e = 0;
@@ -262,7 +283,7 @@ LoopAvoidResult loop_avoiding_attempt(const cdfg::Cdfg& g,
     const cdfg::FuType type = cdfg::fu_type_of(g.op(pick).kind);
     const bool needs_fu = g.op(pick).kind != cdfg::OpKind::kCopy;
     const std::vector<int> candidates_fu =
-        needs_fu ? fus_of_type(type) : std::vector<int>{-1};
+        needs_fu ? fu_ids.at(type) : std::vector<int>{-1};
 
     long best_cost = LONG_MAX;
     int best_fu = -2;
@@ -275,18 +296,15 @@ LoopAvoidResult loop_avoiding_attempt(const cdfg::Cdfg& g,
           // Testability cost: new FU-level cycles closed by the dependence
           // edges this assignment adds (self-edges are tolerable
           // self-loops).
-          while (static_cast<int>(fu_adj.size()) <= fu)
-            fu_adj.emplace_back();
-          std::vector<bool> no_scan(fu_adj.size(), false);
           for (graph::NodeId p : dep.predecessors(pick)) {
             const int pfu = fu_of[p];
             if (pfu < 0 || pfu == fu) continue;
-            if (reaches(fu_adj, no_scan, fu, pfu)) cost += 1000;
+            if (fu_reach.reaches(fu, pfu)) cost += 1000;
           }
           for (graph::NodeId s : dep.successors(pick)) {
             const int sfu = fu_of[s];
             if (sfu < 0 || sfu == fu) continue;
-            if (reaches(fu_adj, no_scan, sfu, fu)) cost += 1000;
+            if (fu_reach.reaches(sfu, fu)) cost += 1000;
           }
         }
         // Flexibility cost: occupying a slot other urgent ops may need.
@@ -313,19 +331,17 @@ LoopAvoidResult loop_avoiding_attempt(const cdfg::Cdfg& g,
       if (step_of[p] < 0) alap_eff[p] = std::min(alap_eff[p], best_step - 1);
     if (best_fu >= 0) {
       busy.insert({best_fu, best_step});
-      while (static_cast<int>(fu_adj.size()) <= best_fu)
-        fu_adj.emplace_back();
       for (graph::NodeId p : dep.predecessors(pick))
         if (fu_of[p] >= 0 && fu_of[p] != best_fu)
-          fu_adj[fu_of[p]].insert(best_fu);
+          fu_reach.add_edge(fu_of[p], best_fu);
       for (graph::NodeId s : dep.successors(pick))
         if (fu_of[s] >= 0 && fu_of[s] != best_fu)
-          fu_adj[best_fu].insert(fu_of[s]);
+          fu_reach.add_edge(best_fu, fu_of[s]);
     }
     ++scheduled;
   }
 
-  LoopAvoidResult result;
+  GreedySchedule result;
   result.schedule.num_steps =
       1 + *std::max_element(step_of.begin(), step_of.end());
   result.schedule.num_steps = std::max(result.schedule.num_steps, deadline);
@@ -338,14 +354,7 @@ LoopAvoidResult loop_avoiding_attempt(const cdfg::Cdfg& g,
     if (fu_of[o] >= 0 && remap[fu_of[o]] < 0) remap[fu_of[o]] = next++;
   for (cdfg::OpId o = 0; o < g.num_ops(); ++o)
     if (fu_of[o] >= 0) fu_of[o] = remap[fu_of[o]];
-
-  result.binding =
-      hls::make_binding_with_fu_map(g, result.schedule, fu_of);
-  const std::vector<int> reg_map = loop_aware_register_assignment(
-      g, result.binding.lifetimes, opts.scan_vars, result.binding.fu_of_op,
-      opts.structural_reg_edges, opts.scan_reuse_reward);
-  hls::rebind_registers(g, result.binding, reg_map);
-  hls::validate_binding(g, result.schedule, result.binding);
+  result.fu_of_op = std::move(fu_of);
   return result;
 }
 
@@ -363,14 +372,28 @@ LoopAvoidResult loop_avoiding_synthesis(const cdfg::Cdfg& g,
           : std::max(hls::critical_path_length(g),
                      hls::list_schedule(g, opts.resources).num_steps);
   const int limit = deadline + g.num_ops() + 1;
-  for (; deadline <= limit; ++deadline) {
+  std::optional<GreedySchedule> greedy;
+  for (; !greedy && deadline <= limit; ++deadline) {
     try {
-      return loop_avoiding_attempt(g, opts, deadline);
+      greedy = loop_avoiding_schedule(g, opts, deadline);
     } catch (const std::runtime_error&) {
       // dead-end: relax the deadline
     }
   }
-  throw std::runtime_error("loop-avoiding synthesis failed to converge");
+  if (!greedy)
+    throw std::runtime_error("loop-avoiding synthesis failed to converge");
+
+  // Binding is not retried: a failure here is a defect, not a dead end.
+  LoopAvoidResult result;
+  result.schedule = std::move(greedy->schedule);
+  result.binding =
+      hls::make_binding_with_fu_map(g, result.schedule, greedy->fu_of_op);
+  const std::vector<int> reg_map = loop_aware_register_assignment(
+      g, result.binding.lifetimes, opts.scan_vars, result.binding.fu_of_op,
+      opts.structural_reg_edges, opts.scan_reuse_reward);
+  hls::rebind_registers(g, result.binding, reg_map);
+  hls::validate_binding(g, result.schedule, result.binding);
+  return result;
 }
 
 }  // namespace tsyn::testability

@@ -29,6 +29,96 @@ Digraph chain(int n) {
   return g;
 }
 
+// Reference: the direct O(n^4) Tseng–Siewiorek partitioner, recomputing
+// compatibility and gain from edge lookups on every round. The bitset
+// clique_partition must agree with it decision for decision. Edge lookups
+// go through a dense matrix only so the test stays fast.
+using AdjMatrix = std::vector<std::vector<char>>;
+
+bool reference_cliques_compatible(const AdjMatrix& adj,
+                                  const std::vector<NodeId>& a,
+                                  const std::vector<NodeId>& b) {
+  for (NodeId u : a)
+    for (NodeId v : b)
+      if (!adj[u][v]) return false;
+  return true;
+}
+
+double reference_merge_gain(const AdjMatrix& adj,
+                            const std::vector<NodeId>& a,
+                            const std::vector<NodeId>& b,
+                            double (*weight)(NodeId, NodeId, const void*),
+                            const void* ctx) {
+  const int n = static_cast<int>(adj.size());
+  std::vector<bool> in_ab(n, false);
+  for (NodeId u : a) in_ab[u] = true;
+  for (NodeId u : b) in_ab[u] = true;
+  double gain = 0;
+  for (NodeId w = 0; w < n; ++w) {
+    if (in_ab[w]) continue;
+    bool common = true;
+    for (NodeId u : a)
+      if (!adj[u][w]) {
+        common = false;
+        break;
+      }
+    for (NodeId v : b) {
+      if (!common) break;
+      if (!adj[v][w]) common = false;
+    }
+    if (common) gain += 1.0;
+  }
+  if (weight) {
+    for (NodeId u : a)
+      for (NodeId v : b) gain += weight(u, v, ctx);
+  }
+  return gain;
+}
+
+CliquePartition reference_clique_partition(
+    const UndirectedGraph& compatibility,
+    double (*weight)(NodeId, NodeId, const void*) = nullptr,
+    const void* ctx = nullptr) {
+  const int n = compatibility.num_nodes();
+  AdjMatrix adj(n, std::vector<char>(n, 0));
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v : compatibility.neighbors(u)) adj[u][v] = 1;
+  std::vector<std::vector<NodeId>> cliques(n);
+  for (NodeId u = 0; u < n; ++u) cliques[u] = {u};
+  for (;;) {
+    int best_a = -1;
+    int best_b = -1;
+    double best_gain = -1;
+    for (std::size_t i = 0; i < cliques.size(); ++i) {
+      for (std::size_t j = i + 1; j < cliques.size(); ++j) {
+        if (!reference_cliques_compatible(adj, cliques[i], cliques[j]))
+          continue;
+        const double gain =
+            reference_merge_gain(adj, cliques[i], cliques[j], weight, ctx);
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_a = static_cast<int>(i);
+          best_b = static_cast<int>(j);
+        }
+      }
+    }
+    if (best_a < 0) break;
+    auto& a = cliques[best_a];
+    auto& b = cliques[best_b];
+    a.insert(a.end(), b.begin(), b.end());
+    cliques.erase(cliques.begin() + best_b);
+  }
+  CliquePartition result;
+  result.cliques = std::move(cliques);
+  result.clique_of.assign(n, -1);
+  for (std::size_t i = 0; i < result.cliques.size(); ++i) {
+    std::sort(result.cliques[i].begin(), result.cliques[i].end());
+    for (NodeId u : result.cliques[i])
+      result.clique_of[u] = static_cast<int>(i);
+  }
+  return result;
+}
+
 Digraph random_digraph(int n, double p, std::uint64_t seed) {
   util::Rng rng(seed);
   Digraph g(n);
@@ -413,6 +503,42 @@ TEST(CliquePartition, WeightSteersMerge) {
   EXPECT_TRUE(is_valid_clique_partition(g, p));
   EXPECT_EQ(p.clique_of[0], p.clique_of[1]);
   EXPECT_EQ(p.clique_of[2], p.clique_of[3]);
+}
+
+TEST(CliquePartition, MatchesReferenceOnRandomGraphs) {
+  // Sizes straddle the 64- and 128-bit row-word boundaries; past 65 nodes
+  // only sparse graphs, which keep the reference fast. One weight is
+  // tie-heavy (multiples of 0.5, including the -1 floor of the best gain);
+  // the other is inexact in binary, so any change in the order the weights
+  // are summed in shows up as a different double.
+  using Weight = double (*)(NodeId, NodeId, const void*);
+  const Weight ties = [](NodeId u, NodeId v, const void*) -> double {
+    return 0.5 * static_cast<double>((u + 2 * v) % 3) - 1.0;
+  };
+  const Weight inexact = [](NodeId u, NodeId v, const void*) -> double {
+    return 0.1 * static_cast<double>((u * 31 + v * 17) % 7);
+  };
+  const std::vector<int> sizes = {0,  1,  2,  3,   5,   9,   17, 33,
+                                  63, 64, 65, 127, 128, 129, 130};
+  for (int n : sizes) {
+    const std::vector<double> densities =
+        n <= 65 ? std::vector<double>{0.1, 0.5, 0.9} : std::vector<double>{0.1};
+    for (double p : densities) {
+      util::Rng rng(static_cast<std::uint64_t>(n) * 1000 +
+                    static_cast<std::uint64_t>(p * 10));
+      UndirectedGraph g(n);
+      for (NodeId u = 0; u < n; ++u)
+        for (NodeId v = u + 1; v < n; ++v)
+          if (rng.next_bool(p)) g.add_edge(u, v);
+      for (Weight w : {Weight{nullptr}, ties, inexact}) {
+        const CliquePartition got = clique_partition(g, w, nullptr);
+        const CliquePartition want = reference_clique_partition(g, w);
+        EXPECT_EQ(got.cliques, want.cliques) << "n=" << n << " p=" << p;
+        EXPECT_EQ(got.clique_of, want.clique_of) << "n=" << n << " p=" << p;
+        EXPECT_TRUE(is_valid_clique_partition(g, got));
+      }
+    }
+  }
 }
 
 TEST(Matching, PerfectMatching) {

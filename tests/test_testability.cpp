@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
+#include "bist/sessions.h"
+#include "bist/tfb.h"
 #include "cdfg/benchmarks.h"
+#include "cdfg/generator.h"
 #include "cdfg/loops.h"
 #include "hls/fds.h"
 #include "hls/synthesis.h"
@@ -17,6 +21,7 @@
 #include "testability/scan_select.h"
 #include "testability/testpoints.h"
 #include "testability/transform.h"
+#include "util/hash.h"
 
 namespace tsyn::testability {
 namespace {
@@ -192,6 +197,63 @@ TEST(LoopAvoid, StatefulWithScanVarsLeavesNoUnbrokenLoops) {
   apply_scan(g, r.binding, opts.scan_vars, rtl.datapath);
   const rtl::LoopStats after = rtl::loop_stats(rtl.datapath, true);
   EXPECT_EQ(after.breakable(), 0);
+}
+
+TEST(BehavioralSynthesis, PinnedDigestOnRandomCdfgs) {
+  // Every decision of the greedy behavioral-synthesis loops on random
+  // CDFGs, folded into one pinned hash: force-directed scheduling, clique-
+  // partition binding (plain and weighted), loop-avoiding scheduling and
+  // register assignment under each ablation, TFB/XTFB and test sessions.
+  // Their incremental bookkeeping must not change a single choice.
+  util::Fnv1a h;
+  auto fold = [&h](const std::vector<int>& v) {
+    h.u64(v.size());
+    for (int x : v) h.i64(x);
+  };
+  const hls::Resources res{{cdfg::FuType::kAlu, 2},
+                           {cdfg::FuType::kMultiplier, 2}};
+  for (int ops : {40, 56, 72}) {
+    for (std::uint64_t seed : {1, 2, 3}) {
+      cdfg::GeneratorParams p;
+      p.num_ops = ops;
+      p.num_states = ops / 16;
+      p.seed = seed;
+      const Cdfg g = cdfg::random_cdfg(p);
+
+      const hls::Schedule s = hls::list_schedule(g, res);
+      const hls::Binding b = hls::make_binding(g, s);
+      fold(s.step_of_op);
+      fold(b.fu_of_op);
+      fold(b.reg_of_lifetime);
+      fold(hls::force_directed_schedule(g, s.num_steps + 2).step_of_op);
+
+      LoopAvoidOptions base;
+      base.resources = res;
+      base.scan_vars = select_scan_vars_loopcut(g);
+      std::vector<LoopAvoidOptions> variants(5, base);
+      variants[1].scan_vars.clear();
+      variants[2].fu_cycle_cost = false;
+      variants[3].structural_reg_edges = false;
+      variants[4].scan_reuse_reward = false;
+      for (const LoopAvoidOptions& lo : variants) {
+        const LoopAvoidResult la = loop_avoiding_synthesis(g, lo);
+        fold(la.schedule.step_of_op);
+        fold(la.binding.fu_of_op);
+        fold(la.binding.reg_of_lifetime);
+      }
+
+      const bist::TfbResult tfb = bist::tfb_synthesis(g, s);
+      const bist::XtfbResult xtfb = bist::xtfb_synthesis(g, s);
+      h.i64(tfb.num_tfbs).i64(tfb.num_input_regs);
+      h.i64(xtfb.num_alus).i64(xtfb.cbilbos);
+      for (const hls::Binding& sb : {b, bist::conflict_aware_binding(g, s)}) {
+        const bist::SessionAnalysis sa = bist::schedule_test_sessions(g, sb);
+        fold(sb.fu_of_op);
+        h.i64(sa.num_sessions).i64(sa.num_conflicts);
+      }
+    }
+  }
+  EXPECT_EQ(h.value(), 0x467b6ca3ebaa3a91ull);
 }
 
 TEST(Transform, DeflectionsPreserveBehaviorShape) {
