@@ -5,8 +5,9 @@
 //      thread) run_block over full-scan expansions, up to the largest
 //      generated netlist;
 //  (2) sequential: the Netlist-walking full-resimulation oracle vs the
-//      engine's dense SimGraph re-simulation (serial and sharded) on the
-//      EXP-SEQATPG circuits and non-scan datapath expansions;
+//      engine's fault-slot-parallel SimGraph simulation (serial and
+//      sharded) on the EXP-SEQATPG circuits and non-scan datapath
+//      expansions;
 //  (3) soa: the compiled SoA core's wide-lane grading (64 vs 256 vs 512
 //      pattern lanes) on the detection-matrix and dropping workloads,
 //      plus the one-time lowering cost and thread scaling.
@@ -865,8 +866,8 @@ int main() {
   bench::print_header(
       "PERF-FAULTSIM",
       "Engine claim: sharding the fault list over workers scales PPSFP with "
-      "the\nhardware, and the sequential engine's dense SimGraph "
-      "re-simulation matches\nthe Netlist-walking full-resimulation oracle "
+      "the\nhardware, and the sequential engine's fault-slot-parallel "
+      "simulation matches\nthe Netlist-walking full-resimulation oracle "
       "and scales over faults.");
   std::printf("hardware threads: %d\n\n", hw);
 

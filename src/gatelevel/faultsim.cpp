@@ -12,19 +12,9 @@
 #include "observe/scoap_attr.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace tsyn::gl {
-
-namespace {
-
-/// Items claimed per work-stealing grab by the sequential engine: each
-/// fault costs a whole frame sweep, so chunks smaller than PPSFP's
-/// (kPpsfpStealChunk) keep the tail short.
-constexpr int kSeqStealChunk = 4;
-
-}  // namespace
 
 int FaultSimOptions::resolved_threads() const {
   if (num_threads > 0) return num_threads;
@@ -216,6 +206,30 @@ void detection_masks(const Netlist& n,
 // Sequential fault simulation.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Runs the slot engine at W=8 on the widest backend the CPU has among
+/// the compiled-in kernel TUs (see run_wide_campaign).
+void run_seq_slots(wide_detail::SeqJob& job, int workers) {
+  const SimdBackend be = active_simd_backend();
+  (void)be;
+#if defined(TSYN_WIDE_AVX512)
+  if (be == SimdBackend::kAvx512) {
+    wide_detail::seq_slots_avx512_w8(job, workers);
+    return;
+  }
+#endif
+#if defined(TSYN_WIDE_AVX2)
+  if (be == SimdBackend::kAvx2 || be == SimdBackend::kAvx512) {
+    wide_detail::seq_slots_avx2_w8(job, workers);
+    return;
+  }
+#endif
+  wide_detail::seq_slots<8, ScalarWords<8>>(job, workers);
+}
+
+}  // namespace
+
 std::vector<bool> sequential_fault_sim(
     const Netlist& n, const std::vector<std::vector<Bits>>& input_frames,
     const std::vector<Fault>& faults, const FaultSimOptions& options) {
@@ -233,102 +247,94 @@ std::vector<bool> sequential_fault_sim(
   const std::vector<std::int32_t>& pis = g.pis();
   const std::vector<std::int32_t>& pos = g.pos();
   const std::vector<std::int32_t>& ffs = g.ffs();
-  std::vector<std::int32_t> d_of(ffs.size());  // -1 = unconnected D pin
-  for (std::size_t i = 0; i < ffs.size(); ++i)
-    d_of[i] = g.fanin()[g.fanin_off()[ffs[i]]];
+  const std::size_t nn = static_cast<std::size_t>(g.num_nodes());
+  wide_detail::SeqJob job;
+  job.g = &g;
+  job.frames = &input_frames;
+  job.faults = &faults;
+  for (const std::int32_t q : ffs)
+    job.d_of.push_back(g.fanin()[g.fanin_off()[q]]);
   long gates_per_frame = 0;
   for (int id = 0; id < g.num_nodes(); ++id)
     if (g.type(id) != GateType::kInput && g.type(id) != GateType::kDff)
       ++gates_per_frame;
 
-  // One clock frame of the good (f == nullptr) or faulty machine: preset
-  // the PIs (missing values are X) and the carried state, evaluate the
-  // whole frame, capture the next state from the D nodes.
-  auto step = [&](std::size_t frame, const Fault* f, std::vector<Bits>& state,
-                  std::vector<Bits>& values) {
-    const std::vector<Bits>& in = input_frames[frame];
-    for (std::size_t i = 0; i < pis.size(); ++i)
-      values[pis[i]] = i < in.size() ? in[i] : Bits::unknown();
-    for (std::size_t i = 0; i < ffs.size(); ++i) values[ffs[i]] = state[i];
-    simulate_frame(n, values, f);
-    for (std::size_t i = 0; i < ffs.size(); ++i)
-      state[i] = d_of[i] >= 0 ? values[d_of[i]] : Bits::unknown();
-  };
-
-  // Good-machine PO values per frame, simulated once and shared
-  // (read-only) by every worker.
+  // The good machine, simulated once: its PO values per frame, shared
+  // read-only by the workers, and per node the lanes that ever carried a
+  // known 0 / known 1 in any frame. Not the whole trace: that would double
+  // peak RSS.
   const std::size_t num_frames = input_frames.size();
-  const std::size_t num_pos = pos.size();
-  std::vector<Bits> good_po(num_frames * num_pos);
+  job.good_po.resize(num_frames * pos.size());
   {
     std::vector<Bits> state(ffs.size(), Bits::unknown());
-    std::vector<Bits> values(g.num_nodes(), Bits::unknown());
+    std::vector<Bits> values(nn, Bits::unknown());
+    std::vector<std::uint64_t> known0(nn, 0), known1(nn, 0);
     for (std::size_t frame = 0; frame < num_frames; ++frame) {
-      step(frame, nullptr, state, values);
-      for (std::size_t k = 0; k < num_pos; ++k)
-        good_po[frame * num_pos + k] = values[pos[k]];
-    }
-  }
-
-  // Per-worker scratch, allocated once and reused across the worker's
-  // whole fault shard.
-  struct Scratch {
-    std::vector<Bits> values, state;
-    /// Slot-private effort counters, merged into the registry at the end.
-    long faults_done = 0, frames_done = 0, detected = 0, dropped_mid = 0;
-  };
-  const int workers = std::min(options.resolved_threads(), count);
-  std::vector<Scratch> scratch(static_cast<std::size_t>(workers));
-  for (Scratch& s : scratch) {
-    s.values.assign(g.num_nodes(), Bits::unknown());
-    s.state.resize(ffs.size());
-  }
-
-  util::Histogram& frames_to_detect =
-      util::metrics().histogram("faultsim.seq.frames_to_detect");
-  std::vector<char> det(faults.size(), 0);
-  auto simulate_fault = [&](int fi, int slot) {
-    const Fault& f = faults[fi];
-    Scratch& s = scratch[slot];
-    ++s.faults_done;
-    std::fill(s.state.begin(), s.state.end(), Bits::unknown());
-    std::size_t frame = 0;  // frames simulated so far
-    bool hit = false;
-    while (!hit && frame < num_frames) {
-      step(frame, &f, s.state, s.values);
-      const Bits* good = &good_po[frame++ * num_pos];
-      for (std::size_t k = 0; k < num_pos && !hit; ++k) {
-        const Bits& gv = good[k];
-        const Bits& fv = s.values[pos[k]];
-        hit = ((gv.v ^ fv.v) & ~gv.x & ~fv.x) != 0;
+      const std::vector<Bits>& in = input_frames[frame];
+      for (std::size_t i = 0; i < pis.size(); ++i)
+        values[pis[i]] = i < in.size() ? in[i] : Bits::unknown();
+      for (std::size_t i = 0; i < ffs.size(); ++i) values[ffs[i]] = state[i];
+      simulate_frame(n, values);
+      for (std::size_t i = 0; i < ffs.size(); ++i)
+        state[i] = job.d_of[i] >= 0 ? values[job.d_of[i]] : Bits::unknown();
+      for (std::size_t k = 0; k < pos.size(); ++k)
+        job.good_po[frame * pos.size() + k] = values[pos[k]];
+      for (std::size_t id = 0; id < nn; ++id) {
+        known0[id] |= ~values[id].v & ~values[id].x;
+        known1[id] |= values[id].v & ~values[id].x;
       }
     }
-    // A detected fault is dropped at its first detecting frame.
-    det[fi] = hit;
-    s.frames_done += static_cast<long>(frame);
+
+    // Activation pre-filter (exact). Until a fault site carries the known
+    // opposite of its stuck value, the faulty machine only refines X
+    // values of the good one, and three-valued evaluation is monotone, so
+    // no PO can provably differ. A fault whose site never does, in any
+    // frame or lane, is undetectable and not simulated. A pin fault's
+    // site is its driving fanin; DFF pin faults have no effect at all.
+    for (int fi = 0; fi < count; ++fi) {
+      const Fault& f = faults[fi];
+      if (f.fanin_index >= 0 && g.type(f.node) == GateType::kDff) continue;
+      const int site = f.fanin_index < 0
+                           ? f.node
+                           : g.fanin()[g.fanin_off()[f.node] + f.fanin_index];
+      if ((f.stuck_at_one ? known0 : known1)[site] != 0)
+        job.todo.push_back(fi);
+    }
+  }
+  const long inactive = count - static_cast<long>(job.todo.size());
+  p_seq.add(inactive);
+
+  job.frames_run.assign(faults.size(), 0);
+  job.hit.assign(faults.size(), 0);
+  const int workers = std::min(options.resolved_threads(),
+                               static_cast<int>(job.todo.size()));
+  if (workers > 0) run_seq_slots(job, workers);
+
+  // Results, ledger events and counters, serially in fault order (the
+  // ledger sorts its journeys, so the recording order never shows).
+  util::Histogram& frames_to_detect =
+      util::metrics().histogram("faultsim.seq.frames_to_detect");
+  long frames_done = 0, hits = 0, dropped_mid = 0;
+  for (int fi = 0; fi < count; ++fi) {
+    const long frames = job.frames_run[fi];
+    const bool hit = job.hit[fi] != 0;
+    detected[fi] = hit;
+    frames_done += frames;
     if (hit) {
-      ++s.detected;
-      if (frame < num_frames) ++s.dropped_mid;
-      frames_to_detect.observe(static_cast<std::int64_t>(frame));
+      ++hits;
+      if (frames < static_cast<long>(num_frames)) ++dropped_mid;
+      frames_to_detect.observe(frames);
     }
     if (ledger_on) {
-      const observe::FaultKey key = observe::make_fault_key(f);
-      if (hit) observe::record_seq_detected(key, static_cast<long>(frame));
-      observe::record_sim_effort(key,
-                                 static_cast<long>(frame) * gates_per_frame);
+      const observe::FaultKey key = observe::make_fault_key(faults[fi]);
+      if (hit) observe::record_seq_detected(key, frames);
+      observe::record_sim_effort(key, frames * gates_per_frame);
     }
-    p_seq.add(1);
-  };
-  if (workers <= 1) {
-    for (int i = 0; i < count; ++i) simulate_fault(i, 0);
-  } else {
-    util::ThreadPool::shared().run_chunked(count, workers, kSeqStealChunk,
-                                           simulate_fault);
   }
-
-  // Merge the slot-private effort counters (stable after the pool returns).
   static util::Counter& m_faults =
       util::metrics().counter("faultsim.seq.faults_simulated");
+  static util::Counter& m_inactive =
+      util::metrics().counter("faultsim.seq.faults_inactive");
   static util::Counter& m_frames =
       util::metrics().counter("faultsim.seq.frames_simulated");
   static util::Counter& m_events =
@@ -337,24 +343,18 @@ std::vector<bool> sequential_fault_sim(
       util::metrics().counter("faultsim.seq.faults_detected");
   static util::Counter& m_dropped =
       util::metrics().counter("faultsim.seq.faults_dropped_midseq");
-  long done = 0, biggest = 0;
-  for (const Scratch& s : scratch) {
-    m_frames.add(s.frames_done);
-    m_events.add(s.frames_done * gates_per_frame);
-    m_detected.add(s.detected);
-    m_dropped.add(s.dropped_mid);
-    done += s.faults_done;
-    biggest = std::max(biggest, s.faults_done);
-  }
-  m_faults.add(done);
-  if (workers > 1 && done > 0)
+  m_faults.add(static_cast<long>(job.todo.size()));
+  m_inactive.add(inactive);
+  m_frames.add(frames_done);
+  m_events.add(frames_done * gates_per_frame);
+  m_detected.add(hits);
+  m_dropped.add(dropped_mid);
+  if (workers > 1)
     util::metrics()
         .gauge("faultsim.seq.shard_imbalance")
-        .set(static_cast<double>(biggest) * workers /
-             static_cast<double>(done));
-
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    detected[i] = det[i] != 0;
+        .set(static_cast<double>(*std::max_element(job.per_worker.begin(),
+                                                   job.per_worker.end())) *
+             workers / static_cast<double>(job.todo.size()));
   return detected;
 }
 

@@ -13,9 +13,10 @@
 // spread over a worker pool with chunked work-stealing: each worker drains
 // its own contiguous range chunk by chunk, then steals chunks from the
 // others, so cone-size imbalance stops costing wall-clock. Sequential
-// circuits are graded by dense per-fault frame re-simulation: each fault
-// re-evaluates every frame with the fault injected, carrying its own
-// flip-flop state, until a primary output provably differs.
+// circuits are graded by fault-slot-parallel frame simulation: each 64-bit
+// word of a W=8 row is one faulty machine with its own fault, frame and
+// flip-flop state, so one levelized sweep advances eight faults by one
+// frame; a slot is refilled as soon as its fault is detected.
 #pragma once
 
 #include <cstdint>
@@ -154,11 +155,16 @@ void detection_masks(const Netlist& n,
 
 /// Per-fault sequential simulation over a vector sequence (64 lanes of
 /// sequences in parallel; lane l of frame f is vector f of sequence l;
-/// missing PI values are X). FFs start unknown. Dense re-simulation: the
-/// good machine's outputs are simulated once, then each fault re-evaluates
-/// every frame in full with the fault injected (simulate_frame), carrying
-/// its own flip-flop state, and stops at its first detecting frame. The
-/// fault list is spread over the worker pool with chunked work-stealing.
+/// missing PI values are X). FFs start unknown. The good machine is
+/// simulated once; a fault whose site never carries the known opposite of
+/// its stuck value, in any frame or lane, is skipped as undetectable (an
+/// exact pre-filter; DFF pin faults have no effect and are skipped too).
+/// The rest run on the slot engine (faultsim_wide.h): word w of every
+/// W=8 node row is one faulty machine with its own fault, frame index and
+/// carried flip-flop state; each full levelized sweep advances every slot
+/// one frame, and a slot whose fault is detected or out of frames takes
+/// the next fault from a cursor shared by the worker pool. Each fault
+/// stops at its first detecting frame, exactly as a per-fault loop would.
 /// Returns the detected mask.
 std::vector<bool> sequential_fault_sim(
     const Netlist& n, const std::vector<std::vector<Bits>>& input_frames,

@@ -1,8 +1,8 @@
-// AVX-512F instantiation of the wide PPSFP engine (512-lane rows only;
-// a 256-lane row is a single AVX2 vector already). Compiled with
-// -mavx512f when the compiler accepts it; called only after runtime CPU
-// detection. Same comdat caveat as faultsim_avx2.cpp: nothing but the
-// instantiation lives here.
+// AVX-512F instantiations of the wide PPSFP engine (512-lane rows only;
+// a 256-lane row is a single AVX2 vector already) and of the sequential
+// slot engine. Compiled with -mavx512f when the compiler accepts it;
+// called only after runtime CPU detection. Same comdat caveat as
+// faultsim_avx2.cpp: nothing but the instantiations lives here.
 #include "gatelevel/faultsim_wide.h"
 
 namespace tsyn::gl::wide_detail {
@@ -14,6 +14,10 @@ void wide_campaign_avx512_w8(const Netlist& n,
                              std::vector<bool>* detected,
                              std::vector<std::uint64_t>* matrix) {
   wide_campaign<8, Avx512Words>(n, blocks, faults, options, detected, matrix);
+}
+
+void seq_slots_avx512_w8(SeqJob& job, int workers) {
+  seq_slots<8, Avx512Words>(job, workers);
 }
 
 }  // namespace tsyn::gl::wide_detail

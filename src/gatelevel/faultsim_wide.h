@@ -1,24 +1,29 @@
-// The combinational PPSFP engine, templated over the lane width W (64-lane
-// blocks per pass: 1, 4 or 8) and the SIMD word-vector backend V
-// (widebits.h). It is the only combinational fault propagator: W=1 serves
-// FaultSimulator and 64-lane grading, W=4/8 the 256/512-lane campaigns.
-// This header is instantiated by several translation units compiled with
-// different ISA flags:
+// The wide fault-simulation engines, templated over the lane width W
+// (64-bit words per row: 1, 4 or 8) and the SIMD word-vector backend V
+// (widebits.h). The combinational PPSFP engine is the only combinational
+// fault propagator: W=1 serves FaultSimulator and 64-lane grading, W=4/8
+// the 256/512-lane campaigns. The sequential slot engine (SeqSlots) runs
+// at W=8, one faulty machine per word. This header is instantiated by
+// several translation units compiled with different ISA flags:
 //
-//   faultsim.cpp         (portable flags)  -> W=1/4/8 on ScalarWords<W>
-//   faultsim_avx2.cpp    (-mavx2)          -> wide_campaign<4|8, Avx2Words>
-//   faultsim_avx512.cpp  (-mavx512f)       -> wide_campaign<8, Avx512Words>
+//   faultsim.cpp         (portable flags)  -> W=1/4/8 on ScalarWords<W>,
+//                                             seq_slots<8, ScalarWords<8>>
+//   faultsim_avx2.cpp    (-mavx2)          -> wide_campaign<4|8, Avx2Words>,
+//                                             seq_slots<8, Avx2Words>
+//   faultsim_avx512.cpp  (-mavx512f)       -> wide_campaign<8, Avx512Words>,
+//                                             seq_slots<8, Avx512Words>
 //
-// and run_wide_campaign (faultsim.cpp) picks an entry point at runtime
-// from what the CPU supports. Every template here therefore carries V in
-// its parameter list even where the code never touches V: instantiations
-// from differently-flagged TUs must have distinct symbols, or the linker
+// and faultsim.cpp picks an entry point at runtime from what the CPU
+// supports. Every template here therefore carries V in its parameter list
+// even where the code never touches V: instantiations from
+// differently-flagged TUs must have distinct symbols, or the linker
 // could keep an AVX-encoded comdat copy and hand it to the scalar path on
 // a CPU without that ISA. For the same reason only faultsim*.cpp include
 // this header; faultsim.h keeps it out of every other TU.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -212,9 +217,11 @@ void wide_simulate_good(const SimGraph& g, WideGood<W>& good) {
 /// the current epoch, so starting the next fault is one epoch bump — and
 /// scheduled nodes sit in per-level worklists drained in one ascending
 /// pass (fanouts are strictly deeper). Combinational SimGraphs only. One
-/// instance per worker slot.
+/// instance per worker slot; cache-line aligned because PpsfpShard keeps
+/// the instances back to back and each worker bumps its own counters on
+/// every propagation.
 template <int W, class V>
-class WideProp {
+class alignas(64) WideProp {
  public:
   explicit WideProp(const SimGraph& g) : g_(&g) {
     const std::size_t nn = static_cast<std::size_t>(g.num_nodes());
@@ -528,6 +535,217 @@ void wide_campaign(const Netlist& n,
   util::metrics().gauge("faultsim.wide.lanes").set(64 * W);
 }
 
+/// One sequential_fault_sim call as the slot engine sees it: shared
+/// read-only inputs, the cursor every worker claims faults from, and the
+/// per-fault results (each entry written only by the worker that
+/// simulated the fault).
+struct SeqJob {
+  const SimGraph* g = nullptr;
+  const std::vector<std::vector<Bits>>* frames = nullptr;
+  const std::vector<Fault>* faults = nullptr;
+  /// D-pin driver of each flip-flop (g->ffs() order); -1 = unconnected.
+  std::vector<std::int32_t> d_of;
+  /// Good-machine PO values, frame-major, g->pos().size() per frame.
+  std::vector<Bits> good_po;
+  /// Indices of the faults to simulate, in claim order.
+  std::vector<std::int32_t> todo;
+  std::atomic<std::size_t> next{0};  ///< next todo entry to claim
+  /// Per fault: frames simulated, and whether the last of them detected.
+  std::vector<std::int32_t> frames_run;
+  std::vector<char> hit;
+  /// Faults each worker simulated.
+  std::vector<long> per_worker;
+};
+
+/// Fault-slot-parallel sequential simulation, PROOFS' idea (Niermann,
+/// Cheng and Patel, TCAD 1992) at word rather than bit granularity: the
+/// 64 bits of a word already carry 64 input sequences, so word w of every
+/// node row is one faulty machine with its own fault, frame index and
+/// carried flip-flop state. One levelized sweep advances all W machines
+/// by one frame; a slot whose fault is detected or out of frames takes
+/// the next fault from the job's shared cursor. Each fault therefore
+/// runs exactly the frames the per-fault loop would. One instance per
+/// worker, cache-line aligned like WideProp.
+template <int W, class V>
+class alignas(64) SeqSlots {
+  static_assert(W <= 8, "slot masks are one byte");
+
+ public:
+  explicit SeqSlots(SeqJob& job) : job_(job), g_(*job.g) {
+    rows_.assign(static_cast<std::size_t>(g_.num_nodes()) * 2 * W, 0);
+    state_.resize(g_.ffs().size() * 2 * W);
+    at_site_.assign(static_cast<std::size_t>(g_.num_nodes()), 0);
+  }
+
+  /// Simulates faults from the cursor until it runs dry; returns how
+  /// many this worker took.
+  long run() {
+    for (int w = 0; w < W; ++w) claim(w);
+    while (busy_ != 0) sweep();
+    return taken_;
+  }
+
+ private:
+  std::uint64_t* row(int id) {
+    return &rows_[static_cast<std::size_t>(id) * 2 * W];
+  }
+
+  /// Puts the next unclaimed fault in slot w, or empties the slot.
+  void claim(int w) {
+    const std::uint8_t bit = static_cast<std::uint8_t>(1u << w);
+    const std::size_t k = job_.next.fetch_add(1, std::memory_order_relaxed);
+    if (k >= job_.todo.size()) {
+      busy_ &= static_cast<std::uint8_t>(~bit);
+      return;
+    }
+    const int fi = job_.todo[k];
+    fault_[w] = fi;
+    frame_[w] = 0;
+    busy_ |= bit;
+    at_site_[(*job_.faults)[fi].node] |= bit;
+    ++taken_;
+    for (std::size_t i = 0; i < g_.ffs().size(); ++i) {  // state starts X
+      state_[i * 2 * W + w] = 0;
+      state_[i * 2 * W + W + w] = ~0ULL;
+    }
+  }
+
+  /// Records slot w's result and frees its fault site.
+  void finish(int w, bool hit) {
+    const int fi = fault_[w];
+    job_.frames_run[fi] = frame_[w];
+    job_.hit[fi] = hit;
+    at_site_[(*job_.faults)[fi].node] &=
+        static_cast<std::uint8_t>(~(1u << w));
+    static util::Progress& p_seq = util::progress("sim.seq.faults");
+    p_seq.add(1);
+  }
+
+  /// Overrides the words of the slots whose fault sits on node `id`: an
+  /// output fault pins the stuck value, a pin fault re-evaluates the row
+  /// with that fanin stuck and keeps the slot's word. The re-evaluation
+  /// goes through the <W, V> row kernel, not eval_gate, so no non-template
+  /// inline function is compiled with this TU's ISA flags.
+  void inject(int id) {
+    std::uint64_t* r = row(id);
+    for (unsigned m = at_site_[id]; m != 0; m &= m - 1) {
+      const int w = std::countr_zero(m);
+      const Fault& f = (*job_.faults)[fault_[w]];
+      std::uint64_t stuck[2 * W];
+      std::fill(stuck, stuck + W, f.stuck_at_one ? ~0ULL : 0);
+      std::fill(stuck + W, stuck + 2 * W, 0);
+      if (f.fanin_index < 0) {
+        r[w] = stuck[w];
+        r[W + w] = 0;
+        continue;
+      }
+      const std::uint64_t* frp[kMaxFanin];
+      const std::int32_t lo = g_.fanin_off()[id];
+      const int nf = g_.fanin_off()[id + 1] - lo;
+      for (int i = 0; i < nf; ++i) frp[i] = row(g_.fanin()[lo + i]);
+      frp[f.fanin_index] = stuck;
+      std::uint64_t out[2 * W];
+      wide_eval_row<W, V>(g_.type(id), frp, nf, out);
+      r[w] = out[w];
+      r[W + w] = out[W + w];
+    }
+  }
+
+  /// One clock frame of every occupied slot.
+  void sweep() {
+    const std::vector<std::int32_t>& pis = g_.pis();
+    const std::vector<std::int32_t>& ffs = g_.ffs();
+    // Sources: each slot's PI words from its own frame (missing PIs and
+    // empty slots read X), the flip-flops from the carried state.
+    for (int w = 0; w < W; ++w) {
+      const std::vector<Bits>* in =
+          busy_ >> w & 1 ? &(*job_.frames)[frame_[w]] : nullptr;
+      const std::size_t known = in ? std::min(pis.size(), in->size()) : 0;
+      for (std::size_t i = 0; i < pis.size(); ++i) {
+        const Bits b = i < known ? (*in)[i] : Bits::unknown();
+        std::uint64_t* r = row(pis[i]);
+        r[w] = b.v;
+        r[W + w] = b.x;
+      }
+    }
+    for (std::size_t i = 0; i < ffs.size(); ++i)
+      std::memcpy(row(ffs[i]), &state_[i * 2 * W],
+                  sizeof(std::uint64_t) * 2 * W);
+
+    // Evaluate, each slot's fault applied where it sits (sources too).
+    const std::uint64_t* frp[kMaxFanin];
+    const std::int32_t* foff = g_.fanin_off();
+    const std::int32_t* fin = g_.fanin();
+    for (const std::int32_t id : g_.order()) {
+      const GateType t = g_.type(id);
+      if (t != GateType::kInput && t != GateType::kDff) {
+        const std::int32_t lo = foff[id];
+        const int nf = foff[id + 1] - lo;
+        assert(nf <= kMaxFanin);
+        for (int i = 0; i < nf; ++i) frp[i] = row(fin[lo + i]);
+        wide_eval_row<W, V>(t, frp, nf, row(id));
+      }
+      if (at_site_[id] != 0) inject(id);
+    }
+
+    // Capture every slot's next state, then detect, drop and refill.
+    for (std::size_t i = 0; i < ffs.size(); ++i) {
+      std::uint64_t* s = &state_[i * 2 * W];
+      const std::int32_t d = job_.d_of[i];
+      if (d >= 0) {
+        std::memcpy(s, row(d), sizeof(std::uint64_t) * 2 * W);
+      } else {
+        std::fill(s, s + W, 0);
+        std::fill(s + W, s + 2 * W, ~0ULL);
+      }
+    }
+    const std::vector<std::int32_t>& pos = g_.pos();
+    const std::size_t num_frames = job_.frames->size();
+    for (int w = 0; w < W; ++w) {
+      if (!(busy_ >> w & 1)) continue;
+      const Bits* good =
+          &job_.good_po[static_cast<std::size_t>(frame_[w]) * pos.size()];
+      std::uint64_t diff = 0;
+      for (std::size_t k = 0; k < pos.size(); ++k) {
+        const std::uint64_t* r = row(pos[k]);
+        diff |= (good[k].v ^ r[w]) & ~good[k].x & ~r[W + w];
+      }
+      ++frame_[w];
+      if (diff != 0 || static_cast<std::size_t>(frame_[w]) == num_frames) {
+        finish(w, diff != 0);
+        claim(w);
+      }
+    }
+  }
+
+  SeqJob& job_;
+  const SimGraph& g_;
+  std::vector<std::uint64_t> rows_;   ///< 2W words per node
+  std::vector<std::uint64_t> state_;  ///< 2W words per flip-flop
+  /// Per node: the slots whose fault sits on it.
+  std::vector<std::uint8_t> at_site_;
+  int fault_[W] = {};
+  std::int32_t frame_[W] = {};
+  std::uint8_t busy_ = 0;  ///< occupied slots
+  long taken_ = 0;
+};
+
+/// Runs a sequential job on `workers` threads, each with its own SeqSlots
+/// draining the shared cursor. The engines are built on the calling
+/// thread before the pool fans out, as PpsfpShard builds its propagators.
+template <int W, class V>
+void seq_slots(SeqJob& job, int workers) {
+  std::vector<SeqSlots<W, V>> slots;
+  slots.reserve(static_cast<std::size_t>(workers));
+  for (int i = 0; i < workers; ++i) slots.emplace_back(job);
+  job.per_worker.assign(static_cast<std::size_t>(workers), 0);
+  auto work = [&](int i, int) { job.per_worker[i] = slots[i].run(); };
+  if (workers <= 1)
+    work(0, 0);
+  else
+    util::ThreadPool::shared().run(workers, workers, work);
+}
+
 // Per-ISA entry points, defined in faultsim_avx2.cpp / faultsim_avx512.cpp
 // when the build compiled them (TSYN_WIDE_AVX2 / TSYN_WIDE_AVX512). Only
 // call after active_simd_backend() confirms the CPU has the ISA.
@@ -549,5 +767,7 @@ void wide_campaign_avx512_w8(const Netlist& n,
                              const FaultSimOptions& options,
                              std::vector<bool>* detected,
                              std::vector<std::uint64_t>* matrix);
+void seq_slots_avx2_w8(SeqJob& job, int workers);
+void seq_slots_avx512_w8(SeqJob& job, int workers);
 
 }  // namespace tsyn::gl::wide_detail

@@ -136,8 +136,8 @@ class Netlist {
 };
 
 /// Evaluates one combinational gate from fanin values. Header-inline so
-/// the simulation hot loops (simulate_frame, the sequential engine) fold
-/// the whole evaluation into one switch instead of an out-of-line call;
+/// the simulation hot loops (simulate_frame and its callers) fold the
+/// whole evaluation into one switch instead of an out-of-line call;
 /// the PPSFP kernels in widebits.h are these same formulas lifted to W
 /// words and must stay bit-identical to them at every W.
 inline Bits eval_gate(GateType type, const Bits* in, int num_fanins) {

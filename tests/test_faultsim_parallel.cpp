@@ -8,10 +8,16 @@
 #include <atomic>
 #include <set>
 
+#include "cdfg/benchmarks.h"
 #include "gatelevel/bistgen.h"
+#include "gatelevel/expand.h"
 #include "gatelevel/faults.h"
 #include "gatelevel/faultsim.h"
+#include "hls/synthesis.h"
 #include "observe/ledger.h"
+#include "testability/scan_select.h"
+#include "util/hash.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -288,6 +294,173 @@ TEST(SequentialFaultSim, DropsDetectedFaultEarly) {
   EXPECT_TRUE(det[0]);
   EXPECT_EQ(det, gl::sequential_fault_sim_full_resim(n, frames, {f}));
 }
+
+/// diffeq through the default synthesis flow with MFVS partial scan,
+/// expanded at `width`: a still-sequential netlist like the partial_scan
+/// benchmark's.
+gl::Netlist mfvs_diffeq(int width) {
+  const cdfg::Cdfg g = cdfg::diffeq();
+  const hls::Synthesis syn = hls::synthesize(g);
+  rtl::Datapath dp = syn.rtl.datapath;
+  testability::apply_scan(g, syn.binding,
+                          testability::select_scan_vars_mfvs(g), dp);
+  gl::ExpandOptions x;
+  x.width_override = width;
+  return gl::expand_datapath(dp, x).netlist;
+}
+
+/// Uncollapsed faults of `n` in round-robin over four kinds, so every
+/// prefix of a few faults mixes them: PI output faults, DFF output
+/// faults, DFF pin faults and gate pin faults on fanout branches.
+std::vector<gl::Fault> mixed_faults(const gl::Netlist& n) {
+  const auto& fanouts = n.fanouts();
+  std::vector<gl::Fault> kinds[4];
+  for (const gl::Fault& f : gl::enumerate_faults(n, /*collapse=*/false)) {
+    const gl::GateType t = n.node(f.node).type;
+    if (f.fanin_index < 0 && t == gl::GateType::kInput)
+      kinds[0].push_back(f);
+    else if (f.fanin_index < 0 && t == gl::GateType::kDff)
+      kinds[1].push_back(f);
+    else if (t == gl::GateType::kDff)
+      kinds[2].push_back(f);
+    else if (f.fanin_index >= 0 &&
+             fanouts[n.node(f.node).fanins[f.fanin_index]].size() > 1)
+      kinds[3].push_back(f);
+  }
+  std::vector<gl::Fault> out;
+  for (std::size_t i = 0;; ++i) {
+    bool any = false;
+    for (const auto& k : kinds)
+      if (i < k.size()) {
+        out.push_back(k[i]);
+        any = true;
+      }
+    if (!any) return out;
+  }
+}
+
+/// Frame lists the slot engine must treat alike: LFSR sequences, ragged
+/// frames (missing PIs read X) and a short lane-identical sequence like
+/// the ATPG drop calls'.
+std::vector<std::vector<std::vector<gl::Bits>>> frame_shapes(
+    const gl::Netlist& n, std::uint64_t seed) {
+  const int npi = static_cast<int>(n.primary_inputs().size());
+  auto lfsr = gl::lfsr_pattern_blocks(npi, 10, seed);
+  auto ragged = gl::lfsr_pattern_blocks(npi, 9, seed + 1);
+  for (std::size_t f = 0; f < ragged.size(); ++f)
+    ragged[f].resize(f % static_cast<std::size_t>(npi));
+  util::Rng rng(seed);
+  std::vector<std::vector<gl::Bits>> identical(
+      3, std::vector<gl::Bits>(static_cast<std::size_t>(npi)));
+  for (auto& frame : identical)
+    for (gl::Bits& b : frame)
+      b = rng.next_u64() & 1 ? gl::Bits::all1() : gl::Bits::all0();
+  return {lfsr, ragged, identical};
+}
+
+TEST(SequentialFaultSim, SlotFillMatchesOracleAtEveryListSize) {
+  // Lists shorter than, equal to and just past the 8 fault slots, so
+  // empty slots, exact fills and refills all occur.
+  for (const std::uint64_t seed : {3u, 8u, 21u}) {
+    const gl::Netlist n = random_sequential_netlist(seed, 60, 6);
+    const std::vector<gl::Fault> all = mixed_faults(n);
+    ASSERT_GE(all.size(), 17u);
+    for (const auto& frames : frame_shapes(n, seed)) {
+      for (const std::size_t size : {0, 1, 7, 8, 9, 17}) {
+        const std::vector<gl::Fault> faults(all.begin(),
+                                            all.begin() + size);
+        const auto oracle =
+            gl::sequential_fault_sim_full_resim(n, frames, faults);
+        for (const int threads : {1, 2, 8})
+          EXPECT_EQ(oracle, gl::sequential_fault_sim(
+                                n, frames, faults,
+                                gl::FaultSimOptions{threads}))
+              << "seed " << seed << " size " << size << " threads "
+              << threads << " frames " << frames.size();
+      }
+    }
+  }
+}
+
+#ifndef TSYN_LEDGER_NOOP
+/// The detected mask plus every journey's first detecting frame, as
+/// recorded by one ledger-enabled sequential_fault_sim call.
+std::uint64_t seq_detect_digest(const gl::Netlist& n,
+                                const std::vector<std::vector<gl::Bits>>& frames,
+                                const std::vector<gl::Fault>& faults,
+                                int threads) {
+  observe::ledger_reset();
+  observe::ledger_enable();
+  const auto det =
+      gl::sequential_fault_sim(n, frames, faults, gl::FaultSimOptions{threads});
+  observe::ledger_disable();
+  const observe::LedgerSnapshot snap = observe::ledger_snapshot();
+  observe::ledger_reset();
+  util::Fnv1a h;
+  for (const bool d : det) h.i64(d);
+  for (const observe::FaultJourney& j : snap.journeys)
+    h.i64(j.key.node).i64(j.key.pin).i64(j.key.sa1).i64(j.first_detect_frame);
+  return h.value();
+}
+
+TEST(SequentialFaultSim, DetectFramesDigestIsPinned) {
+  // Which faults are detected and at which frame must not depend on how
+  // the engine packs faulty machines, nor on the thread count.
+  const gl::Netlist rnd = random_sequential_netlist(29, 120, 10);
+  const auto rnd_frames = gl::lfsr_pattern_blocks(
+      static_cast<int>(rnd.primary_inputs().size()), 12, 29);
+  const gl::Netlist dfq = mfvs_diffeq(4);
+  const auto dfq_frames = gl::lfsr_pattern_blocks(
+      static_cast<int>(dfq.primary_inputs().size()), 48, 0x5E0 | 1);
+  for (const int threads : {1, 2, 8}) {
+    EXPECT_EQ(seq_detect_digest(rnd, rnd_frames, gl::enumerate_faults(rnd),
+                                threads),
+              0x5fd1fd878a8d3806ULL)
+        << "random, threads " << threads;
+    EXPECT_EQ(seq_detect_digest(dfq, dfq_frames, gl::enumerate_faults(dfq),
+                                threads),
+              0x0da10af274af7ec4ULL)
+        << "MFVS diffeq w4, threads " << threads;
+  }
+}
+
+TEST(SequentialFaultSim, ActivationPreFilterSkipsOnlyUndetectable) {
+  // Short lane-identical sequences (the ATPG drop-call shape) leave many
+  // fault sites at X or at their stuck value in every frame; those faults
+  // are skipped (zero effort in the ledger) and must be ones the oracle
+  // leaves undetected.
+  const gl::Netlist n = mfvs_diffeq(4);
+  const auto faults = gl::enumerate_faults(n);
+  util::Counter& inactive =
+      util::metrics().counter("faultsim.seq.faults_inactive");
+  long skipped_total = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto frames = frame_shapes(n, seed)[2];
+    const auto oracle = gl::sequential_fault_sim_full_resim(n, frames, faults);
+    const std::int64_t inactive_before = inactive.read();
+    observe::ledger_reset();
+    observe::ledger_enable();
+    const auto det =
+        gl::sequential_fault_sim(n, frames, faults, gl::FaultSimOptions{2});
+    observe::ledger_disable();
+    const observe::LedgerSnapshot snap = observe::ledger_snapshot();
+    observe::ledger_reset();
+    EXPECT_EQ(det, oracle);
+    long skipped = 0;
+    for (const observe::FaultJourney& j : snap.journeys) {
+      if (j.sim_events != 0) continue;
+      ++skipped;
+      const gl::Fault f{j.key.node, j.key.pin, j.key.sa1 != 0};
+      const auto it = std::find(faults.begin(), faults.end(), f);
+      ASSERT_NE(it, faults.end());
+      EXPECT_FALSE(oracle[it - faults.begin()]) << gl::describe(n, f);
+    }
+    EXPECT_EQ(inactive.read() - inactive_before, skipped);
+    skipped_total += skipped;
+  }
+  EXPECT_GT(skipped_total, 0);
+}
+#endif  // TSYN_LEDGER_NOOP
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   util::ThreadPool pool(4);
