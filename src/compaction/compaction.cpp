@@ -7,9 +7,7 @@
 
 #include "observe/scoap_attr.h"
 #include "util/metrics.h"
-#include "util/rng.h"
 #include "util/telemetry.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace tsyn::compaction {
@@ -21,7 +19,6 @@ using gl::AtpgStatus;
 using gl::Bits;
 using gl::Fault;
 using gl::FaultSimOptions;
-using gl::FaultSimulator;
 using gl::Netlist;
 using gl::Podem;
 
@@ -38,15 +35,20 @@ TestCube extract_lane(const std::vector<Bits>& block, int lane) {
   return p;
 }
 
+std::size_t num_blocks(std::size_t num_patterns) {
+  return (num_patterns + 63) / 64;
+}
+
 /// Reverse-order credit assignment on a precomputed detection matrix:
 /// every fault is credited to the LAST pattern detecting it; patterns with
 /// no credit are pruned. Returns kept indices, ascending.
-std::vector<int> prune_from_matrix(
-    const std::vector<std::vector<std::uint64_t>>& matrix,
-    std::size_t num_patterns) {
+std::vector<int> prune_from_matrix(const std::vector<std::uint64_t>& matrix,
+                                   std::size_t num_patterns) {
   std::vector<char> keep(num_patterns, 0);
-  for (const std::vector<std::uint64_t>& row : matrix) {
-    for (int b = static_cast<int>(row.size()) - 1; b >= 0; --b) {
+  const std::size_t nb = num_blocks(num_patterns);
+  for (std::size_t base = 0; base < matrix.size(); base += nb) {
+    const std::uint64_t* row = &matrix[base];
+    for (int b = static_cast<int>(nb) - 1; b >= 0; --b) {
       if (row[b] == 0) continue;
       const int lane = 63 - std::countl_zero(row[b]);
       keep[static_cast<std::size_t>(b) * 64 + lane] = 1;
@@ -62,8 +64,8 @@ std::vector<int> prune_from_matrix(
 /// Dynamic-compaction generation: the serial PODEM campaign loop of
 /// run_combinational_atpg, except that every detected primary cube is
 /// re-entered (generate_multi_from_base) to fold secondary faults into its
-/// unspecified inputs before it is graded. Grading uses the identical
-/// random-fill scheme (and records graded_fill) so the campaign's
+/// unspecified inputs before it is graded. Grading goes through the same
+/// gl::CampaignGrader (and so records graded_fill) so the campaign's
 /// detection decisions stay reproducible.
 AtpgCampaign run_dynamic_campaign(const Netlist& n,
                                   const std::vector<Fault>& faults,
@@ -77,39 +79,8 @@ AtpgCampaign run_dynamic_campaign(const Netlist& n,
   static util::Counter& m_merged =
       util::metrics().counter("compaction.dynamic.secondary_merged");
 
-  static util::Progress& p_targets = util::progress("atpg.targets");
-  p_targets.add_total(static_cast<std::int64_t>(faults.size()));
   AtpgCampaign campaign;
-  campaign.status.assign(faults.size(), AtpgStatus::kAborted);
-  std::vector<bool> handled(faults.size(), false);
-
-  FaultSimulator sim(n, sim_options);
-  util::Rng rng(gl::kAtpgGradeFillSeed);
-
-  auto grade_test = [&](const TestCube& pi_values) {
-    campaign.tests.push_back(pi_values);
-    std::vector<Bits> block(n.primary_inputs().size());
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      switch (pi_values[i]) {
-        case V::k0: block[i] = Bits::all0(); break;
-        case V::k1: block[i] = Bits::all1(); break;
-        case V::kX: block[i] = Bits::known(rng.next_u64()); break;
-      }
-    }
-    campaign.graded_fill.push_back(block);
-    std::vector<bool> drop(faults.size(), false);
-    for (std::size_t j = 0; j < faults.size(); ++j) drop[j] = handled[j];
-    sim.run_block(block, faults, drop);
-    std::int64_t closed = 0;
-    for (std::size_t j = 0; j < faults.size(); ++j) {
-      if (!handled[j] && drop[j]) {
-        handled[j] = true;
-        campaign.status[j] = AtpgStatus::kDetected;
-        ++closed;
-      }
-    }
-    if (closed) p_targets.add(closed);
-  };
+  gl::CampaignGrader grader(n, faults, sim_options, campaign);
 
   auto add_stats = [&](const gl::AtpgStats& s) {
     campaign.total.decisions += s.decisions;
@@ -119,12 +90,10 @@ AtpgCampaign run_dynamic_campaign(const Netlist& n,
 
   Podem podem(n);
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    if (handled[fi]) continue;
+    if (grader.handled(fi)) continue;
     const gl::AtpgResult r = podem.generate(faults[fi], backtrack_limit);
     add_stats(r.stats);
-    campaign.status[fi] = r.status;
-    handled[fi] = true;
-    p_targets.add(1);
+    grader.settle(fi, r.status);
     if (r.status != AtpgStatus::kDetected) continue;
 
     TestCube cube = r.pi_values;
@@ -134,7 +103,7 @@ AtpgCampaign run_dynamic_campaign(const Netlist& n,
          fj < faults.size() && probes < copts.dynamic_candidate_window &&
          merged < copts.dynamic_max_secondary && has_x(cube);
          ++fj) {
-      if (handled[fj]) continue;
+      if (grader.handled(fj)) continue;
       ++probes;
       // A kDetected probe refines `cube` (base bits immutable) and its
       // ternary PO difference holds for every completion, so the merged
@@ -146,28 +115,16 @@ AtpgCampaign run_dynamic_campaign(const Netlist& n,
       add_stats(r2.stats);
       if (r2.status == AtpgStatus::kDetected) {
         cube = r2.pi_values;
-        handled[fj] = true;
-        campaign.status[fj] = AtpgStatus::kDetected;
-        p_targets.add(1);
+        grader.settle(fj, AtpgStatus::kDetected);
         ++merged;
       }
     }
     m_probes.add(probes);
     m_merged.add(merged);
     stats->secondary_merged += merged;
-    grade_test(cube);
+    grader.grade(cube);
   }
-
-  long detected = 0;
-  long untestable = 0;
-  for (AtpgStatus s : campaign.status) {
-    if (s == AtpgStatus::kDetected) ++detected;
-    else if (s == AtpgStatus::kUntestable) ++untestable;
-  }
-  const double total = static_cast<double>(faults.size());
-  campaign.fault_coverage = total == 0 ? 1.0 : detected / total;
-  campaign.fault_efficiency =
-      total == 0 ? 1.0 : (detected + untestable) / total;
+  grader.finish();
   return campaign;
 }
 
@@ -229,47 +186,23 @@ std::vector<std::vector<Bits>> patterns_to_blocks(
   return blocks;
 }
 
-std::vector<std::vector<std::uint64_t>> detection_matrix(
+std::vector<std::uint64_t> detection_matrix(
     const Netlist& n, const std::vector<TestCube>& patterns,
     const std::vector<Fault>& faults, const FaultSimOptions& sim_options) {
   TSYN_SPAN("compaction.detection_matrix");
-  std::vector<std::vector<std::uint64_t>> matrix(
-      faults.size(), std::vector<std::uint64_t>());
   const std::vector<std::vector<Bits>> blocks = patterns_to_blocks(patterns);
-  for (auto& row : matrix) row.assign(blocks.size(), 0);
+  std::vector<std::uint64_t> matrix;
+  gl::detection_masks(n, blocks, faults, matrix, sim_options);
   if (blocks.empty() || faults.empty()) return matrix;
-  util::progress("sim.patterns")
-      .add_total(64 * static_cast<std::int64_t>(blocks.size()));
-
-  // Blocks are independent without fault dropping, so they shard over the
-  // pool: one SERIAL FaultSimulator per worker slot (the per-block inner
-  // engine must not re-enter the shared pool from a worker thread).
-  const int num_blocks = static_cast<int>(blocks.size());
-  const int workers = std::max(
-      1, std::min(sim_options.resolved_threads(), num_blocks));
-  std::vector<FaultSimulator> sims;
-  sims.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w)
-    sims.emplace_back(n, FaultSimOptions{1});
-
-  auto job = [&](int b, int slot) {
-    std::vector<std::uint64_t> lane_masks;
-    sims[slot].run_block_detail(blocks[b], faults, lane_masks);
-    for (std::size_t f = 0; f < faults.size(); ++f)
-      matrix[f][b] = lane_masks[f];
-  };
-  if (workers <= 1) {
-    for (int b = 0; b < num_blocks; ++b) job(b, 0);
-  } else {
-    util::ThreadPool::shared().run(num_blocks, workers, job);
-  }
+  const std::size_t nb = blocks.size();
 
   // Mask the padding lanes of the last block out of the matrix so no
   // consumer credits a pattern that does not exist.
   const std::size_t tail = patterns.size() % 64;
   if (tail != 0) {
     const std::uint64_t valid = (1ULL << tail) - 1;
-    for (auto& row : matrix) row.back() &= valid;
+    for (std::size_t f = 0; f < faults.size(); ++f)
+      matrix[f * nb + nb - 1] &= valid;
   }
 
   // The matrix is the ledger's n-detect source: it grades every fault
@@ -281,8 +214,8 @@ std::vector<std::vector<std::uint64_t>> detection_matrix(
     for (std::size_t f = 0; f < faults.size(); ++f) {
       long count = 0;
       long first = -1;
-      for (std::size_t b = 0; b < matrix[f].size(); ++b) {
-        const std::uint64_t w = matrix[f][b];
+      for (std::size_t b = 0; b < nb; ++b) {
+        const std::uint64_t w = matrix[f * nb + b];
         if (w == 0) continue;
         if (first < 0)
           first = static_cast<long>(64 * b) + std::countr_zero(w);
@@ -317,14 +250,14 @@ NdetectProfile grade_ndetect(const Netlist& n,
                              const std::vector<Fault>& faults,
                              const FaultSimOptions& sim_options) {
   TSYN_SPAN("compaction.ndetect");
-  const auto matrix = detection_matrix(n, patterns, faults, sim_options);
+  const std::vector<std::uint64_t> matrix =
+      detection_matrix(n, patterns, faults, sim_options);
+  const std::size_t nb = num_blocks(patterns.size());
   NdetectProfile profile;
   profile.counts.assign(faults.size(), 0);
-  for (std::size_t f = 0; f < faults.size(); ++f) {
-    int c = 0;
-    for (std::uint64_t w : matrix[f]) c += std::popcount(w);
-    profile.counts[f] = c;
-  }
+  for (std::size_t f = 0; f < faults.size(); ++f)
+    for (std::size_t b = 0; b < nb; ++b)
+      profile.counts[f] += std::popcount(matrix[f * nb + b]);
   return profile;
 }
 
@@ -414,7 +347,7 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
 
   // 4. Reverse-order pruning (on the full detection matrix, which the
   //    coverage accounting below reuses).
-  std::vector<std::vector<std::uint64_t>> matrix;
+  std::vector<std::uint64_t> matrix;
   {
     observe::LedgerPhase ledger_phase("compact.grade");
     matrix = detection_matrix(n, patterns, faults, sim_options);
@@ -438,21 +371,21 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
   //    blocks so final coverage provably never drops. Pruning credits
   //    every matrix-covered fault to a kept pattern, so "matrix row
   //    nonzero" == "covered by the kept set".
+  const std::size_t nb = num_blocks(patterns.size());
   std::vector<std::size_t> missing;
   for (std::size_t f = 0; f < faults.size(); ++f) {
     const bool want =
         out.campaign.status[f] == AtpgStatus::kDetected ||
         (baseline && baseline->status[f] == AtpgStatus::kDetected);
     if (!want) continue;
-    bool covered = false;
-    for (std::uint64_t w : matrix[f]) covered = covered || w != 0;
-    if (!covered) missing.push_back(f);
+    const std::uint64_t* row = matrix.data() + f * nb;
+    if (std::all_of(row, row + nb, [](std::uint64_t w) { return w == 0; }))
+      missing.push_back(f);
   }
   std::vector<TestCube> topups;
   if (!missing.empty()) {
     TSYN_SPAN("compaction.topup");
     observe::LedgerPhase ledger_phase("compact.topup");
-    FaultSimulator sim(n, sim_options);
     std::vector<const AtpgCampaign*> sources{&out.campaign};
     if (baseline && baseline != &out.campaign) sources.push_back(baseline);
     // Candidate pool: every recorded-block lane that detects at least one
@@ -470,19 +403,21 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
     subset.reserve(missing.size());
     for (std::size_t f : missing) subset.push_back(faults[f]);
     std::vector<Candidate> cands;
+    std::vector<std::uint64_t> masks;
     for (const AtpgCampaign* src : sources) {
-      for (const std::vector<Bits>& block : src->graded_fill) {
-        std::vector<std::uint64_t> masks;
-        sim.run_block_detail(block, subset, masks);
+      const std::size_t src_blocks = src->graded_fill.size();
+      gl::detection_masks(n, src->graded_fill, subset, masks, sim_options);
+      for (std::size_t b = 0; b < src_blocks; ++b) {
         std::uint64_t lanes = 0;
-        for (std::uint64_t m : masks) lanes |= m;
+        for (std::size_t s = 0; s < missing.size(); ++s)
+          lanes |= masks[s * src_blocks + b];
         for (; lanes != 0; lanes &= lanes - 1) {
           Candidate c;
-          c.block = &block;
+          c.block = &src->graded_fill[b];
           c.lane = std::countr_zero(lanes);
           c.covers.assign(words, 0);
           for (std::size_t s = 0; s < missing.size(); ++s) {
-            if ((masks[s] >> c.lane) & 1) {
+            if ((masks[s * src_blocks + b] >> c.lane) & 1) {
               c.covers[s / 64] |= 1ULL << (s % 64);
               ++c.count;
             }

@@ -13,9 +13,9 @@
 //      order heuristic;
 //   3. X-fill — the surviving don't-cares become tester constants
 //      (random / 0 / 1 / adjacent), gradeable for N-detect quality;
-//   4. reverse-order pruning — fault-simulate the filled patterns
-//      last-to-first with fault dropping and drop every pattern that
-//      contributes no unique detection.
+//   4. reverse-order pruning — grade the filled patterns into a no-drop
+//      detection matrix, credit every fault to the last pattern detecting
+//      it and drop every pattern that earns no credit.
 //
 // Cost contract: `patterns` is what ships. pattern count = patterns.size(),
 // test data volume = pattern count x PI count bits. The uncompacted
@@ -30,7 +30,7 @@
 // (extracted from the campaign's recorded grading blocks,
 // AtpgCampaign::graded_fill) for any fault the campaign detected only
 // through a lucky random fill. All passes are deterministic and
-// independent of the grading thread count.
+// independent of the grading thread count and lane width.
 #pragma once
 
 #include <cstdint>
@@ -128,10 +128,10 @@ struct CompactedCampaign {
 
 /// The full pipeline. `n` must be combinational (full-scan expanded);
 /// `backtrack_limit` bounds each primary PODEM run exactly as in
-/// run_combinational_atpg; `sim_options` parallelizes every grading pass
-/// (PPSFP sharding plus block-parallel pattern grading on
-/// util::ThreadPool). Deterministic for fixed options regardless of
-/// thread count.
+/// run_combinational_atpg; `sim_options` is passed to every grading pass
+/// (gl::fault_coverage and gl::detection_masks, which shard the fault list
+/// over util::ThreadPool and honour its lane width). Deterministic for
+/// fixed options regardless of thread count and lane width.
 CompactedCampaign run_compacted_atpg(
     const gl::Netlist& n, const std::vector<gl::Fault>& faults,
     const CompactionOptions& copts = {}, long backtrack_limit = 10000,
@@ -146,20 +146,20 @@ CompactedCampaign run_compacted_atpg(
 std::vector<std::vector<gl::Bits>> patterns_to_blocks(
     const std::vector<TestCube>& patterns);
 
-/// Per-fault, per-pattern detection matrix: bit (p % 64) of
-/// result[f][p / 64] is set iff pattern p detects fault f. No fault
-/// dropping. Blocks are graded in parallel on util::ThreadPool (one
-/// serial FaultSimulator per worker slot), so the matrix is identical for
-/// every thread count.
-std::vector<std::vector<std::uint64_t>> detection_matrix(
+/// Per-fault, per-pattern detection matrix in gl::detection_masks'
+/// fault-major layout: with B = ceil(patterns / 64) blocks, bit (p % 64)
+/// of result[f * B + p / 64] is set iff pattern p detects fault f. No
+/// fault dropping; lanes past the last pattern are clear. Identical for
+/// every thread count and lane width.
+std::vector<std::uint64_t> detection_matrix(
     const gl::Netlist& n, const std::vector<TestCube>& patterns,
     const std::vector<gl::Fault>& faults,
     const gl::FaultSimOptions& sim_options = {});
 
-/// Reverse-order pruning on an explicit pattern set: fault-simulates
-/// last-to-first with fault dropping (each fault is credited to the LAST
-/// pattern detecting it) and returns the indices (ascending) of patterns
-/// that earn at least one credit. The kept subset detects exactly the
+/// Reverse-order pruning on an explicit pattern set: reads the
+/// detection_matrix, credits each fault to the LAST pattern detecting it
+/// and returns the indices (ascending) of patterns that earn at least one
+/// credit. The kept subset detects exactly the
 /// faults the full set detects.
 std::vector<int> reverse_order_prune(
     const gl::Netlist& n, const std::vector<TestCube>& patterns,

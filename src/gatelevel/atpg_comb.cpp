@@ -589,7 +589,73 @@ void publish_comb_campaign(const AtpgCampaign& campaign) {
   limit_hits.add(n_abt);
 }
 
+/// Seed of the fill stream. The fill is random, not 0-fill: every kX input
+/// of a cube becomes an independent 64-bit word, so each cube is graded
+/// as 64 distinct random completions.
+constexpr std::uint64_t kAtpgGradeFillSeed = 0x7357;
+
+util::Progress& targets_progress() {
+  static util::Progress& p = util::progress("atpg.targets");
+  return p;
+}
+
 }  // namespace
+
+CampaignGrader::CampaignGrader(const Netlist& n,
+                               const std::vector<Fault>& faults,
+                               const FaultSimOptions& sim_options,
+                               AtpgCampaign& campaign)
+    : faults_(faults),
+      campaign_(campaign),
+      sim_(n, sim_options),
+      rng_(kAtpgGradeFillSeed),
+      handled_(faults.size(), false) {
+  targets_progress().add_total(static_cast<std::int64_t>(faults.size()));
+  campaign_.status.assign(faults.size(), AtpgStatus::kAborted);
+}
+
+void CampaignGrader::settle(std::size_t f, AtpgStatus status) {
+  campaign_.status[f] = status;
+  handled_[f] = true;
+  targets_progress().add(1);
+}
+
+void CampaignGrader::grade(const std::vector<V>& cube) {
+  campaign_.tests.push_back(cube);
+  std::vector<Bits> block(cube.size());
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    switch (cube[i]) {
+      case V::k0: block[i] = Bits::all0(); break;
+      case V::k1: block[i] = Bits::all1(); break;
+      case V::kX: block[i] = Bits::known(rng_.next_u64()); break;
+    }
+  }
+  std::vector<bool> drop = handled_;
+  sim_.run_block(block, faults_, drop);
+  campaign_.graded_fill.push_back(std::move(block));
+  std::int64_t closed = 0;
+  for (std::size_t j = 0; j < faults_.size(); ++j) {
+    if (!handled_[j] && drop[j]) {
+      handled_[j] = true;
+      campaign_.status[j] = AtpgStatus::kDetected;
+      ++closed;
+    }
+  }
+  if (closed) targets_progress().add(closed);
+}
+
+void CampaignGrader::finish() {
+  long detected = 0;
+  long untestable = 0;
+  for (AtpgStatus s : campaign_.status) {
+    if (s == AtpgStatus::kDetected) ++detected;
+    else if (s == AtpgStatus::kUntestable) ++untestable;
+  }
+  const double total = static_cast<double>(faults_.size());
+  campaign_.fault_coverage = total == 0 ? 1.0 : detected / total;
+  campaign_.fault_efficiency =
+      total == 0 ? 1.0 : (detected + untestable) / total;
+}
 
 AtpgCampaign run_combinational_atpg(const Netlist& n,
                                     const std::vector<Fault>& faults,
@@ -598,46 +664,10 @@ AtpgCampaign run_combinational_atpg(const Netlist& n,
   TSYN_SPAN("gl.atpg.comb");
   if (observe::ledger_enabled())
     observe::record_universe(static_cast<long>(faults.size()));
-  static util::Progress& p_targets = util::progress("atpg.targets");
-  p_targets.add_total(static_cast<std::int64_t>(faults.size()));
   AtpgCampaign campaign;
-  campaign.status.assign(faults.size(), AtpgStatus::kAborted);
-  std::vector<bool> handled(faults.size(), false);
-
-  FaultSimulator sim(n, sim_options);
-  util::Rng rng(kAtpgGradeFillSeed);
+  CampaignGrader grader(n, faults, sim_options, campaign);
   static util::Histogram& bt_hist =
       util::metrics().histogram("atpg.comb.backtracks_per_fault");
-
-  // Grades one generated test against all still-unhandled faults, dropping
-  // the ones it detects. The cube's X inputs are filled with random words
-  // (64 independent completions per cube, one rng stream in test order);
-  // the exact block is recorded in graded_fill so the campaign's detection
-  // decisions are reproducible downstream — see kAtpgGradeFillSeed.
-  auto grade_test = [&](const std::vector<V>& pi_values) {
-    campaign.tests.push_back(pi_values);
-    std::vector<Bits> block(n.primary_inputs().size());
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      switch (pi_values[i]) {
-        case V::k0: block[i] = Bits::all0(); break;
-        case V::k1: block[i] = Bits::all1(); break;
-        case V::kX: block[i] = Bits::known(rng.next_u64()); break;
-      }
-    }
-    campaign.graded_fill.push_back(block);
-    std::vector<bool> drop(faults.size(), false);
-    for (std::size_t j = 0; j < faults.size(); ++j) drop[j] = handled[j];
-    sim.run_block(block, faults, drop);
-    std::int64_t closed = 0;
-    for (std::size_t j = 0; j < faults.size(); ++j) {
-      if (!handled[j] && drop[j]) {
-        handled[j] = true;
-        campaign.status[j] = AtpgStatus::kDetected;
-        ++closed;
-      }
-    }
-    if (closed) p_targets.add(closed);
-  };
 
   auto add_stats = [&](const AtpgStats& s) {
     campaign.total.decisions += s.decisions;
@@ -652,13 +682,11 @@ AtpgCampaign run_combinational_atpg(const Netlist& n,
     // bit-identical to the original single-threaded engine.
     Podem podem(n);
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (handled[fi]) continue;
+      if (grader.handled(fi)) continue;
       const AtpgResult r = podem.generate(faults[fi], backtrack_limit);
       add_stats(r.stats);
-      campaign.status[fi] = r.status;
-      handled[fi] = true;
-      p_targets.add(1);
-      if (r.status == AtpgStatus::kDetected) grade_test(r.pi_values);
+      grader.settle(fi, r.status);
+      if (r.status == AtpgStatus::kDetected) grader.grade(r.pi_values);
     }
   } else {
     // Wave-parallel generation: take up to `wave` unhandled faults, PODEM
@@ -682,7 +710,7 @@ AtpgCampaign run_combinational_atpg(const Netlist& n,
       wave_idx.clear();
       while (cursor < faults.size() &&
              wave_idx.size() < static_cast<std::size_t>(wave)) {
-        if (!handled[cursor]) wave_idx.push_back(cursor);
+        if (!grader.handled(cursor)) wave_idx.push_back(cursor);
         ++cursor;
       }
       if (wave_idx.empty()) break;
@@ -701,25 +729,14 @@ AtpgCampaign run_combinational_atpg(const Netlist& n,
         const std::size_t fi = wave_idx[i];
         const AtpgResult& r = results[i];
         add_stats(r.stats);
-        if (handled[fi]) continue;  // dropped by an earlier wave-mate
-        campaign.status[fi] = r.status;
-        handled[fi] = true;
-        p_targets.add(1);
-        if (r.status == AtpgStatus::kDetected) grade_test(r.pi_values);
+        if (grader.handled(fi)) continue;  // dropped by an earlier wave-mate
+        grader.settle(fi, r.status);
+        if (r.status == AtpgStatus::kDetected) grader.grade(r.pi_values);
       }
     }
   }
 
-  long detected = 0;
-  long untestable = 0;
-  for (AtpgStatus s : campaign.status) {
-    if (s == AtpgStatus::kDetected) ++detected;
-    else if (s == AtpgStatus::kUntestable) ++untestable;
-  }
-  const double total = static_cast<double>(faults.size());
-  campaign.fault_coverage = total == 0 ? 1.0 : detected / total;
-  campaign.fault_efficiency =
-      total == 0 ? 1.0 : (detected + untestable) / total;
+  grader.finish();
   publish_comb_campaign(campaign);
   return campaign;
 }

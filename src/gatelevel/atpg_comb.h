@@ -14,6 +14,7 @@
 #include "gatelevel/faultsim.h"
 #include "gatelevel/netlist.h"
 #include "gatelevel/simgraph.h"
+#include "util/rng.h"
 
 namespace tsyn::gl {
 
@@ -152,16 +153,6 @@ class Podem {
   AtpgStats stats_;
 };
 
-/// Seed of the Rng that fills a test cube's X inputs for fault-dropping
-/// simulation in run_combinational_atpg. The fill is RANDOM, not 0-fill:
-/// every kX input of a generated cube becomes an independent 64-bit word,
-/// so each cube is graded as 64 distinct random completions. Exposed (and
-/// the graded blocks recorded in AtpgCampaign::graded_fill) so downstream
-/// consumers — the compaction subsystem's coverage accounting in
-/// particular — can reproduce the campaign's detection decisions
-/// bit-for-bit instead of guessing at an implicit fill.
-inline constexpr std::uint64_t kAtpgGradeFillSeed = 0x7357;
-
 /// Full-scan campaign: runs PODEM on every fault, fault-simulating each
 /// generated test against the remaining faults (test compaction by fault
 /// dropping). Returns per-fault status and the test set.
@@ -170,9 +161,9 @@ struct AtpgCampaign {
   /// Raw ternary cubes as PODEM produced them (kX = unspecified).
   std::vector<std::vector<V>> tests;
   /// The exact 64-lane block each cube was graded with: specified bits are
-  /// all0/all1 across lanes, X bits are random words drawn from an Rng
-  /// seeded with kAtpgGradeFillSeed (one stream across the whole campaign,
-  /// consumed in test order). graded_fill[i] corresponds to tests[i];
+  /// all0/all1 across lanes, X bits are random words drawn from one
+  /// fixed-seed Rng stream across the whole campaign, consumed in test
+  /// order (CampaignGrader). graded_fill[i] corresponds to tests[i];
   /// `status` marks a fault kDetected exactly when one of these blocks'
   /// lanes detects it. Lane l of block i is therefore a fully-specified
   /// pattern the campaign actually takes credit for.
@@ -180,6 +171,38 @@ struct AtpgCampaign {
   AtpgStats total;
   double fault_efficiency = 0;  ///< (detected + proven untestable) / total
   double fault_coverage = 0;    ///< detected / total
+};
+
+/// The grading half of a full-scan campaign, shared by
+/// run_combinational_atpg and compaction's dynamic generator. Each graded
+/// cube's X inputs are filled with random words (64 independent
+/// completions per cube) and the block is fault-simulated against the
+/// still-unhandled faults, which it drops; the block is recorded in
+/// AtpgCampaign::graded_fill so downstream consumers can reproduce the
+/// campaign's detection decisions bit-for-bit.
+class CampaignGrader {
+ public:
+  /// Starts `campaign` over `faults`: every status kAborted, none handled.
+  /// `campaign` and `faults` must outlive the grader.
+  CampaignGrader(const Netlist& n, const std::vector<Fault>& faults,
+                 const FaultSimOptions& sim_options, AtpgCampaign& campaign);
+
+  /// Fault f has its status: its own PODEM verdict, or a detection.
+  bool handled(std::size_t f) const { return handled_[f]; }
+  /// Records fault f's PODEM verdict.
+  void settle(std::size_t f, AtpgStatus status);
+  /// Appends `cube` to the campaign's tests and grades its filled block;
+  /// every unhandled fault it detects becomes handled and kDetected.
+  void grade(const std::vector<V>& cube);
+  /// Sets the campaign's fault_coverage and fault_efficiency.
+  void finish();
+
+ private:
+  const std::vector<Fault>& faults_;
+  AtpgCampaign& campaign_;
+  FaultSimulator sim_;
+  util::Rng rng_;
+  std::vector<bool> handled_;
 };
 
 /// `sim_options` controls the fault-dropping simulator's parallelism.

@@ -77,9 +77,8 @@ struct FaultSimOptions {
 
 /// Parallel-pattern combinational fault simulator, one 64-lane block per
 /// call — the incremental form of fault_coverage for callers that grade
-/// block by block (ATPG campaigns, compaction's per-slot detection matrix,
-/// two-pattern grading). The netlist must be combinational (no DFFs) —
-/// expand scan/BIST registers as PI/PO first.
+/// block by block (ATPG campaigns, two-pattern grading). The netlist must
+/// be combinational (no DFFs) — expand scan/BIST registers as PI/PO first.
 class FaultSimulator {
  public:
   explicit FaultSimulator(const Netlist& n,

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 #include "cdfg/benchmarks.h"
 #include "compaction/compaction.h"
@@ -13,6 +15,8 @@
 #include "gatelevel/faults.h"
 #include "gatelevel/faultsim.h"
 #include "hls/synthesis.h"
+#include "observe/ledger.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace tsyn::compaction {
@@ -207,18 +211,27 @@ TEST(Grading, DetectionMatrixMatchesCoverage) {
     patterns.push_back(c);
   }
   const auto matrix = detection_matrix(n, patterns, faults);
+  const std::size_t nb = 2;
+  ASSERT_EQ(matrix.size(), faults.size() * nb);
   std::vector<bool> det_from_matrix;
-  for (const auto& row : matrix) {
-    bool any = false;
-    for (std::uint64_t w : row) any = any || w != 0;
-    det_from_matrix.push_back(any);
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    det_from_matrix.push_back((matrix[f * nb] | matrix[f * nb + 1]) != 0);
+    // Lanes 70..127 are padding, never credited.
+    EXPECT_EQ(matrix[f * nb + 1] >> 6, 0u);
   }
   std::vector<bool> det;
   gl::fault_coverage(n, patterns_to_blocks(patterns), faults, &det);
   EXPECT_EQ(det_from_matrix, det);
-  // Thread count must not change the matrix.
-  EXPECT_EQ(matrix, detection_matrix(n, patterns, faults,
-                                     gl::FaultSimOptions{0}));
+  // Neither thread count nor lane width may change the matrix.
+  for (int lanes : {64, 256, 512}) {
+    for (int threads : {1, 0}) {
+      gl::FaultSimOptions o;
+      o.num_threads = threads;
+      o.lanes = lanes;
+      EXPECT_EQ(matrix, detection_matrix(n, patterns, faults, o))
+          << "lanes " << lanes << " threads " << threads;
+    }
+  }
 }
 
 TEST(Grading, ReverseOrderPruneKeepsCoverageDropsDuplicates) {
@@ -337,6 +350,19 @@ TEST(Pipeline, DeterministicAcrossThreadCounts) {
   const CompactedCampaign again =
       run_compacted_atpg(n, faults, copts, 10000, gl::FaultSimOptions{1});
   EXPECT_EQ(serial.patterns, again.patterns);
+  // And across grading lane widths.
+  for (int lanes : {256, 512}) {
+    gl::FaultSimOptions o;
+    o.lanes = lanes;
+    const CompactedCampaign wide =
+        run_compacted_atpg(n, faults, copts, 10000, o);
+    EXPECT_EQ(serial.patterns, wide.patterns) << "lanes " << lanes;
+    EXPECT_EQ(serial.cubes, wide.cubes) << "lanes " << lanes;
+    EXPECT_EQ(serial.campaign.status, wide.campaign.status)
+        << "lanes " << lanes;
+    EXPECT_DOUBLE_EQ(serial.pattern_coverage, wide.pattern_coverage)
+        << "lanes " << lanes;
+  }
 }
 
 // ---- acceptance: >= 25% pattern reduction on the benchmark DFGs ----
@@ -386,6 +412,52 @@ TEST(Acceptance, BenchmarkDfgsCompactAtLeast25PercentAtEqualCoverage) {
         << comp.baseline_patterns;
     EXPECT_GE(comp.pattern_coverage, plain.fault_coverage) << c.name;
   }
+}
+
+// ---- byte identity ----
+
+void fold_campaign(util::Fnv1a& h, const CompactedCampaign& c) {
+  h.u64(c.patterns.size());
+  for (const TestCube& p : c.patterns)
+    for (V v : p) h.i64(static_cast<int>(v));
+  const CompactionStats& s = c.stats;
+  h.i64(s.cubes_generated).i64(s.secondary_merged).i64(s.cubes_after_merge);
+  h.i64(s.patterns_pruned).i64(s.topup_patterns);
+  h.u64(std::bit_cast<std::uint64_t>(c.pattern_coverage));
+}
+
+TEST(Pipeline, CompactedCampaignIsDigestPinned) {
+  // Every shipped pattern (top-up picks included), every stage count and
+  // the shipped coverage of both compacting modes, then the fault ledger
+  // of the report flow. Grading may change how it computes detections,
+  // never which, so these constants must not move.
+  const Netlist n = full_scan_netlist(cdfg::diffeq(), 4);
+  const auto faults = gl::enumerate_faults(n);
+  util::Fnv1a h;
+  for (CompactMode mode : {CompactMode::kStatic, CompactMode::kDynamic}) {
+    CompactionOptions copts;
+    copts.mode = mode;
+    const CompactedCampaign c = run_compacted_atpg(n, faults, copts);
+    EXPECT_GT(c.stats.topup_patterns, 0) << to_string(mode);
+    fold_campaign(h, c);
+  }
+  EXPECT_EQ(h.value(), 0x1addbdb69528afeaULL);
+
+#ifndef TSYN_LEDGER_NOOP
+  observe::ledger_reset();
+  observe::ledger_enable();
+  CompactionOptions copts;
+  copts.mode = CompactMode::kStatic;
+  const CompactedCampaign c = run_compacted_atpg(n, faults, copts);
+  {
+    observe::LedgerPhase phase("ship.ndetect");
+    (void)detection_matrix(n, c.patterns, faults);
+  }
+  observe::ledger_disable();
+  const std::string json = observe::ledger_to_json();
+  observe::ledger_reset();
+  EXPECT_EQ(util::fnv1a(json), 0x7885235c848e6915ULL);
+#endif
 }
 
 }  // namespace
