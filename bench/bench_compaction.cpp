@@ -108,7 +108,7 @@ Row run_case(const std::string& name, const cdfg::Cdfg& g, int width) {
       row.patterns_uncompacted *
       static_cast<long>(n.primary_inputs().size());
 
-  // measure_baseline stays on: the plain campaign's detected set is the
+  // Dynamic mode also runs the plain campaign: its detected set is the
   // coverage floor the top-up restores, so dynamic coverage never dips
   // below uncompacted even where secondary targeting loses lucky fills.
   copts.mode = compaction::CompactMode::kDynamic;

@@ -192,11 +192,17 @@ TelemetryResult run_telemetry_overhead(const campaign::Manifest& m) {
   std::vector<double> off, on;
   std::string off_index, on_index;
   // Warm-up pass so neither mode pays first-touch costs, then paired
-  // alternating trials so drift hits both modes equally.
+  // trials that alternate which arm goes first, so a drift within a pair
+  // biases half the pairs each way instead of always charging one arm.
   sweep_once(m, false, &off_index);
   for (int i = 0; i < kTrials; ++i) {
-    off.push_back(sweep_once(m, false, &off_index));
-    on.push_back(sweep_once(m, true, &on_index));
+    if (i % 2 == 0) {
+      off.push_back(sweep_once(m, false, &off_index));
+      on.push_back(sweep_once(m, true, &on_index));
+    } else {
+      on.push_back(sweep_once(m, true, &on_index));
+      off.push_back(sweep_once(m, false, &off_index));
+    }
     if (off_index != on_index || off_index.empty()) r.identical = false;
   }
   r.heartbeats = util::telemetry_heartbeat_count();

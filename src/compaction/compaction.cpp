@@ -22,6 +22,14 @@ using gl::FaultSimOptions;
 using gl::Netlist;
 using gl::Podem;
 
+/// Dynamic compaction: how many still-undetected faults are probed as
+/// secondary targets per primary cube, how many may be merged into one
+/// cube, and the (cheap) per-probe backtrack budget. A probe that aborts
+/// just means "not merged here"; the fault keeps its own turn later.
+constexpr int kDynamicCandidateWindow = 96;
+constexpr int kDynamicMaxSecondary = 32;
+constexpr long kDynamicBacktrackLimit = 400;
+
 bool has_x(const TestCube& c) {
   return std::find(c.begin(), c.end(), V::kX) != c.end();
 }
@@ -39,28 +47,6 @@ std::size_t num_blocks(std::size_t num_patterns) {
   return (num_patterns + 63) / 64;
 }
 
-/// Reverse-order credit assignment on a precomputed detection matrix:
-/// every fault is credited to the LAST pattern detecting it; patterns with
-/// no credit are pruned. Returns kept indices, ascending.
-std::vector<int> prune_from_matrix(const std::vector<std::uint64_t>& matrix,
-                                   std::size_t num_patterns) {
-  std::vector<char> keep(num_patterns, 0);
-  const std::size_t nb = num_blocks(num_patterns);
-  for (std::size_t base = 0; base < matrix.size(); base += nb) {
-    const std::uint64_t* row = &matrix[base];
-    for (int b = static_cast<int>(nb) - 1; b >= 0; --b) {
-      if (row[b] == 0) continue;
-      const int lane = 63 - std::countl_zero(row[b]);
-      keep[static_cast<std::size_t>(b) * 64 + lane] = 1;
-      break;
-    }
-  }
-  std::vector<int> kept;
-  for (std::size_t p = 0; p < num_patterns; ++p)
-    if (keep[p]) kept.push_back(static_cast<int>(p));
-  return kept;
-}
-
 /// Dynamic-compaction generation: the serial PODEM campaign loop of
 /// run_combinational_atpg, except that every detected primary cube is
 /// re-entered (generate_multi_from_base) to fold secondary faults into its
@@ -69,7 +55,6 @@ std::vector<int> prune_from_matrix(const std::vector<std::uint64_t>& matrix,
 /// detection decisions stay reproducible.
 AtpgCampaign run_dynamic_campaign(const Netlist& n,
                                   const std::vector<Fault>& faults,
-                                  const CompactionOptions& copts,
                                   long backtrack_limit,
                                   const FaultSimOptions& sim_options,
                                   CompactionStats* stats) {
@@ -100,8 +85,8 @@ AtpgCampaign run_dynamic_campaign(const Netlist& n,
     int probes = 0;
     int merged = 0;
     for (std::size_t fj = fi + 1;
-         fj < faults.size() && probes < copts.dynamic_candidate_window &&
-         merged < copts.dynamic_max_secondary && has_x(cube);
+         fj < faults.size() && probes < kDynamicCandidateWindow &&
+         merged < kDynamicMaxSecondary && has_x(cube);
          ++fj) {
       if (grader.handled(fj)) continue;
       ++probes;
@@ -111,7 +96,7 @@ AtpgCampaign run_dynamic_campaign(const Netlist& n,
       // else just means "not compatible here" — the fault keeps its own
       // turn as a primary later.
       const gl::AtpgResult r2 = podem.generate_multi_from_base(
-          {faults[fj]}, cube, copts.dynamic_backtrack_limit);
+          {faults[fj]}, cube, kDynamicBacktrackLimit);
       add_stats(r2.stats);
       if (r2.status == AtpgStatus::kDetected) {
         cube = r2.pi_values;
@@ -229,13 +214,24 @@ std::vector<std::uint64_t> detection_matrix(
   return matrix;
 }
 
-std::vector<int> reverse_order_prune(const Netlist& n,
-                                     const std::vector<TestCube>& patterns,
-                                     const std::vector<Fault>& faults,
-                                     const FaultSimOptions& sim_options) {
+std::vector<int> prune_from_matrix(const std::vector<std::uint64_t>& matrix,
+                                   std::size_t num_patterns) {
   TSYN_SPAN("compaction.prune");
-  return prune_from_matrix(detection_matrix(n, patterns, faults, sim_options),
-                           patterns.size());
+  std::vector<char> keep(num_patterns, 0);
+  const std::size_t nb = num_blocks(num_patterns);
+  for (std::size_t base = 0; base < matrix.size(); base += nb) {
+    const std::uint64_t* row = &matrix[base];
+    for (int b = static_cast<int>(nb) - 1; b >= 0; --b) {
+      if (row[b] == 0) continue;
+      const int lane = 63 - std::countl_zero(row[b]);
+      keep[static_cast<std::size_t>(b) * 64 + lane] = 1;
+      break;
+    }
+  }
+  std::vector<int> kept;
+  for (std::size_t p = 0; p < num_patterns; ++p)
+    if (keep[p]) kept.push_back(static_cast<int>(p));
+  return kept;
 }
 
 double NdetectProfile::fraction_at_least(int k) const {
@@ -307,7 +303,7 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
       out.campaign =
           gl::run_combinational_atpg(n, faults, backtrack_limit, sim_options);
     } else {
-      out.campaign = run_dynamic_campaign(n, faults, copts, backtrack_limit,
+      out.campaign = run_dynamic_campaign(n, faults, backtrack_limit,
                                           sim_options, &out.stats);
     }
   }
@@ -318,25 +314,21 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
   // random completions per cube — the graded_fill blocks its claimed
   // coverage is certified against), and the union of detected sets as the
   // coverage floor the top-up restores.
-  const AtpgCampaign* baseline = nullptr;
-  AtpgCampaign baseline_storage;
-  if (copts.measure_baseline) {
-    if (copts.mode == CompactMode::kStatic) {
-      baseline = &out.campaign;  // the plain campaign IS the generator
-    } else {
-      TSYN_SPAN("compaction.baseline");
-      observe::LedgerPhase ledger_phase("compact.baseline");
-      baseline_storage =
-          gl::run_combinational_atpg(n, faults, backtrack_limit, sim_options);
-      baseline = &baseline_storage;
-    }
-    out.baseline_patterns = 64 * static_cast<long>(baseline->tests.size());
+  AtpgCampaign plain;
+  if (copts.mode == CompactMode::kDynamic) {
+    TSYN_SPAN("compaction.baseline");
+    observe::LedgerPhase ledger_phase("compact.baseline");
+    plain = gl::run_combinational_atpg(n, faults, backtrack_limit, sim_options);
   }
+  // In kStatic the plain campaign IS the generator.
+  const AtpgCampaign& baseline =
+      copts.mode == CompactMode::kStatic ? out.campaign : plain;
+  out.baseline_patterns = 64 * static_cast<long>(baseline.tests.size());
 
   // 2. Static compaction.
   {
     TSYN_SPAN("compaction.merge");
-    out.cubes = merge_compatible_cubes(out.campaign.tests, copts.merge_order);
+    out.cubes = merge_compatible_cubes(out.campaign.tests);
   }
   out.stats.cubes_after_merge = static_cast<long>(out.cubes.size());
   m_merged_away.add(out.stats.cubes_generated - out.stats.cubes_after_merge);
@@ -352,15 +344,7 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
     observe::LedgerPhase ledger_phase("compact.grade");
     matrix = detection_matrix(n, patterns, faults, sim_options);
   }
-  std::vector<int> kept;
-  if (copts.reverse_order_prune) {
-    TSYN_SPAN("compaction.prune");
-    kept = prune_from_matrix(matrix, patterns.size());
-  } else {
-    kept.resize(patterns.size());
-    for (std::size_t p = 0; p < patterns.size(); ++p)
-      kept[p] = static_cast<int>(p);
-  }
+  const std::vector<int> kept = prune_from_matrix(matrix, patterns.size());
   out.stats.patterns_pruned =
       static_cast<long>(patterns.size()) - static_cast<long>(kept.size());
   m_pruned.add(out.stats.patterns_pruned);
@@ -376,7 +360,7 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
   for (std::size_t f = 0; f < faults.size(); ++f) {
     const bool want =
         out.campaign.status[f] == AtpgStatus::kDetected ||
-        (baseline && baseline->status[f] == AtpgStatus::kDetected);
+        baseline.status[f] == AtpgStatus::kDetected;
     if (!want) continue;
     const std::uint64_t* row = matrix.data() + f * nb;
     if (std::all_of(row, row + nb, [](std::uint64_t w) { return w == 0; }))
@@ -387,7 +371,7 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
     TSYN_SPAN("compaction.topup");
     observe::LedgerPhase ledger_phase("compact.topup");
     std::vector<const AtpgCampaign*> sources{&out.campaign};
-    if (baseline && baseline != &out.campaign) sources.push_back(baseline);
+    if (&baseline != &out.campaign) sources.push_back(&baseline);
     // Candidate pool: every recorded-block lane that detects at least one
     // missing fault, with its coverage as a bitset over `missing`. Greedy
     // set cover then extracts the fewest lanes that restore the union

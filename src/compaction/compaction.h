@@ -9,8 +9,8 @@
 //      the generator with the partial cube as an immutable base
 //      (Podem::generate_multi_from_base) and target secondary faults into
 //      the unspecified inputs, so fewer cubes are emitted at all;
-//   2. static compaction — greedy compatible-cube merging (cube.h) with an
-//      order heuristic;
+//   2. static compaction — greedy compatible-cube merging (cube.h), most
+//      specified cube first;
 //   3. X-fill — the surviving don't-cares become tester constants
 //      (random / 0 / 1 / adjacent), gradeable for N-detect quality;
 //   4. reverse-order pruning — grade the filled patterns into a no-drop
@@ -59,27 +59,8 @@ bool parse_compact_mode(const std::string& text, CompactMode* out);
 struct CompactionOptions {
   CompactMode mode = CompactMode::kOff;
   XFill xfill = XFill::kRandom;
-  MergeOrder merge_order = MergeOrder::kMostSpecifiedFirst;
-  /// Drop patterns contributing no unique detection (pass 4). Ignored in
-  /// kOff mode.
-  bool reverse_order_prune = true;
   /// Rng seed for XFill::kRandom.
   std::uint64_t fill_seed = 0xF111;
-  /// Dynamic compaction: how many still-undetected faults are probed as
-  /// secondary targets per primary cube...
-  int dynamic_candidate_window = 96;
-  /// ...how many may be merged into one cube...
-  int dynamic_max_secondary = 32;
-  /// ...and the (cheap) per-probe backtrack budget. A probe that aborts
-  /// just means "not merged here"; the fault keeps its own turn later.
-  long dynamic_backtrack_limit = 400;
-  /// Also run the plain campaign: its graded-block pattern count (64 per
-  /// cube, see baseline_patterns) becomes the reported baseline and its
-  /// detected set widens the coverage floor the top-up stage restores.
-  /// kStatic gets this for free (the plain campaign IS the generator);
-  /// kDynamic pays a second generation pass for an honest measured
-  /// baseline instead of an assumed one.
-  bool measure_baseline = true;
 };
 
 struct CompactionStats {
@@ -102,14 +83,17 @@ struct CompactedCampaign {
   /// The shipped test set: fully-specified, post-fill/prune/top-up.
   std::vector<TestCube> patterns;
   /// Coverage of `patterns` on the fault list, graded from scratch with
-  /// the PPSFP engine. >= the campaign's fault_coverage (and the measured
-  /// baseline's, when enabled) by construction.
+  /// the PPSFP engine. >= the campaign's fault_coverage and the measured
+  /// baseline's by construction.
   double pattern_coverage = 0;
   /// The uncompacted campaign's shipped pattern count at its claimed
   /// coverage: 64 fully-specified patterns per cube (the graded_fill
-  /// blocks its fault dropping is certified against). kOff mode reports
-  /// patterns.size() — no compaction, no reduction claimed. 0 when
-  /// measure_baseline is off.
+  /// blocks its fault dropping is certified against). kStatic measures it
+  /// for free (the plain campaign is the generator); kDynamic runs the
+  /// plain campaign a second time, for a measured baseline instead of an
+  /// assumed one, and its detected set widens the coverage floor the
+  /// top-up restores. kOff mode reports patterns.size() — no compaction,
+  /// no reduction claimed.
   long baseline_patterns = 0;
   CompactionStats stats;
 
@@ -156,15 +140,13 @@ std::vector<std::uint64_t> detection_matrix(
     const std::vector<gl::Fault>& faults,
     const gl::FaultSimOptions& sim_options = {});
 
-/// Reverse-order pruning on an explicit pattern set: reads the
-/// detection_matrix, credits each fault to the LAST pattern detecting it
-/// and returns the indices (ascending) of patterns that earn at least one
-/// credit. The kept subset detects exactly the
-/// faults the full set detects.
-std::vector<int> reverse_order_prune(
-    const gl::Netlist& n, const std::vector<TestCube>& patterns,
-    const std::vector<gl::Fault>& faults,
-    const gl::FaultSimOptions& sim_options = {});
+/// Reverse-order pruning on a detection_matrix of `num_patterns`
+/// patterns: credits each fault to the LAST pattern detecting it and
+/// returns the indices (ascending) of patterns that earn at least one
+/// credit. The kept subset detects exactly the faults the full set
+/// detects.
+std::vector<int> prune_from_matrix(const std::vector<std::uint64_t>& matrix,
+                                   std::size_t num_patterns);
 
 /// N-detect profile of a pattern set: counts[f] = how many patterns detect
 /// fault f. The X-fill quality measure (random fill buys incidental

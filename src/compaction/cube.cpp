@@ -31,18 +31,14 @@ TestCube merge(const TestCube& a, const TestCube& b) {
 }
 
 std::vector<TestCube> merge_compatible_cubes(
-    const std::vector<TestCube>& cubes, MergeOrder order) {
+    const std::vector<TestCube>& cubes) {
   std::vector<int> idx(cubes.size());
   std::iota(idx.begin(), idx.end(), 0);
-  if (order != MergeOrder::kAsGenerated) {
-    const int sign = order == MergeOrder::kMostSpecifiedFirst ? -1 : 1;
-    std::vector<int> spec(cubes.size());
-    for (std::size_t i = 0; i < cubes.size(); ++i)
-      spec[i] = specified_count(cubes[i]);
-    std::stable_sort(idx.begin(), idx.end(), [&](int a, int b) {
-      return sign * spec[a] < sign * spec[b];
-    });
-  }
+  std::vector<int> spec(cubes.size());
+  for (std::size_t i = 0; i < cubes.size(); ++i)
+    spec[i] = specified_count(cubes[i]);
+  std::stable_sort(idx.begin(), idx.end(),
+                   [&](int a, int b) { return spec[a] > spec[b]; });
   std::vector<TestCube> bins;
   for (int i : idx) {
     bool placed = false;

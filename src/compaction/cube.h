@@ -32,21 +32,14 @@ bool compatible(const TestCube& a, const TestCube& b);
 /// (its specified bits are a superset of each input's).
 TestCube merge(const TestCube& a, const TestCube& b);
 
-/// Order heuristic for greedy first-fit merging.
-enum class MergeOrder {
-  kAsGenerated,           ///< campaign emission order
-  kMostSpecifiedFirst,    ///< dense cubes seed bins, sparse cubes slot in
-  kFewestSpecifiedFirst,  ///< sparse cubes seed bins
-};
-
-/// Greedy static compaction: visits cubes in the heuristic order and
-/// merges each into the first compatible bin, opening a new bin when none
-/// fits. Deterministic (ties broken by emission order). Every input cube
-/// is absorbed by exactly one output cube that refines it, so any fault a
-/// cube guarantees to detect stays detected by its bin's every completion.
+/// Greedy static compaction: visits cubes most-specified first (dense
+/// cubes seed bins, sparse cubes slot in) and merges each into the first
+/// compatible bin, opening a new bin when none fits. Deterministic (ties
+/// broken by emission order). Every input cube is absorbed by exactly one
+/// output cube that refines it, so any fault a cube guarantees to detect
+/// stays detected by its bin's every completion.
 std::vector<TestCube> merge_compatible_cubes(
-    const std::vector<TestCube>& cubes,
-    MergeOrder order = MergeOrder::kMostSpecifiedFirst);
+    const std::vector<TestCube>& cubes);
 
 /// X-fill strategies (§test-data volume / N-detect trade-off): how the
 /// don't-care bits left after compaction become tester constants.

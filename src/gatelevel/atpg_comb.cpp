@@ -11,7 +11,6 @@
 #include "util/metrics.h"
 #include "util/telemetry.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace tsyn::gl {
@@ -534,9 +533,8 @@ done:
   result.stats = stats_;
   if (observe::ledger_enabled() && !sites.empty()) {
     // One targeted event per PODEM attempt, attributed to the primary
-    // site (secondary multi-fault sites ride along unrecorded). Safe from
-    // wave workers: each engine is slot-private, recording is
-    // thread-striped.
+    // site (secondary multi-fault sites ride along unrecorded). Recording
+    // is thread-striped, so concurrent engines may record.
     const observe::TargetOutcome outcome =
         result.status == AtpgStatus::kDetected
             ? observe::TargetOutcome::kDetected
@@ -669,71 +667,16 @@ AtpgCampaign run_combinational_atpg(const Netlist& n,
   static util::Histogram& bt_hist =
       util::metrics().histogram("atpg.comb.backtracks_per_fault");
 
-  auto add_stats = [&](const AtpgStats& s) {
-    campaign.total.decisions += s.decisions;
-    campaign.total.backtracks += s.backtracks;
-    campaign.total.implications += s.implications;
-    bt_hist.observe(s.backtracks);
-  };
-
-  const int wave = sim_options.resolved_atpg_wave();
-  if (wave <= 1) {
-    // Serial generation: fault by fault, grading after each detection —
-    // bit-identical to the original single-threaded engine.
-    Podem podem(n);
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (grader.handled(fi)) continue;
-      const AtpgResult r = podem.generate(faults[fi], backtrack_limit);
-      add_stats(r.stats);
-      grader.settle(fi, r.status);
-      if (r.status == AtpgStatus::kDetected) grader.grade(r.pi_values);
-    }
-  } else {
-    // Wave-parallel generation: take up to `wave` unhandled faults, PODEM
-    // them concurrently (one engine per worker slot, each result carrying
-    // its own AtpgStats so the campaign totals are the SUM over workers),
-    // then grade the wave's tests serially in wave order. Deterministic
-    // for a fixed wave width regardless of worker count; differs from the
-    // serial path only in that a wave member may be generated although an
-    // earlier wave-mate's test would have dropped it (that extra effort is
-    // counted — it was spent).
-    const int workers =
-        std::max(1, std::min(sim_options.resolved_threads(), wave));
-    std::vector<Podem> podems;
-    podems.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) podems.emplace_back(n);
-
-    std::size_t cursor = 0;
-    std::vector<std::size_t> wave_idx;
-    std::vector<AtpgResult> results;
-    for (;;) {
-      wave_idx.clear();
-      while (cursor < faults.size() &&
-             wave_idx.size() < static_cast<std::size_t>(wave)) {
-        if (!grader.handled(cursor)) wave_idx.push_back(cursor);
-        ++cursor;
-      }
-      if (wave_idx.empty()) break;
-      results.assign(wave_idx.size(), AtpgResult{});
-      auto job = [&](int i, int slot) {
-        results[i] =
-            podems[slot].generate(faults[wave_idx[i]], backtrack_limit);
-      };
-      const int count = static_cast<int>(wave_idx.size());
-      if (workers <= 1 || count <= 1) {
-        for (int i = 0; i < count; ++i) job(i, 0);
-      } else {
-        util::ThreadPool::shared().run(count, workers, job);
-      }
-      for (std::size_t i = 0; i < wave_idx.size(); ++i) {
-        const std::size_t fi = wave_idx[i];
-        const AtpgResult& r = results[i];
-        add_stats(r.stats);
-        if (grader.handled(fi)) continue;  // dropped by an earlier wave-mate
-        grader.settle(fi, r.status);
-        if (r.status == AtpgStatus::kDetected) grader.grade(r.pi_values);
-      }
-    }
+  Podem podem(n);
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    if (grader.handled(fi)) continue;
+    const AtpgResult r = podem.generate(faults[fi], backtrack_limit);
+    campaign.total.decisions += r.stats.decisions;
+    campaign.total.backtracks += r.stats.backtracks;
+    campaign.total.implications += r.stats.implications;
+    bt_hist.observe(r.stats.backtracks);
+    grader.settle(fi, r.status);
+    if (r.status == AtpgStatus::kDetected) grader.grade(r.pi_values);
   }
 
   grader.finish();

@@ -29,10 +29,7 @@ double transition_fault_coverage(
   std::vector<Fault> sa;
   sa.reserve(faults.size());
   for (const TransitionFault& f : faults)
-    sa.push_back({f.node, -1, f.slow_to_rise});  // STR -> SA? see below
-  // STR: late 1 behaves as stuck-at-0 during capture.
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    sa[i].stuck_at_one = !faults[i].slow_to_rise;
+    sa.push_back({f.node, -1, !f.slow_to_rise});
 
   FaultSimulator sim(n, options);
   std::vector<bool> detected(faults.size(), false);

@@ -133,14 +133,10 @@ void run_wide_campaign(const Netlist& n,
   }
 #endif
 #if defined(TSYN_WIDE_AVX2)
-  if constexpr (W > 1) {
+  if constexpr (W == 8) {
     if (be == SimdBackend::kAvx2 || be == SimdBackend::kAvx512) {
-      if constexpr (W == 4)
-        wide_detail::wide_campaign_avx2_w4(n, blocks, faults, options,
-                                           detected, matrix);
-      else
-        wide_detail::wide_campaign_avx2_w8(n, blocks, faults, options,
-                                           detected, matrix);
+      wide_detail::wide_campaign_avx2_w8(n, blocks, faults, options,
+                                         detected, matrix);
       return;
     }
   }
@@ -155,16 +151,10 @@ void run_campaign(const Netlist& n,
                   const std::vector<Fault>& faults,
                   const FaultSimOptions& options, std::vector<bool>* detected,
                   std::vector<std::uint64_t>* matrix) {
-  switch (options.resolved_lanes()) {
-    case 256:
-      run_wide_campaign<4>(n, blocks, faults, options, detected, matrix);
-      break;
-    case 512:
-      run_wide_campaign<8>(n, blocks, faults, options, detected, matrix);
-      break;
-    default:
-      run_wide_campaign<1>(n, blocks, faults, options, detected, matrix);
-  }
+  if (options.resolved_lanes() == 512)
+    run_wide_campaign<8>(n, blocks, faults, options, detected, matrix);
+  else
+    run_wide_campaign<1>(n, blocks, faults, options, detected, matrix);
 }
 
 }  // namespace

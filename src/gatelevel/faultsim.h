@@ -6,8 +6,8 @@
 // evaluation). One propagation engine (faultsim_wide.h) serves every entry
 // point: it runs on the compiled SoA form (simgraph.h) — levelized order,
 // flat fanin/fanout arenas, per-level worklists — over W 64-lane blocks
-// per pass: W=1 for FaultSimulator and 64-lane grading, W=4/8 with
-// SIMD-dispatched kernels (widebits.h) for 256/512 lanes
+// per pass: W=1 for FaultSimulator and 64-lane grading, W=8 with
+// SIMD-dispatched kernels (widebits.h) for 512 lanes
 // (FaultSimOptions::lanes), so one good-machine pass and one propagation
 // per fault cover a whole super-block of patterns. The fault list is
 // spread over a worker pool with chunked work-stealing: each worker drains
@@ -37,19 +37,9 @@ struct FaultSimOptions {
   /// also avoids touching the pool entirely).
   int num_threads = 0;
 
-  /// PODEM wave width for ATPG campaigns: the campaign takes this many
-  /// still-undetected faults at a time, generates their tests concurrently
-  /// over `num_threads` workers (each worker's AtpgStats are summed into
-  /// the campaign totals — never last-writer-wins), then grades the wave's
-  /// tests serially so fault dropping stays deterministic for a fixed wave
-  /// width. 1 = fault-by-fault serial generation, bit-identical to the
-  /// pre-parallel engine (the default, so results never silently vary with
-  /// the host's core count); 0 = one wave per resolved_threads().
-  int atpg_wave = 1;
-
   /// Pattern lanes graded per good-machine pass: 64 (one machine word,
   /// the default; its ledger JSON is pinned by digest in
-  /// tests/test_simgraph.cpp), 256, or 512. Wider widths produce the exact
+  /// tests/test_simgraph.cpp) or 512. The wide width produces the exact
   /// same detected-fault set and per-fault first-detecting pattern as the
   /// corresponding sequence of 64-lane blocks (asserted in
   /// tests/test_simgraph.cpp); only per-fault simulation-effort event
@@ -64,15 +54,8 @@ struct FaultSimOptions {
   /// num_threads with 0 resolved to the hardware parallelism (>= 1).
   int resolved_threads() const;
 
-  /// atpg_wave with 0 resolved to the worker count.
-  int resolved_atpg_wave() const {
-    return atpg_wave > 0 ? atpg_wave : resolved_threads();
-  }
-
-  /// lanes snapped to a supported width (64, 256, or 512).
-  int resolved_lanes() const {
-    return lanes == 256 || lanes == 512 ? lanes : 64;
-  }
+  /// lanes snapped to a supported width (64 or 512).
+  int resolved_lanes() const { return lanes == 512 ? 512 : 64; }
 };
 
 /// Parallel-pattern combinational fault simulator, one 64-lane block per
@@ -132,7 +115,7 @@ class FaultSimulator {
 
 /// Convenience: coverage of `faults` under `blocks` of PI patterns.
 /// Returns the fraction detected; `detected` (optional) receives the mask.
-/// options.lanes = 256/512 grades 4/8 blocks per pass instead of one —
+/// options.lanes = 512 grades 8 blocks per pass instead of one —
 /// same detected set and first-detecting patterns, fewer passes.
 double fault_coverage(const Netlist& n,
                       const std::vector<std::vector<Bits>>& blocks,

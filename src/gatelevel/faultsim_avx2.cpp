@@ -8,15 +8,6 @@
 
 namespace tsyn::gl::wide_detail {
 
-void wide_campaign_avx2_w4(const Netlist& n,
-                           const std::vector<std::vector<Bits>>& blocks,
-                           const std::vector<Fault>& faults,
-                           const FaultSimOptions& options,
-                           std::vector<bool>* detected,
-                           std::vector<std::uint64_t>* matrix) {
-  wide_campaign<4, Avx2Words>(n, blocks, faults, options, detected, matrix);
-}
-
 void wide_campaign_avx2_w8(const Netlist& n,
                            const std::vector<std::vector<Bits>>& blocks,
                            const std::vector<Fault>& faults,

@@ -1,6 +1,5 @@
-// AVX-512F instantiations of the wide PPSFP engine (512-lane rows only;
-// a 256-lane row is a single AVX2 vector already) and of the sequential
-// slot engine. Compiled with -mavx512f when the compiler accepts it;
+// AVX-512F instantiations of the 512-lane wide PPSFP engine and of the
+// sequential slot engine. Compiled with -mavx512f when the compiler accepts it;
 // called only after runtime CPU detection. Same comdat caveat as
 // faultsim_avx2.cpp: nothing but the instantiations lives here.
 #include "gatelevel/faultsim_wide.h"

@@ -1,14 +1,14 @@
 // The wide fault-simulation engines, templated over the lane width W
-// (64-bit words per row: 1, 4 or 8) and the SIMD word-vector backend V
+// (64-bit words per row: 1 or 8) and the SIMD word-vector backend V
 // (widebits.h). The combinational PPSFP engine is the only combinational
-// fault propagator: W=1 serves FaultSimulator and 64-lane grading, W=4/8
-// the 256/512-lane campaigns. The sequential slot engine (SeqSlots) runs
+// fault propagator: W=1 serves FaultSimulator and 64-lane grading, W=8
+// the 512-lane campaigns. The sequential slot engine (SeqSlots) runs
 // at W=8, one faulty machine per word. This header is instantiated by
 // several translation units compiled with different ISA flags:
 //
-//   faultsim.cpp         (portable flags)  -> W=1/4/8 on ScalarWords<W>,
+//   faultsim.cpp         (portable flags)  -> W=1/8 on ScalarWords<W>,
 //                                             seq_slots<8, ScalarWords<8>>
-//   faultsim_avx2.cpp    (-mavx2)          -> wide_campaign<4|8, Avx2Words>,
+//   faultsim_avx2.cpp    (-mavx2)          -> wide_campaign<8, Avx2Words>,
 //                                             seq_slots<8, Avx2Words>
 //   faultsim_avx512.cpp  (-mavx512f)       -> wide_campaign<8, Avx512Words>,
 //                                             seq_slots<8, Avx512Words>
@@ -749,12 +749,6 @@ void seq_slots(SeqJob& job, int workers) {
 // Per-ISA entry points, defined in faultsim_avx2.cpp / faultsim_avx512.cpp
 // when the build compiled them (TSYN_WIDE_AVX2 / TSYN_WIDE_AVX512). Only
 // call after active_simd_backend() confirms the CPU has the ISA.
-void wide_campaign_avx2_w4(const Netlist& n,
-                           const std::vector<std::vector<Bits>>& blocks,
-                           const std::vector<Fault>& faults,
-                           const FaultSimOptions& options,
-                           std::vector<bool>* detected,
-                           std::vector<std::uint64_t>* matrix);
 void wide_campaign_avx2_w8(const Netlist& n,
                            const std::vector<std::vector<Bits>>& blocks,
                            const std::vector<Fault>& faults,

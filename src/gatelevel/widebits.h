@@ -1,7 +1,7 @@
 // Wide-lane three-valued values and the SIMD kernel layer under them.
 //
 // `Bits` carries 64 pattern lanes in one {v, x} word pair; `WideBits<W>`
-// widens that to W×64 lanes (W ∈ {1, 4, 8} → 64/256/512 patterns) so one
+// widens that to W×64 lanes (W ∈ {1, 8} → 64/512 patterns) so one
 // good-machine pass and one fault propagation grade a whole super-block.
 // The gate kernels are written once against a small "word vector" concept
 // (bitwise ops over K machine words) and instantiated per backend:
