@@ -27,6 +27,7 @@
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
+#include "util/text.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -34,68 +35,19 @@ namespace tsyn::campaign {
 
 namespace {
 
+using util::fmt_double;  // index.json
+/// Journal doubles round-trip; the index re-formats them through
+/// fmt_double after a parse, so journal-restored rows match fresh ones.
+using util::fmt_exact;
+using util::json_escape;
+using util::read_file;
+using util::write_file;
+
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-/// Compact human-facing double (index.json); matches the report emitter.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  std::string s(buf);
-  if (s.find_first_of(".eE") == std::string::npos) s += ".0";
-  return s;
-}
-
-/// Round-trip-exact double (journal); the index re-formats through
-/// fmt_double after a parse, so journal-restored rows match fresh ones.
-std::string fmt_exact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
 }
 
 /// The byte content a design spec's cache identity is built from:

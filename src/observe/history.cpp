@@ -13,10 +13,16 @@
 #include "observe/sparkline.h"
 #include "util/hash.h"
 #include "util/json.h"
+#include "util/text.h"
 
 namespace tsyn::observe {
 
 namespace {
+
+using util::json_escape;
+/// Round-trip-exact double: the store must reproduce the sweep's numbers
+/// exactly, so every persisted double goes through %.17g.
+using util::fmt_exact;
 
 namespace fs = std::filesystem;
 
@@ -24,38 +30,6 @@ namespace fs = std::filesystem;
 /// metric changed at all, which is categorically anomalous, not merely
 /// far out. Finite so it serializes as plain JSON.
 constexpr double kInfZ = 1e9;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-/// Round-trip-exact double: the store must reproduce the sweep's numbers
-/// exactly, so every persisted double goes through %.17g.
-std::string fmt_exact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Compact human-facing double (queries, sweep_stats block).
 std::string fmt_short(double v) {

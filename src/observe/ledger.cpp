@@ -8,6 +8,8 @@
 #include <sstream>
 #include <utility>
 
+#include "util/json.h"
+
 namespace tsyn::observe {
 
 #ifndef TSYN_LEDGER_NOOP
@@ -271,19 +273,6 @@ LedgerSnapshot ledger_snapshot() {
   return out;
 }
 
-namespace {
-
-void append_json_string(std::ostream& os, const std::string& t) {
-  os << '"';
-  for (char ch : t) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    os << ch;
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::string ledger_to_json(const LedgerSnapshot& snap) {
   // Integers only — no float formatting to keep the byte-identity
   // contract trivially robust.
@@ -291,7 +280,7 @@ std::string ledger_to_json(const LedgerSnapshot& snap) {
   os << "{\n  \"schema\": 1,\n  \"phases\": [";
   for (std::size_t i = 0; i < snap.phases.size(); ++i) {
     if (i) os << ", ";
-    append_json_string(os, snap.phases[i]);
+    os << '"' << util::json_escape(snap.phases[i]) << '"';
   }
   os << "],\n  \"summary\": {\"faults\": " << snap.journeys.size()
      << ", \"detected\": " << snap.detected
@@ -305,8 +294,8 @@ std::string ledger_to_json(const LedgerSnapshot& snap) {
      << "  \"waterfalls\": [";
   for (std::size_t i = 0; i < snap.waterfalls.size(); ++i) {
     const Waterfall& w = snap.waterfalls[i];
-    os << (i ? ",\n    " : "\n    ") << "{\"phase\": ";
-    append_json_string(os, w.phase_name);
+    os << (i ? ",\n    " : "\n    ") << "{\"phase\": \""
+       << util::json_escape(w.phase_name) << '"';
     os << ", \"domain\": \"" << w.domain << "\", \"universe\": " << w.universe
        << ", \"curve\": [";
     for (std::size_t p = 0; p < w.curve.size(); ++p) {

@@ -5,7 +5,9 @@
 #include <sstream>
 
 #include "observe/ledger.h"
+#include "util/json.h"
 #include "util/metrics.h"
+#include "util/text.h"
 #include "util/trace.h"
 
 namespace tsyn::observe {
@@ -265,27 +267,6 @@ ProvenanceAttribution attribute_coverage(const ProvenanceMap& map,
   return attr;
 }
 
-namespace {
-
-void append_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    os << ch;
-  }
-  os << '"';
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  std::string s(buf);
-  if (s.find_first_of(".eE") == std::string::npos) s += ".0";
-  return s;
-}
-
-}  // namespace
-
 std::string provenance_to_json(const ProvenanceMap& map,
                                const ProvenanceAttribution& attr) {
   std::ostringstream os;
@@ -297,15 +278,15 @@ std::string provenance_to_json(const ProvenanceMap& map,
      << ", \"covered\": " << attr.total_covered
      << ", \"orphans\": " << attr.orphan_faults
      << ", \"unattributed_faults_w\": "
-     << fmt_double(attr.unattributed_faults_w)
+     << util::fmt_double(attr.unattributed_faults_w)
      << ", \"unattributed_covered_w\": "
-     << fmt_double(attr.unattributed_covered_w) << "},\n"
+     << util::fmt_double(attr.unattributed_covered_w) << "},\n"
      << "    \"components\": [";
   for (std::size_t i = 0; i < map.components.size(); ++i) {
     const ProvComponent& comp = map.components[i];
     const ComponentCoverage& c = attr.components[i];
     os << (i ? ",\n      " : "\n      ") << "{\"name\": ";
-    append_json_string(os, comp.name);
+    os << '"' << util::json_escape(comp.name) << '"';
     os << ", \"kind\": \"" << to_string(comp.kind) << "\", \"ops\": [";
     for (std::size_t k = 0; k < comp.ops.size(); ++k)
       os << (k ? ", " : "") << comp.ops[k];
@@ -316,7 +297,7 @@ std::string provenance_to_json(const ProvenanceMap& map,
        << ", \"decisions\": " << c.decisions
        << ", \"backtracks\": " << c.backtracks
        << ", \"sim_events\": " << c.sim_events
-       << ", \"coverage\": " << fmt_double(c.coverage()) << "}";
+       << ", \"coverage\": " << util::fmt_double(c.coverage()) << "}";
   }
   os << (map.components.empty() ? "]" : "\n    ]") << ",\n    \"ops\": [";
   bool first = true;
@@ -325,13 +306,12 @@ std::string provenance_to_json(const ProvenanceMap& map,
     if (oc.faults == 0) continue;  // never referenced or never faulted
     os << (first ? "\n      " : ",\n      ") << "{\"op\": " << o;
     if (o < map.op_label.size() && !map.op_label[o].empty()) {
-      os << ", \"label\": ";
-      append_json_string(os, map.op_label[o]);
+      os << ", \"label\": \"" << util::json_escape(map.op_label[o]) << '"';
     }
     os << ", \"faults\": " << oc.faults << ", \"covered\": " << oc.covered
-       << ", \"faults_w\": " << fmt_double(oc.faults_w)
-       << ", \"covered_w\": " << fmt_double(oc.covered_w)
-       << ", \"coverage\": " << fmt_double(oc.coverage()) << "}";
+       << ", \"faults_w\": " << util::fmt_double(oc.faults_w)
+       << ", \"covered_w\": " << util::fmt_double(oc.covered_w)
+       << ", \"coverage\": " << util::fmt_double(oc.coverage()) << "}";
     first = false;
   }
   os << (first ? "]" : "\n    ]") << ",\n    \"worst_components\": [";

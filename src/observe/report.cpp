@@ -5,73 +5,42 @@
 #include <sstream>
 #include <vector>
 
+#include "observe/sparkline.h"
+#include "util/json.h"
+#include "util/text.h"
+
 namespace tsyn::observe {
 
 namespace {
 
-void append_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    os << ch;
-  }
-  os << '"';
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  std::string s(buf);
-  if (s.find_first_of(".eE") == std::string::npos) s += ".0";
-  return s;
-}
-
-std::string html_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += ch;
-    }
-  }
-  return out;
-}
-
 void append_scoap_row_json(std::ostream& os, const ScoapFaultRow& row) {
-  os << "{\"fault\": ";
-  append_json_string(os, row.label);
-  os << ", \"status\": ";
-  append_json_string(os, row.status);
+  os << "{\"fault\": \"" << util::json_escape(row.label) << '"';
+  os << ", \"status\": \"" << util::json_escape(row.status) << '"';
   os << ", \"cc\": " << row.cc << ", \"co\": " << row.co
      << ", \"predicted\": " << row.predicted << ", \"effort\": " << row.effort
-     << ", \"predicted_rank\": " << fmt_double(row.predicted_rank)
-     << ", \"effort_rank\": " << fmt_double(row.effort_rank) << "}";
+     << ", \"predicted_rank\": " << util::fmt_double(row.predicted_rank)
+     << ", \"effort_rank\": " << util::fmt_double(row.effort_rank) << "}";
 }
 
 }  // namespace
 
 std::string report_to_json(const RunReport& r) {
   std::ostringstream os;
-  os << "{\n  \"schema\": 1,\n  \"tool\": \"tsyn\",\n  \"title\": ";
-  append_json_string(os, r.title);
-  os << ",\n  \"design\": {\"behavior\": ";
-  append_json_string(os, r.behavior);
+  os << "{\n  \"schema\": 1,\n  \"tool\": \"tsyn\",\n  \"title\": \""
+     << util::json_escape(r.title) << '"';
+  os << ",\n  \"design\": {\"behavior\": \""
+     << util::json_escape(r.behavior) << '"';
   os << ", \"width\": " << r.width << ", \"gates\": " << r.gates
      << ", \"pis\": " << r.pis << ", \"faults\": " << r.faults << "},\n";
-  os << "  \"atpg\": {\"compact\": ";
-  append_json_string(os, r.compact_mode);
-  os << ", \"xfill\": ";
-  append_json_string(os, r.xfill);
-  os << ", \"fault_coverage\": " << fmt_double(r.fault_coverage)
-     << ", \"fault_efficiency\": " << fmt_double(r.fault_efficiency)
+  os << "  \"atpg\": {\"compact\": \""
+     << util::json_escape(r.compact_mode) << '"';
+  os << ", \"xfill\": \"" << util::json_escape(r.xfill) << '"';
+  os << ", \"fault_coverage\": " << util::fmt_double(r.fault_coverage)
+     << ", \"fault_efficiency\": " << util::fmt_double(r.fault_efficiency)
      << ", \"cubes\": " << r.cubes << ", \"patterns\": " << r.patterns
      << ", \"baseline_patterns\": " << r.baseline_patterns << "},\n";
   os << "  \"ledger\": " << ledger_to_json(r.ledger) << ",\n";
-  os << "  \"scoap\": {\"spearman\": " << fmt_double(r.scoap.spearman)
+  os << "  \"scoap\": {\"spearman\": " << util::fmt_double(r.scoap.spearman)
      << ", \"rows\": " << r.scoap.rows.size() << ", \"top_mispredicted\": [";
   bool first = true;
   for (int idx : r.scoap.top_mispredicted) {
@@ -90,8 +59,7 @@ std::string report_to_json(const RunReport& r) {
     for (const ProfileFrame& f : r.profile_top) {
       if (!first_frame) os << ", ";
       first_frame = false;
-      os << "{\"frame\": ";
-      append_json_string(os, f.name);
+      os << "{\"frame\": \"" << util::json_escape(f.name) << '"';
       os << ", \"self\": " << f.self << ", \"total\": " << f.total << "}";
     }
     os << "]},\n";
@@ -303,7 +271,7 @@ std::string report_to_html(const RunReport& r) {
   os << "<p>Spearman rank correlation between SCOAP-predicted difficulty "
         "(CC + CO of the faulted line) and recorded PODEM effort over "
      << r.scoap.rows.size() << " targeted faults: <code>"
-     << fmt_double(r.scoap.spearman) << "</code>.</p>\n";
+     << util::fmt_double(r.scoap.spearman) << "</code>.</p>\n";
   if (!r.scoap.top_mispredicted.empty()) {
     os << "<table>\n<tr><th>fault</th><th>status</th>"
           "<th class=\"num\">CC</th><th class=\"num\">CO</th>"
@@ -363,7 +331,7 @@ std::string report_to_html(const RunReport& r) {
           "serves (weight 1/|ops| per fault, so the weighted column sums "
           "to the fault universe";
     if (pa.unattributed_faults_w > 0)
-      os << "; " << fmt_double(pa.unattributed_faults_w)
+      os << "; " << util::fmt_double(pa.unattributed_faults_w)
          << " weighted faults sit in op-less components such as the "
             "controller";
     os << ").</p>\n";
@@ -384,7 +352,7 @@ std::string report_to_html(const RunReport& r) {
               : "o" + std::to_string(o);
       os << "<tr><td>o" << o << "</td><td><code>" << html_escape(label)
          << "</code></td><td class=\"num\">" << oc.faults
-         << "</td><td class=\"num\">" << fmt_double(oc.faults_w)
+         << "</td><td class=\"num\">" << util::fmt_double(oc.faults_w)
          << "</td><td class=\"num\">" << fmt_pct(100.0 * oc.coverage())
          << "</td></tr>\n";
     }

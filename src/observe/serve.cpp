@@ -9,6 +9,7 @@
 
 #include "observe/profile.h"
 #include "observe/sparkline.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/prometheus.h"
 #include "util/telemetry.h"
@@ -22,25 +23,6 @@ double now_ms() {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 void append_double(std::string& out, double v) {
@@ -165,20 +147,20 @@ util::HttpResponse ObservabilityServer::handle(const util::HttpRequest& req) {
 
   if (req.path == "/progress") {
     std::string out = "{\"schema\":1,\"command\":\"";
-    append_json_escaped(out, opts_.command);
+    out += util::json_escape(opts_.command);
     out += "\",\"t_ms\":";
     append_double(out, now_ms() - start_ms_);
     out += ",\"telemetry_active\":";
     out += util::telemetry_active() ? "true" : "false";
     out += ",\"phase\":\"";
-    append_json_escaped(out, util::telemetry_phase());
+    out += util::json_escape(util::telemetry_phase());
     out += "\",\"progress\":[";
     bool first = true;
     for (const util::ProgressRow& row : util::progress_snapshot()) {
       if (!first) out += ',';
       first = false;
       out += "{\"name\":\"";
-      append_json_escaped(out, row.name);
+      out += util::json_escape(row.name);
       out += "\",\"done\":" + std::to_string(row.done);
       out += ",\"total\":" + std::to_string(std::max(row.total, row.done));
       out += "}";
@@ -203,7 +185,7 @@ util::HttpResponse ObservabilityServer::handle(const util::HttpRequest& req) {
     for (std::size_t i = 0; i < shown; ++i) {
       if (i) out += ',';
       out += '"';
-      append_json_escaped(out, jobs.running[i]);
+      out += util::json_escape(jobs.running[i]);
       out += '"';
     }
     out += "]}";

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,5 +78,12 @@ struct Json {
   /// Throws JsonParseError on malformed input.
   static Json parse(const std::string& text);
 };
+
+/// `s` escaped for the inside of a JSON string literal: `"` and `\` get a
+/// backslash, newline, CR and tab their short escapes, other control bytes
+/// `\u00XX`; everything else (UTF-8 included) is copied. Every JSON writer
+/// in the repository escapes through this, so Json::parse reads back what
+/// any of them wrote.
+std::string json_escape(std::string_view s);
 
 }  // namespace tsyn::util

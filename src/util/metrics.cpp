@@ -6,6 +6,9 @@
 #include <mutex>
 #include <sstream>
 
+#include "util/json.h"
+#include "util/text.h"
+
 namespace tsyn::util {
 
 namespace detail {
@@ -152,28 +155,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-namespace {
-
-void append_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    os << ch;
-  }
-  os << '"';
-}
-
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os << v;
-  const std::string s = os.str();
-  // Bare integers are valid JSON numbers but keep a decimal point so
-  // consumers see a stable type for gauges.
-  return s.find_first_of(".eE") == std::string::npos ? s + ".0" : s;
-}
-
-}  // namespace
-
 std::string MetricsRegistry::to_json() const {
   const MetricsSnapshot snap = snapshot();
   std::ostringstream os;
@@ -182,24 +163,22 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, v] : snap.counters) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    append_json_string(os, name);
-    os << ": " << v;
+    os << '"' << json_escape(name) << "\": " << v;
   }
   os << (first ? "}" : "\n  }") << ",\n  \"gauges\": {";
   first = true;
   for (const auto& [name, v] : snap.gauges) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    append_json_string(os, name);
-    os << ": " << fmt_double(v);
+    os << '"' << json_escape(name) << "\": " << fmt_double(v);
   }
   os << (first ? "}" : "\n  }") << ",\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : snap.histograms) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    append_json_string(os, name);
-    os << ": {\"count\": " << h.count << ", \"sum\": " << h.sum
+    os << '"' << json_escape(name) << "\": {\"count\": " << h.count
+       << ", \"sum\": " << h.sum
        << ", \"min\": " << h.min << ", \"max\": " << h.max
        << ", \"mean\": " << fmt_double(h.mean())
        << ", \"p50\": " << fmt_double(h.percentile(50))

@@ -14,6 +14,7 @@
 #include <set>
 #include <thread>
 
+#include "util/json.h"
 #include "util/trace.h"
 
 namespace tsyn::util {
@@ -48,25 +49,6 @@ double now_ms() {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 void append_double(std::string& out, double v) {
@@ -226,7 +208,7 @@ void emit_record(TelemetrySession& s, double t_ms, double stalled_ms) {
     append_double(line, stalled_ms);
   }
   line += ",\"phase\":\"";
-  append_json_escaped(line, telemetry_phase());
+  line += json_escape(telemetry_phase());
   line += "\",\"progress\":[";
   bool first = true;
   for (const ProgressRow& row : progress_snapshot()) {
@@ -243,7 +225,7 @@ void emit_record(TelemetrySession& s, double t_ms, double stalled_ms) {
     if (!first) line += ',';
     first = false;
     line += "{\"name\":\"";
-    append_json_escaped(line, row.name);
+    line += json_escape(row.name);
     line += "\",\"done\":";
     line += std::to_string(row.done);
     line += ",\"total\":";
@@ -278,7 +260,7 @@ void emit_record(TelemetrySession& s, double t_ms, double stalled_ms) {
     for (std::size_t i = 0; i < shown; ++i) {
       if (i) line += ',';
       line += '"';
-      append_json_escaped(line, jobs.running[i]);
+      line += json_escape(jobs.running[i]);
       line += '"';
     }
     line += "],\"in_flight\":";
@@ -297,7 +279,7 @@ void emit_record(TelemetrySession& s, double t_ms, double stalled_ms) {
       for (std::size_t i = 0; i < ts.frames.size(); ++i) {
         if (i) line += ',';
         line += '"';
-        append_json_escaped(line, ts.frames[i]);
+        line += json_escape(ts.frames[i]);
         line += '"';
       }
       line += "]}";
@@ -311,7 +293,7 @@ void emit_record(TelemetrySession& s, double t_ms, double stalled_ms) {
     if (!first) line += ',';
     first = false;
     line += '"';
-    append_json_escaped(line, name);
+    line += json_escape(name);
     line += "\":";
     line += std::to_string(v);
   }
@@ -321,7 +303,7 @@ void emit_record(TelemetrySession& s, double t_ms, double stalled_ms) {
     if (!first) line += ',';
     first = false;
     line += '"';
-    append_json_escaped(line, name);
+    line += json_escape(name);
     line += "\":";
     append_double(line, v);
   }

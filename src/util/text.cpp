@@ -1,5 +1,9 @@
 #include "util/text.h"
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
 namespace tsyn::util {
 
 std::vector<std::string> split(std::string_view text,
@@ -35,6 +39,36 @@ std::string join(const std::vector<std::string>& items,
     out += items[i];
   }
   return out;
+}
+
+bool read_file(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  *out = buf.str();
+  return true;
+}
+
+bool write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return false;
+  out << text;
+  return static_cast<bool>(out);
+}
+
+std::string fmt_exact(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string fmt_double(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  std::string s(buf);
+  if (s.find_first_of(".eE") == std::string::npos) s += ".0";
+  return s;
 }
 
 }  // namespace tsyn::util

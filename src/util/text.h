@@ -1,4 +1,5 @@
-// Small string utilities shared by the CDFG parser and report writers.
+// Small string and file utilities shared by the CDFG parser, the report
+// writers and the command-line tools.
 #pragma once
 
 #include <string>
@@ -18,5 +19,20 @@ bool starts_with(std::string_view text, std::string_view prefix);
 
 /// Joins items with a separator.
 std::string join(const std::vector<std::string>& items, std::string_view sep);
+
+/// Reads the whole file at `path` into `*out`. Returns false if it cannot
+/// be opened.
+bool read_file(const std::string& path, std::string* out);
+
+/// Replaces the file at `path` with `text`. Returns false on any failure.
+bool write_file(const std::string& path, const std::string& text);
+
+/// `v` as "%.17g": enough digits to read back the same double, for stores
+/// and journals that must round-trip.
+std::string fmt_exact(double v);
+
+/// `v` as "%.6g", with ".0" appended when that prints no '.', 'e' or 'E',
+/// so a JSON consumer always sees a float: the report emitters' format.
+std::string fmt_double(double v);
 
 }  // namespace tsyn::util

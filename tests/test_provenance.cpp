@@ -18,6 +18,8 @@
 #include "hls/synthesis.h"
 #include "observe/ledger.h"
 #include "observe/provenance.h"
+#include "observe/report.h"
+#include "util/json.h"
 
 namespace tsyn::observe {
 namespace {
@@ -421,6 +423,32 @@ TEST(CoverageAttribution, HeatVectorsMergeMuxesAndBoundToUnit) {
     EXPECT_LE(v, 1.0);
   }
   for (double v : oh) EXPECT_LE(v, 1.0);
+}
+
+TEST(CoverageAttribution, ControlBytesInNamesStayParseable) {
+  // Behavior, variable and op names reach the run report verbatim (the
+  // title, component names, op labels); control bytes and quotes must
+  // come out escaped so the report parses.
+  cdfg::Cdfg g("odd\x01name");
+  const cdfg::VarId a = g.add_input("a\x01");
+  const cdfg::VarId b = g.add_input("b\"\\");
+  g.mark_output(g.add_op(cdfg::OpKind::kAdd, "s\r\n\t", {a, b}, "op\x02"));
+  ScanDesign d = full_scan(std::move(g), 2);
+  annotate_ops(d.ed.provenance, d.g, &d.syn.schedule.step_of_op);
+  RunReport r;
+  r.title = d.g.name() + " w2";
+  r.behavior = "dir\x1f/odd.cdfg";
+  r.ledger = run_campaign(d.ed.netlist, d.faults);
+  r.provenance = d.ed.provenance;
+  r.attribution = attribute_coverage(r.provenance, r.ledger);
+
+  const util::Json doc = util::Json::parse(report_to_json(r));
+  EXPECT_EQ(doc.find("title")->str, r.title);
+  EXPECT_EQ(doc.find("design")->find("behavior")->str, r.behavior);
+  const util::Json* ops = doc.find("provenance")->find("ops");
+  ASSERT_TRUE(ops && ops->is_array() && !ops->arr.empty());
+  EXPECT_EQ(ops->arr[0].find("label")->str, r.provenance.op_label[0]);
+  EXPECT_NE(r.provenance.op_label[0].find('\x02'), std::string::npos);
 }
 
 #endif  // !TSYN_LEDGER_NOOP

@@ -207,7 +207,10 @@ TEST(Heartbeat, JobsRollupAppearsOnlyWhenJobsAreTracked) {
   opts.heartbeat_path = path;
   opts.interval_ms = 5;
   ASSERT_TRUE(util::telemetry_start(opts));
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  // Wait for a heartbeat written before any job registers; a fixed sleep
+  // races the sampler thread on a loaded host.
+  for (int i = 0; i < 2000 && read_lines(path).empty(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
   util::telemetry_job_begin("grid.a");
   util::telemetry_job_begin("grid.b");

@@ -11,12 +11,11 @@
 // inputs (parse failure, schema/seed mismatch, bad usage).
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "observe/bench_diff.h"
 #include "util/json.h"
+#include "util/text.h"
 
 namespace {
 
@@ -27,15 +26,6 @@ int usage(const char* argv0) {
                " [--quiet]\n",
                argv0);
   return 2;
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
 }
 
 }  // namespace
@@ -69,11 +59,11 @@ int main(int argc, char** argv) {
   if (fresh_path.empty()) return usage(argv[0]);
 
   std::string base_text, fresh_text;
-  if (!read_file(base_path, &base_text)) {
+  if (!tsyn::util::read_file(base_path, &base_text)) {
     std::fprintf(stderr, "bench_diff: cannot read %s\n", base_path.c_str());
     return 2;
   }
-  if (!read_file(fresh_path, &fresh_text)) {
+  if (!tsyn::util::read_file(fresh_path, &fresh_text)) {
     std::fprintf(stderr, "bench_diff: cannot read %s\n", fresh_path.c_str());
     return 2;
   }

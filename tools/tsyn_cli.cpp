@@ -1,121 +1,31 @@
-// tsyn command-line driver.
+// tsyn command-line tool: reruns the survey's flows on a built-in
+// benchmark (bench:NAME) or a .cdfg file — synthesis with scan selection
+// and loop avoidance (synth), behavioral analysis (analyze), self-testable
+// architectures (bist), full-scan ATPG with test-set compaction (atpg),
+// the consolidated run report (report, explain), manifest sweeps (sweep),
+// the cross-run history store (history) and the live observability
+// endpoint (serve).
 //
-//   tsyn_cli synth <file.cdfg|bench:NAME> [options]   synthesize + report
-//   tsyn_cli analyze <file.cdfg|bench:NAME>           behavioral analysis
-//   tsyn_cli bist <file.cdfg|bench:NAME> [options]    self-testable synthesis
-//   tsyn_cli atpg <file.cdfg|bench:NAME> [options]    full-scan ATPG +
-//                                                     test-set compaction
-//   tsyn_cli report <file.cdfg|bench:NAME> [options]  atpg run with the
-//                                                     fault ledger on ->
-//                                                     JSON/HTML run report
-//   tsyn_cli explain <file.cdfg|bench:NAME> [options] trace faults back
-//                                                     through the provenance
-//                                                     map: gate -> RTL
-//                                                     component -> CDFG op
-//   tsyn_cli sweep <manifest.json> [options]          campaign orchestrator:
-//                                                     run the manifest's
-//                                                     design x config grid
-//                                                     with stage memoization
-//                                                     (see docs/sweep.md)
-//   tsyn_cli history <dir> [cmd] [options]            persistent cross-run
-//                                                     history store: trend /
-//                                                     diff / outliers /
-//                                                     ingest / HTML dashboard
-//                                                     (see docs/history.md)
-//   tsyn_cli serve [options]                          standalone observability
-//                                                     daemon: HTTP endpoint
-//                                                     only, runs until GET
-//                                                     /quitz or SIGINT/TERM
-//   tsyn_cli list                                     list built-in benchmarks
-//
-// Options accept both `--opt value` and `--opt=value`.
+// Every command and every option is declared once, in kCommands and
+// kOptions below. Parsing, range and enum checks, the usage text (run
+// tsyn_cli with no arguments), output-path collision checks and stdout
+// routing are all read from those two tables. Options accept both
+// `--opt value` and `--opt=value`; an option the command does not read is
+// a usage error.
 //
 // Exit codes (uniform across commands): 0 success, 1 runtime failure
 // (unreadable input, engine error, failed sweep jobs, baseline mismatch),
-// 2 usage error (unknown command/option/enum value, malformed flag).
-//
-// Common options:
-//   --alu N --mul N        FU allocation (default 2/2)
-//   --steps N              time-constrained schedule length
-//   --width N              datapath bit width override in reports
-//   --trace FILE           write a Chrome trace_event JSON of the run
-//                          (- for stdout; load in chrome://tracing)
-//   --metrics FILE         write the metrics-registry JSON run report
-//                          (- for stdout; the human report moves to stderr
-//                          so stdout stays machine-parseable)
-//   --heartbeat FILE[:MS]  stream live JSONL heartbeats (progress, ETA,
-//                          metric snapshot) every MS ms (default 250;
-//                          - for stderr)
-//   --profile FILE         wall-clock sampling profiler over the live span
-//                          stacks; writes collapsed-stack (flamegraph)
-//                          text and folds a top-N self-time table into
-//                          report JSON/HTML (- for stdout)
-//   --progress             live single-line progress view on stderr
-//   --watchdog MS          emit a stall diagnostic (per-thread span
-//                          stacks, progress deltas) to the heartbeat
-//                          stream when no progress for MS ms
-//   --log-level LEVEL      error|warn|info|debug (default warn)
-//   --serve [ADDR:]PORT    expose the live observability endpoint while the
-//                          command runs: /metrics (Prometheus), /progress,
-//                          /jobs, /profile?seconds=N, /healthz, /readyz,
-//                          and an HTML dashboard at / (PORT 0 = ephemeral;
-//                          the bound "serving on ADDR:PORT" line goes to
-//                          stderr; see docs/observability.md)
-// synth options:
-//   --scan MODE            none|mfvs|loopcut|boundary|interior (default none)
-//   --loop-avoid           use the simultaneous scheduler/assigner of [33]
-//   --verilog FILE         write the design as Verilog (- for stdout)
-// bist options:
-//   --arch A               conventional|avra|tfb|xtfb|share (default tfb)
-// atpg/report options:
-//   --compact MODE         off|static|dynamic (default off; report: static)
-//   --xfill MODE           random|0|1|adjacent (default random)
-//   --width N              gate-level expansion bit width (default 4)
-// report options:
-//   --out FILE             report JSON path (default report.json, - stdout)
-//   --html FILE            also render the self-contained HTML page
-//   --dot-rtl FILE         datapath DOT with per-component coverage heatmap
-//   --dot-cdfg FILE        CDFG DOT with per-operation coverage heatmap
-// explain options (defaults to every undetected/aborted fault):
-//   --fault N/P/S          one fault: node N, pin P (-1 = output), stuck-at S
-//   --undetected           explain all undetected + aborted faults (default)
-// sweep options (see docs/sweep.md for the manifest schema):
-//   --out-dir DIR          results directory (default results/): per-job
-//                          reports, journal.jsonl, index.json, sweep_stats
-//   --threads N            job-level worker threads (default: pool width)
-//   --resume               consult an existing journal: skip verified
-//                          completed jobs, run only the remainder
-//   --max-jobs N           stop cleanly after N jobs (kill/resume testing)
-//   --baseline FILE        compare the final index.json against this
-//                          checked-in baseline (timing-stripped); exit 1
-//                          on any difference
-//   --timeline FILE        export a Chrome trace_event job timeline (one
-//                          track per pool worker slot, one span per job
-//                          with stage sub-spans + cache annotations)
-//   --history DIR          on completion, ingest this sweep into the
-//                          persistent run-history store at DIR and echo
-//                          its verdicts into sweep_stats.json
-// history subcommands (DIR is the store directory; see docs/history.md):
-//   trend                  every key's series across runs (--key SUBSTR to
-//                          filter, --json for machine output)
-//   diff [BASE [NEW]]      bench_diff two runs ("prev" vs "latest" by
-//                          default; refs: latest|prev|ordinal|id prefix);
-//                          exit 1 on regression
-//   outliers               robust-MAD anomaly scan (--last N window,
-//                          --json, --gate = exit 1 on gating outliers)
-//   ingest FILE            add a sweep index.json or a schema-1 run report
-//                          to the store
-//   --html FILE            render the fleet dashboard (any subcommand, or
-//                          alone)
+// 2 usage error.
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bist/bist_assign.h"
 #include "campaign/manifest.h"
@@ -157,18 +67,16 @@
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
+#include "util/text.h"
 #include "util/trace.h"
-
-/// Writes `text` to `path`, with "-" meaning stdout (defined below main's
-/// helpers; declared here so commands can emit artifacts).
-bool write_output(const std::string& path, const std::string& text);
 
 namespace {
 
 using namespace tsyn;
 
-/// Human-readable report stream. Normally stdout; redirected to stderr when
-/// --metrics - or --trace - claims stdout for machine-readable JSON.
+/// Human-readable report stream. Normally stdout; stderr when any output
+/// option is given "-", so the stream a consumer pipes holds only that
+/// artifact.
 FILE* g_report = stdout;
 
 /// Set while --profile is active, so cmd_report can fold the top self-time
@@ -179,36 +87,15 @@ observe::Profiler* g_profiler = nullptr;
 /// crash-flush path can take the endpoint down with the process.
 observe::ObservabilityServer* g_server = nullptr;
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
-  std::fprintf(stderr,
-               "usage: tsyn_cli <synth|analyze|bist|atpg|report|explain|sweep"
-               "|history|serve|list> <file.cdfg|bench:NAME|manifest.json"
-               "|store-dir> [options]\n"
-               "run with no arguments for the option list in the source "
-               "header.\n");
-  std::exit(2);
-}
+/// Prints `msg` (if any) and the usage text from the tables; exit 2.
+[[noreturn]] void usage(const std::string& msg = "");
 
-cdfg::Cdfg load_behavior(const std::string& spec) {
-  if (spec.rfind("bench:", 0) == 0) {
-    const std::string name = spec.substr(6);
-    for (cdfg::Cdfg& g : cdfg::standard_benchmarks())
-      if (g.name() == name) return std::move(g);
-    usage(("unknown benchmark: " + name).c_str());
-  }
-  std::ifstream in(spec);
-  // A missing/unreadable file is a runtime failure (exit 1), not a usage
-  // error: the invocation was well-formed, the environment let it down.
-  if (!in) throw std::runtime_error("cannot open " + spec);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return cdfg::parse_cdfg(buf.str());
-}
+struct Command;
 
 struct Args {
-  std::string command;
-  std::string behavior;
+  const Command* cmd = nullptr;
+  std::string behavior;  ///< the positional: behavior, manifest or store dir
+  std::vector<std::string> extras;  ///< history: subcommand and its words
   int alu = 2;
   int mul = 2;
   int steps = 0;
@@ -218,8 +105,8 @@ struct Args {
   std::string arch = "tfb";
   std::string trace;
   std::string metrics;
-  /// Empty = per-command default: "off" for atpg, "static" for report
-  /// (a report without compaction phases has nothing to waterfall).
+  /// Empty = per-command default: "off" for atpg, "static" for report and
+  /// explain (a report without compaction phases has nothing to waterfall).
   std::string compact;
   std::string xfill = "random";
   int width = 4;
@@ -227,210 +114,91 @@ struct Args {
   std::string html;
   std::string dot_rtl;
   std::string dot_cdfg;
-  /// explain: one fault as "node/pin/sa" (empty = --undetected behavior).
-  std::string fault;
-  bool undetected = false;
+  std::string fault;  ///< explain: "node/pin/sa" (empty = every undetected)
   // Live telemetry.
-  std::string heartbeat;       ///< JSONL stream path ("-" = stderr)
-  int heartbeat_ms = 250;      ///< from the :MS suffix of --heartbeat
-  std::string profile;         ///< collapsed-stack output path
-  bool progress = false;       ///< single-line TTY progress view
-  long watchdog_ms = 0;        ///< 0 = stall watchdog off
+  std::string heartbeat;
+  int heartbeat_ms = 250;
+  std::string profile;
+  bool progress = false;
+  int watchdog_ms = 0;  ///< 0 = stall watchdog off
   // Observability endpoint (--serve, and the serve command's defaults).
   bool serve = false;
   std::string serve_addr = "127.0.0.1";
-  int serve_port = 0;          ///< 0 = kernel-assigned ephemeral port
+  int serve_port = 0;  ///< 0 = kernel-assigned ephemeral port
   // sweep.
   std::string out_dir = "results";
-  int threads = 0;             ///< 0 = shared pool width
+  int threads = 0;  ///< 0 = shared pool width
   bool resume = false;
-  int max_jobs = 0;            ///< 0 = whole grid
-  std::string baseline;        ///< index.json baseline to gate against
-  std::string timeline;        ///< Chrome trace_event job timeline path
-  std::string history;         ///< run-history store dir to ingest into
-  // history command.
-  std::vector<std::string> extras;  ///< positionals after DIR (subcommand...)
-  std::string key_filter;      ///< --key: trend series substring filter
-  int last_n = 0;              ///< --last: outlier cross-run window (0 = default)
-  bool json_out = false;       ///< --json: machine output for trend/outliers
-  bool gate = false;           ///< --gate: exit 1 on gating outliers
-  bool no_time = false;        ///< --no-time: skip wall_ms in history diff
+  int max_jobs = 0;  ///< 0 = whole grid
+  std::string baseline;
+  std::string timeline;
+  std::string history;
+  // history.
+  std::string key_filter;
+  int last_n = 0;  ///< 0 = the outlier scan's default window
+  bool json_out = false;
+  bool gate = false;
+  bool no_time = false;
 };
 
-/// Strict numeric option parsing: the whole value must be an integer.
-/// std::stoi alone would accept "4x" and abort the process (uncaught
-/// std::invalid_argument) on "x" — both are usage errors, exit 2.
-long int_arg(const std::string& opt, const std::string& v) {
-  std::size_t used = 0;
-  long n = 0;
-  try {
-    n = std::stol(v, &used);
-  } catch (const std::exception&) {
-    usage((opt + " expects an integer (got \"" + v + "\")").c_str());
-  }
-  if (used != v.size())
-    usage((opt + " expects an integer (got \"" + v + "\")").c_str());
-  return n;
+/// Best-effort creation of `path`'s missing parent directories, shared by
+/// every file-writing output option. The open that follows reports the
+/// real failure if this did not help.
+void ensure_parent_dirs(const std::string& path) {
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  if (parent.empty()) return;
+  std::error_code ec;
+  std::filesystem::create_directories(parent, ec);
 }
 
-/// Splits a --heartbeat value "PATH[:MS]" into path and interval. The
-/// suffix is an interval only when nonempty and all digits, so plain
-/// paths containing ':' stay intact.
-void parse_heartbeat_value(const std::string& v, Args* a) {
-  const std::size_t colon = v.rfind(':');
-  if (colon != std::string::npos && colon + 1 < v.size()) {
-    const std::string suffix = v.substr(colon + 1);
-    if (std::all_of(suffix.begin(), suffix.end(),
-                    [](unsigned char c) { return std::isdigit(c); })) {
-      a->heartbeat = v.substr(0, colon);
-      a->heartbeat_ms = static_cast<int>(int_arg("--heartbeat :MS", suffix));
-      if (a->heartbeat_ms < 1) usage("--heartbeat interval must be >= 1 ms");
-      return;
-    }
+/// Writes `text` to `path`, with "-" meaning stdout. Missing parent
+/// directories are created, so `--trace out/run/trace.json` works on a
+/// fresh checkout. Returns success.
+bool write_output(const std::string& path, const std::string& text) {
+  if (path == "-") {
+    std::fwrite(text.data(), 1, text.size(), stdout);
+    return true;
   }
-  a->heartbeat = v;
+  ensure_parent_dirs(path);
+  return util::write_file(path, text);
 }
 
-Args parse_args(int argc, char** argv) {
-  Args a;
-  if (argc < 2) usage();
-  a.command = argv[1];
-  if (a.command == "list") {
-    // `list` takes nothing; trailing arguments used to be silently
-    // ignored, masking typos like `tsyn_cli list --arch tfb`.
-    if (argc > 2)
-      usage(("list takes no arguments (got: " + std::string(argv[2]) + ")")
-                .c_str());
-    return a;
+/// Writes one artifact through write_output and, unless it went to
+/// stdout, notes it on the human report as "<label>: <what><path><tail>".
+/// A failed write prints an error and returns false.
+bool emit(const std::string& path, const std::string& text, const char* label,
+          const std::string& what = "written to ",
+          const std::string& tail = "") {
+  if (!write_output(path, text)) {
+    std::fprintf(stderr, "error: cannot write %s to %s\n", label,
+                 path.c_str());
+    return false;
   }
-  int first_opt = 3;
-  if (a.command == "serve") {
-    // The standalone daemon takes no behavior argument — just options.
-    first_opt = 2;
-    a.serve = true;
-  } else {
-    if (argc < 3) usage("missing behavior argument");
-    a.behavior = argv[2];
+  if (path != "-")
+    std::fprintf(g_report, "%-10s: %s%s%s\n", label, what.c_str(),
+                 path.c_str(), tail.c_str());
+  return true;
+}
+
+/// Reads a whole input file; an unreadable one is a runtime failure
+/// (exit 1), not a usage error: the invocation was well-formed, the
+/// environment let it down.
+std::string read_input(const std::string& path) {
+  std::string text;
+  if (!util::read_file(path, &text))
+    throw std::runtime_error("cannot open " + path);
+  return text;
+}
+
+cdfg::Cdfg load_behavior(const std::string& spec) {
+  if (spec.rfind("bench:", 0) == 0) {
+    const std::string name = spec.substr(6);
+    for (cdfg::Cdfg& g : cdfg::standard_benchmarks())
+      if (g.name() == name) return std::move(g);
+    usage("unknown benchmark: " + name);
   }
-  for (int i = first_opt; i < argc; ++i) {
-    std::string opt = argv[i];
-    // `history` is the one command with trailing positionals (subcommand
-    // plus its arguments); everything else treats bare words as typos.
-    if (a.command == "history" && (opt.empty() || opt[0] != '-')) {
-      a.extras.push_back(opt);
-      continue;
-    }
-    // `--opt=value` is equivalent to `--opt value`.
-    std::string inline_value;
-    bool has_inline = false;
-    if (const std::size_t eq = opt.find('='); eq != std::string::npos) {
-      inline_value = opt.substr(eq + 1);
-      opt = opt.substr(0, eq);
-      has_inline = true;
-    }
-    auto value = [&]() -> std::string {
-      if (has_inline) return inline_value;
-      if (i + 1 >= argc) usage((opt + " needs a value").c_str());
-      return argv[++i];
-    };
-    if (opt == "--alu") a.alu = static_cast<int>(int_arg(opt, value()));
-    else if (opt == "--mul") a.mul = static_cast<int>(int_arg(opt, value()));
-    else if (opt == "--steps") a.steps = static_cast<int>(int_arg(opt, value()));
-    else if (opt == "--scan") a.scan = value();
-    else if (opt == "--loop-avoid") {
-      if (has_inline) usage("--loop-avoid takes no value");
-      a.loop_avoid = true;
-    }
-    else if (opt == "--verilog") a.verilog = value();
-    else if (opt == "--arch") a.arch = value();
-    else if (opt == "--trace") a.trace = value();
-    else if (opt == "--metrics") a.metrics = value();
-    else if (opt == "--compact") a.compact = value();
-    else if (opt == "--xfill") a.xfill = value();
-    else if (opt == "--width") a.width = static_cast<int>(int_arg(opt, value()));
-    else if (opt == "--out") a.out = value();
-    else if (opt == "--html") a.html = value();
-    else if (opt == "--dot-rtl") a.dot_rtl = value();
-    else if (opt == "--dot-cdfg") a.dot_cdfg = value();
-    else if (opt == "--heartbeat") parse_heartbeat_value(value(), &a);
-    else if (opt == "--profile") a.profile = value();
-    else if (opt == "--progress") {
-      if (has_inline) usage("--progress takes no value");
-      a.progress = true;
-    }
-    else if (opt == "--watchdog") {
-      a.watchdog_ms = int_arg(opt, value());
-      if (a.watchdog_ms < 1) usage("--watchdog expects a window in ms");
-    }
-    else if (opt == "--serve") {
-      // "[ADDR:]PORT". The port goes through the shared strict-int parse
-      // (same exit-2 contract as every numeric flag); the address
-      // through the same literal validation the server binds with.
-      const std::string v = value();
-      std::string addr = "127.0.0.1";
-      std::string port_part = v;
-      if (const std::size_t colon = v.rfind(':');
-          colon != std::string::npos) {
-        addr = v.substr(0, colon);
-        port_part = v.substr(colon + 1);
-      }
-      const long port = int_arg("--serve [ADDR:]PORT", port_part);
-      if (port < 0 || port > 65535)
-        usage("--serve port must be in [0, 65535] (0 = ephemeral)");
-      if (!util::parse_serve_spec(addr + ":" + std::to_string(port),
-                                  &a.serve_addr, &a.serve_port))
-        usage(("--serve: bad listen address \"" + addr +
-               "\" (IPv4 literal expected)")
-                  .c_str());
-      a.serve = true;
-    }
-    else if (opt == "--fault") a.fault = value();
-    else if (opt == "--out-dir") a.out_dir = value();
-    else if (opt == "--threads") {
-      a.threads = static_cast<int>(int_arg(opt, value()));
-      if (a.threads < 0) usage("--threads must be >= 0");
-    }
-    else if (opt == "--resume") {
-      if (has_inline) usage("--resume takes no value");
-      a.resume = true;
-    }
-    else if (opt == "--max-jobs") {
-      a.max_jobs = static_cast<int>(int_arg(opt, value()));
-      if (a.max_jobs < 0) usage("--max-jobs must be >= 0");
-    }
-    else if (opt == "--baseline") a.baseline = value();
-    else if (opt == "--timeline") a.timeline = value();
-    else if (opt == "--history") a.history = value();
-    else if (opt == "--key") a.key_filter = value();
-    else if (opt == "--last") {
-      a.last_n = static_cast<int>(int_arg(opt, value()));
-      if (a.last_n < 1) usage("--last must be >= 1");
-    }
-    else if (opt == "--json") {
-      if (has_inline) usage("--json takes no value");
-      a.json_out = true;
-    }
-    else if (opt == "--gate") {
-      if (has_inline) usage("--gate takes no value");
-      a.gate = true;
-    }
-    else if (opt == "--no-time") {
-      if (has_inline) usage("--no-time takes no value");
-      a.no_time = true;
-    }
-    else if (opt == "--undetected") {
-      if (has_inline) usage("--undetected takes no value");
-      a.undetected = true;
-    }
-    else if (opt == "--log-level") {
-      util::LogLevel level;
-      if (!util::parse_log_level(value(), &level))
-        usage("--log-level expects error|warn|info|debug");
-      util::set_log_level(level);
-    }
-    else usage(("unknown option: " + opt).c_str());
-  }
-  return a;
+  return cdfg::parse_cdfg(read_input(spec));
 }
 
 std::vector<cdfg::VarId> select_scan(const cdfg::Cdfg& g,
@@ -440,7 +208,7 @@ std::vector<cdfg::VarId> select_scan(const cdfg::Cdfg& g,
   if (mode == "loopcut") return testability::select_scan_vars_loopcut(g);
   if (mode == "boundary") return testability::select_scan_vars_boundary(g);
   if (mode == "interior") return testability::select_scan_vars_interior(g);
-  usage(("unknown scan mode: " + mode).c_str());
+  usage("unknown scan mode: " + mode);
 }
 
 void report_design(const cdfg::Cdfg& g, const hls::Schedule& s,
@@ -560,19 +328,12 @@ int cmd_synth(const Args& a) {
   report_design(g, schedule, binding, design.datapath);
   gatelevel_quicklook(design.datapath);
 
-  if (!a.verilog.empty()) {
-    const std::string v =
-        rtl::emit_verilog(design.datapath, design.controller);
-    if (a.verilog == "-") {
-      std::fputs(v.c_str(), stdout);
-    } else {
-      std::ofstream out(a.verilog);
-      out << v;
-      std::fprintf(g_report, "verilog   : written to %s (%zu bytes)\n",
-                  a.verilog.c_str(), v.size());
-    }
-  }
-  return 0;
+  if (a.verilog.empty()) return 0;
+  const std::string v = rtl::emit_verilog(design.datapath, design.controller);
+  return emit(a.verilog, v, "verilog", "written to ",
+              " (" + std::to_string(v.size()) + " bytes)")
+             ? 0
+             : 1;
 }
 
 int cmd_analyze(const Args& a) {
@@ -627,11 +388,9 @@ int cmd_bist(const Args& a) {
     const bist::ShareResult r = bist::sharing_register_assignment(g, binding);
     hls::rebind_registers(g, binding, r.reg_of_lifetime);
     std::fprintf(g_report, "architecture: TPGR/SR sharing [32]\n");
-  } else if (a.arch == "conventional") {
+  } else {  // conventional
     binding = hls::make_binding(g, s);
     std::fprintf(g_report, "architecture: conventional binding\n");
-  } else {
-    usage(("unknown BIST architecture: " + a.arch).c_str());
   }
 
   hls::RtlDesign design = hls::build_rtl(g, s, binding);
@@ -649,61 +408,7 @@ int cmd_bist(const Args& a) {
   return 0;
 }
 
-int cmd_atpg(const Args& a) {
-  TSYN_SPAN("cli.atpg");
-  compaction::CompactionOptions copts;
-  const std::string compact = a.compact.empty() ? "off" : a.compact;
-  if (!compaction::parse_compact_mode(compact, &copts.mode))
-    usage("--compact expects off|static|dynamic");
-  if (!compaction::parse_xfill(a.xfill, &copts.xfill))
-    usage("--xfill expects random|0|1|adjacent");
-  if (a.width < 1) usage("--width must be >= 1");
-
-  // Full-scan flow: synthesize, scan every register, expand to a
-  // combinational netlist, then generate + compact the test set.
-  const cdfg::Cdfg g = load_behavior(a.behavior);
-  hls::SynthesisOptions opts;
-  opts.resources = hls::Resources{{cdfg::FuType::kAlu, a.alu},
-                                  {cdfg::FuType::kMultiplier, a.mul}};
-  opts.num_steps = a.steps;
-  hls::Synthesis syn = hls::synthesize(g, opts);
-  rtl::Datapath dp = syn.rtl.datapath;
-  for (auto& reg : dp.regs) reg.test_kind = rtl::TestRegKind::kScan;
-  gl::ExpandOptions eo;
-  eo.width_override = a.width;
-  const gl::Netlist n = gl::expand_datapath(dp, eo).netlist;
-  const std::vector<gl::Fault> faults = gl::enumerate_faults(n);
-
-  const compaction::CompactedCampaign c =
-      compaction::run_compacted_atpg(n, faults, copts);
-
-  const std::size_t pis = n.primary_inputs().size();
-  std::fprintf(g_report,
-               "gatelevel : %d gates, %zu PIs (full scan, width %d), "
-               "%zu faults\n",
-               n.gate_count(), pis, a.width, faults.size());
-  std::fprintf(g_report,
-               "atpg      : %ld cubes, %.2f%% coverage, %.2f%% efficiency\n",
-               c.stats.cubes_generated, 100 * c.campaign.fault_coverage,
-               100 * c.campaign.fault_efficiency);
-  std::fprintf(g_report,
-               "compaction: mode %s, fill %s; %ld secondary merged, "
-               "%ld -> %ld cubes, %ld pruned, %ld top-up\n",
-               compaction::to_string(copts.mode),
-               compaction::to_string(copts.xfill), c.stats.secondary_merged,
-               c.stats.cubes_generated, c.stats.cubes_after_merge,
-               c.stats.patterns_pruned, c.stats.topup_patterns);
-  std::fprintf(g_report,
-               "patterns  : %zu shipped vs %ld baseline (%.1f%% reduction), "
-               "%.2f%% coverage\n",
-               c.patterns.size(), c.baseline_patterns, 100 * c.reduction(),
-               100 * c.pattern_coverage);
-  std::fprintf(g_report, "data vol  : %ld bits (%zu patterns x %zu PI bits)\n",
-               c.test_data_bits(), c.patterns.size(), pis);
-  return 0;
-}
-
-/// The shared full-scan front half of `report` and `explain`: synthesize,
+/// The full-scan front half of `atpg`, `report` and `explain`: synthesize,
 /// scan every register, expand with provenance recording, annotate the op
 /// labels, enumerate the collapsed faults.
 struct FullScanDesign {
@@ -732,15 +437,49 @@ FullScanDesign build_full_scan(const Args& a) {
   return d;
 }
 
-compaction::CompactionOptions parse_compaction(const Args& a) {
+/// --compact/--xfill as engine options (the option table already checked
+/// both values); `fallback` is the command's --compact default.
+compaction::CompactionOptions parse_compaction(const Args& a,
+                                               const char* fallback) {
   compaction::CompactionOptions copts;
-  const std::string compact = a.compact.empty() ? "static" : a.compact;
-  if (!compaction::parse_compact_mode(compact, &copts.mode))
-    usage("--compact expects off|static|dynamic");
-  if (!compaction::parse_xfill(a.xfill, &copts.xfill))
-    usage("--xfill expects random|0|1|adjacent");
-  if (a.width < 1) usage("--width must be >= 1");
+  compaction::parse_compact_mode(a.compact.empty() ? fallback : a.compact,
+                                 &copts.mode);
+  compaction::parse_xfill(a.xfill, &copts.xfill);
   return copts;
+}
+
+int cmd_atpg(const Args& a) {
+  TSYN_SPAN("cli.atpg");
+  const compaction::CompactionOptions copts = parse_compaction(a, "off");
+  const FullScanDesign d = build_full_scan(a);
+  const gl::Netlist& n = d.ed.netlist;
+  const compaction::CompactedCampaign c =
+      compaction::run_compacted_atpg(n, d.faults, copts);
+
+  const std::size_t pis = n.primary_inputs().size();
+  std::fprintf(g_report,
+               "gatelevel : %d gates, %zu PIs (full scan, width %d), "
+               "%zu faults\n",
+               n.gate_count(), pis, a.width, d.faults.size());
+  std::fprintf(g_report,
+               "atpg      : %ld cubes, %.2f%% coverage, %.2f%% efficiency\n",
+               c.stats.cubes_generated, 100 * c.campaign.fault_coverage,
+               100 * c.campaign.fault_efficiency);
+  std::fprintf(g_report,
+               "compaction: mode %s, fill %s; %ld secondary merged, "
+               "%ld -> %ld cubes, %ld pruned, %ld top-up\n",
+               compaction::to_string(copts.mode),
+               compaction::to_string(copts.xfill), c.stats.secondary_merged,
+               c.stats.cubes_generated, c.stats.cubes_after_merge,
+               c.stats.patterns_pruned, c.stats.topup_patterns);
+  std::fprintf(g_report,
+               "patterns  : %zu shipped vs %ld baseline (%.1f%% reduction), "
+               "%.2f%% coverage\n",
+               c.patterns.size(), c.baseline_patterns, 100 * c.reduction(),
+               100 * c.pattern_coverage);
+  std::fprintf(g_report, "data vol  : %ld bits (%zu patterns x %zu PI bits)\n",
+               c.test_data_bits(), c.patterns.size(), pis);
+  return 0;
 }
 
 /// The compacted ATPG campaign with the fault ledger on, plus a final
@@ -771,7 +510,7 @@ compaction::CompactedCampaign run_ledgered_campaign(
 /// and the metrics registry.
 int cmd_report(const Args& a) {
   TSYN_SPAN("cli.report");
-  const compaction::CompactionOptions copts = parse_compaction(a);
+  const compaction::CompactionOptions copts = parse_compaction(a, "static");
   FullScanDesign d = build_full_scan(a);
   const gl::Netlist& n = d.ed.netlist;
 
@@ -803,47 +542,27 @@ int cmd_report(const Args& a) {
   // Metrics last, so the attribution join's gauge/histogram are included.
   r.metrics_json = util::metrics().to_json();
 
-  if (!write_output(a.out, observe::report_to_json(r) + "\n")) {
-    std::fprintf(stderr, "error: cannot write report to %s\n", a.out.c_str());
+  if (!emit(a.out, observe::report_to_json(r) + "\n", "report", "written to ",
+            " (" + std::to_string(r.ledger.journeys.size()) + " journeys, " +
+                std::to_string(r.ledger.waterfalls.size()) + " waterfalls)"))
     return 1;
-  }
-  if (a.out != "-")
-    std::fprintf(g_report, "report    : written to %s (%zu journeys, %zu "
-                 "waterfalls)\n",
-                 a.out.c_str(), r.ledger.journeys.size(),
-                 r.ledger.waterfalls.size());
-  if (!a.html.empty()) {
-    if (!write_output(a.html, observe::report_to_html(r))) {
-      std::fprintf(stderr, "error: cannot write HTML report to %s\n",
-                   a.html.c_str());
-      return 1;
-    }
-    if (a.html != "-")
-      std::fprintf(g_report, "html      : written to %s\n", a.html.c_str());
-  }
+  if (!a.html.empty() && !emit(a.html, observe::report_to_html(r), "html"))
+    return 1;
   if (!a.dot_rtl.empty()) {
     rtl::DatapathHeat heat;
     heat.reg = observe::register_heat(r.provenance, r.attribution,
                                       d.dp.num_regs());
     heat.fu = observe::fu_heat(r.provenance, r.attribution, d.dp.num_fus());
-    if (!write_output(a.dot_rtl, rtl::datapath_to_dot(d.dp, &heat))) {
-      std::fprintf(stderr, "error: cannot write %s\n", a.dot_rtl.c_str());
+    if (!emit(a.dot_rtl, rtl::datapath_to_dot(d.dp, &heat), "dot-rtl",
+              "heatmap written to "))
       return 1;
-    }
-    if (a.dot_rtl != "-")
-      std::fprintf(g_report, "dot-rtl   : heatmap written to %s\n",
-                   a.dot_rtl.c_str());
   }
   if (!a.dot_cdfg.empty()) {
     const std::vector<double> heat =
         observe::op_heat(r.provenance, r.attribution, d.g.num_ops());
-    if (!write_output(a.dot_cdfg, cdfg::to_dot(d.g, {}, &heat))) {
-      std::fprintf(stderr, "error: cannot write %s\n", a.dot_cdfg.c_str());
+    if (!emit(a.dot_cdfg, cdfg::to_dot(d.g, {}, &heat), "dot-cdfg",
+              "heatmap written to "))
       return 1;
-    }
-    if (a.dot_cdfg != "-")
-      std::fprintf(g_report, "dot-cdfg  : heatmap written to %s\n",
-                   a.dot_cdfg.c_str());
   }
   std::fprintf(g_report,
                "atpg      : %.2f%% coverage, %zu patterns vs %ld baseline\n",
@@ -925,7 +644,7 @@ void explain_fault(const FullScanDesign& d, const gl::Scoap& scoap,
 /// --fault N/P/S for one, otherwise every undetected/aborted fault.
 int cmd_explain(const Args& a) {
   TSYN_SPAN("cli.explain");
-  const compaction::CompactionOptions copts = parse_compaction(a);
+  const compaction::CompactionOptions copts = parse_compaction(a, "static");
   FullScanDesign d = build_full_scan(a);
   const gl::Netlist& n = d.ed.netlist;
 
@@ -979,60 +698,9 @@ int cmd_explain(const Args& a) {
   return 0;
 }
 
-}  // namespace
-
-/// Best-effort creation of `path`'s missing parent directories, shared by
-/// every file-writing output flag (--trace, --timeline, ...). The open
-/// that follows reports the real failure if this did not help.
-void ensure_parent_dirs(const std::string& path) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (parent.empty()) return;
-  std::error_code ec;
-  std::filesystem::create_directories(parent, ec);
-}
-
-/// Writes `text` to `path`, with "-" meaning stdout. Missing parent
-/// directories are created, so `--trace out/run/trace.json` works on a
-/// fresh checkout. Returns success.
-bool write_output(const std::string& path, const std::string& text) {
-  if (path == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return true;
-  }
-  ensure_parent_dirs(path);
-  std::ofstream out(path);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
-}
-
-/// Refuses two output flags aimed at one path — the second write would
-/// silently win. Prints the offending pair and returns false. Shared by
-/// every command's output-flag set (sweep's --timeline/--history and
-/// history's --html included).
-bool reject_output_collisions(
-    const std::vector<std::pair<const char*, const std::string*>>& outs) {
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    if (outs[i].second->empty()) continue;
-    for (std::size_t j = i + 1; j < outs.size(); ++j) {
-      if (*outs[i].second != *outs[j].second) continue;
-      std::fprintf(stderr,
-                   "error: %s and %s point at the same output (%s); give "
-                   "them distinct paths\n",
-                   outs[i].first, outs[j].first, outs[i].second->c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 int cmd_sweep(const Args& a) {
-  std::ifstream in(a.behavior);
-  if (!in) throw std::runtime_error("cannot open manifest " + a.behavior);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const campaign::Manifest m = campaign::parse_manifest(buf.str());
+  const campaign::Manifest m =
+      campaign::parse_manifest(read_input(a.behavior));
 
   campaign::SweepOptions opts;
   opts.results_dir = a.out_dir;
@@ -1089,12 +757,8 @@ int cmd_sweep(const Args& a) {
                  static_cast<long long>(s.history_runs_total));
 
   if (!a.baseline.empty()) {
-    std::ifstream bin(a.baseline);
-    if (!bin) throw std::runtime_error("cannot open baseline " + a.baseline);
-    std::stringstream bbuf;
-    bbuf << bin.rdbuf();
     const std::string got = campaign::strip_timing(campaign::index_to_json(s));
-    const std::string want = campaign::strip_timing(bbuf.str());
+    const std::string want = campaign::strip_timing(read_input(a.baseline));
     if (got != want) {
       // Point at the first diverging line: with deterministic reports any
       // divergence is a real behavior change, not noise.
@@ -1195,18 +859,15 @@ int cmd_trend(const observe::History& h, const Args& a) {
     for (const observe::TrendSeries& s : trend) {
       out += first_s ? "\n  " : ",\n  ";
       first_s = false;
-      out += "{\"job\": \"" + s.job + "\", \"points\": [";
+      out += "{\"job\": \"" + util::json_escape(s.job) + "\", \"points\": [";
       for (std::size_t i = 0; i < s.points.size(); ++i) {
         const observe::TrendPoint& p = s.points[i];
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "%s{\"run\": \"%.12s\", \"status\": \"%s\", "
-                      "\"coverage\": %.17g, \"wall_ms\": %.17g, "
-                      "\"patterns\": %lld}",
-                      i ? ", " : "", p.run_id.c_str(), p.status.c_str(),
-                      p.coverage, p.wall_ms,
-                      static_cast<long long>(p.patterns));
-        out += buf;
+        out += std::string(i ? ", " : "") + "{\"run\": \"" +
+               util::json_escape(p.run_id.substr(0, 12)) +
+               "\", \"status\": \"" + util::json_escape(p.status) +
+               "\", \"coverage\": " + util::fmt_exact(p.coverage) +
+               ", \"wall_ms\": " + util::fmt_exact(p.wall_ms) +
+               ", \"patterns\": " + std::to_string(p.patterns) + "}";
       }
       out += "]}";
     }
@@ -1295,12 +956,8 @@ int cmd_history(const Args& a) {
     if (a.extras.size() < 2) usage("history ingest needs a FILE argument");
     int added = 0;
     for (std::size_t i = 1; i < a.extras.size(); ++i) {
-      std::ifstream in(a.extras[i]);
-      if (!in) throw std::runtime_error("cannot open " + a.extras[i]);
-      std::stringstream buf;
-      buf << in.rdbuf();
       const observe::HistoryRun run = cli_history::run_from_artifact(
-          util::Json::parse(buf.str()), a.extras[i]);
+          util::Json::parse(read_input(a.extras[i])), a.extras[i]);
       const observe::IngestResult res = observe::history_ingest(dir, run);
       added += res.added ? 1 : 0;
       std::fprintf(g_report, "ingest    : %s -> run %.12s %s (%lld entries)\n",
@@ -1325,20 +982,14 @@ int cmd_history(const Args& a) {
     std::fprintf(g_report, "history   : %zu run(s), %zu entries in %s\n",
                  h.runs.size(), entries, dir.c_str());
   } else {
-    usage(("unknown history subcommand: " + sub +
-           " (expected trend|diff|outliers|ingest)").c_str());
+    usage("unknown history subcommand: " + sub +
+          " (expected trend|diff|outliers|ingest)");
   }
 
-  if (!a.html.empty()) {
-    if (!write_output(a.html, observe::history_to_html(h))) {
-      std::fprintf(stderr, "error: cannot write dashboard to %s\n",
-                   a.html.c_str());
-      return 1;
-    }
-    if (a.html != "-")
-      std::fprintf(g_report, "html      : dashboard written to %s\n",
-                   a.html.c_str());
-  }
+  if (!a.html.empty() &&
+      !emit(a.html, observe::history_to_html(h), "html",
+            "dashboard written to "))
+    return 1;
   return rc;
 }
 
@@ -1354,57 +1005,369 @@ int cmd_serve(const Args&) {
   return 0;
 }
 
-int run_command(const Args& a) {
-  if (a.command == "synth") { tsyn::util::telemetry_set_phase("synth"); return cmd_synth(a); }
-  if (a.command == "analyze") { tsyn::util::telemetry_set_phase("analyze"); return cmd_analyze(a); }
-  if (a.command == "bist") { tsyn::util::telemetry_set_phase("bist"); return cmd_bist(a); }
-  if (a.command == "atpg") { tsyn::util::telemetry_set_phase("atpg"); return cmd_atpg(a); }
-  if (a.command == "report") { tsyn::util::telemetry_set_phase("report"); return cmd_report(a); }
-  if (a.command == "explain") { tsyn::util::telemetry_set_phase("explain"); return cmd_explain(a); }
-  if (a.command == "sweep") { tsyn::util::telemetry_set_phase("sweep"); return cmd_sweep(a); }
-  if (a.command == "history") { tsyn::util::telemetry_set_phase("history"); return cmd_history(a); }
-  if (a.command == "serve") { tsyn::util::telemetry_set_phase("serve"); return cmd_serve(a); }
-  usage(("unknown command: " + a.command).c_str());
+int cmd_list(const Args&) {
+  for (const cdfg::Cdfg& g : cdfg::standard_benchmarks())
+    std::fprintf(g_report, "bench:%-8s %3d ops, %2zu states, %zu CDFG loops\n",
+                 g.name().c_str(), g.num_ops(), g.states().size(),
+                 cdfg::cdfg_loops(g).size());
+  return 0;
 }
+
+// ---------------------------------------------------------------------------
+// The command and option tables
+// ---------------------------------------------------------------------------
+
+/// The positional arguments a command takes.
+enum class Positional {
+  kNone,
+  kOne,          ///< one: behavior, manifest or store directory
+  kOneAndWords,  ///< one plus trailing words (history's subcommand)
+};
+
+/// One command; its telemetry phase is its name.
+struct Command {
+  const char* name;
+  Positional positional;
+  const char* synopsis;  ///< the positionals, for the usage text
+  const char* help;
+  int (*run)(const Args&);
+};
+
+const Command kCommands[] = {
+    {"synth", Positional::kOne, "<file.cdfg|bench:NAME>",
+     "synthesize (scan selection, loop avoidance) and report", cmd_synth},
+    {"analyze", Positional::kOne, "<file.cdfg|bench:NAME>",
+     "behavioral loops, controllability/observability, scan selection",
+     cmd_analyze},
+    {"bist", Positional::kOne, "<file.cdfg|bench:NAME>",
+     "self-testable synthesis", cmd_bist},
+    {"atpg", Positional::kOne, "<file.cdfg|bench:NAME>",
+     "full-scan ATPG and test-set compaction", cmd_atpg},
+    {"report", Positional::kOne, "<file.cdfg|bench:NAME>",
+     "atpg with the fault ledger on: JSON/HTML run report", cmd_report},
+    {"explain", Positional::kOne, "<file.cdfg|bench:NAME>",
+     "trace faults back: gate -> RTL component -> CDFG op", cmd_explain},
+    {"sweep", Positional::kOne, "<manifest.json>",
+     "run a manifest's design x config grid (docs/sweep.md)", cmd_sweep},
+    {"history", Positional::kOneAndWords,
+     "<dir> [trend|diff [BASE [NEW]]|outliers|ingest FILE...]",
+     "query or feed the run-history store (docs/history.md)", cmd_history},
+    {"serve", Positional::kNone, "",
+     "observability endpoint alone, until GET /quitz or SIGINT/TERM",
+     cmd_serve},
+    {"list", Positional::kNone, "", "list the built-in benchmarks", cmd_list},
+};
+
+/// Where an option's value goes, if it names an output artifact.
+enum class Output {
+  kNone,
+  kPath,    ///< a file or directory, checked for collisions
+  kStdout,  ///< as kPath, and "-" writes the artifact to stdout
+};
+
+/// One option. `flag`, `number`, `text` or `parse` says where its value
+/// lands; --undetected sets nothing (it names explain's default).
+struct Option {
+  const char* name;
+  const char* value;     ///< usage placeholder; switches have none
+  const char* commands;  ///< the commands that read it, space-separated
+  const char* help;
+  Output output = Output::kNone;
+  bool Args::*flag = nullptr;
+  int Args::*number = nullptr;
+  int min = 0;  ///< the smallest value `number` accepts
+  std::string Args::*text = nullptr;
+  const char* choices = nullptr;  ///< "a|b|c": the values `text` accepts
+  /// Custom value parser. When `text` is set too (--heartbeat), it only
+  /// names the path for the collision check.
+  void (*parse)(const std::string& value, Args* a) = nullptr;
+};
+
+/// Strict integer value: all of `v` must be an integer in [min, INT_MAX]
+/// (std::stoi alone accepts "4x" and throws on "x").
+int int_arg(const std::string& opt, const std::string& v, int min) {
+  std::size_t used = 0;
+  long n = 0;
+  try {
+    n = std::stol(v, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != v.size() || n < min || n > INT_MAX)
+    usage(opt + " expects an integer >= " + std::to_string(min) +
+          " (got \"" + v + "\")");
+  return static_cast<int>(n);
+}
+
+/// --heartbeat PATH[:MS]. The suffix is an interval only when nonempty and
+/// all digits, so plain paths containing ':' stay intact.
+void parse_heartbeat(const std::string& v, Args* a) {
+  a->heartbeat = v;
+  const std::size_t colon = v.rfind(':');
+  if (colon == std::string::npos || colon + 1 == v.size()) return;
+  const std::string ms = v.substr(colon + 1);
+  if (!std::all_of(ms.begin(), ms.end(),
+                   [](unsigned char c) { return std::isdigit(c); }))
+    return;
+  a->heartbeat = v.substr(0, colon);
+  a->heartbeat_ms = int_arg("--heartbeat :MS", ms, 1);
+}
+
+/// --serve [ADDR:]PORT, checked by the same parser the server binds with.
+void parse_serve(const std::string& v, Args* a) {
+  if (!util::parse_serve_spec(v, &a->serve_addr, &a->serve_port))
+    usage("--serve expects [ADDR:]PORT, PORT in [0, 65535], ADDR an IPv4 "
+          "literal (got \"" + v + "\")");
+  a->serve = true;
+}
+
+void parse_log_level(const std::string& v, Args*) {
+  util::LogLevel level;
+  if (!util::parse_log_level(v, &level))
+    usage("--log-level expects error|warn|info|debug");
+  util::set_log_level(level);
+}
+
+constexpr const char* kEvery =
+    "synth analyze bist atpg report explain sweep history serve";
+constexpr const char* kSynthesizes = "synth bist atpg report explain";
+constexpr const char* kFullScan = "atpg report explain";
+
+// Rows that share `commands` stay adjacent: the usage text groups by it.
+const Option kOptions[] = {
+    {.name = "--trace", .value = "FILE", .commands = kEvery,
+     .help = "Chrome trace_event JSON of the run (chrome://tracing)",
+     .output = Output::kStdout, .text = &Args::trace},
+    {.name = "--metrics", .value = "FILE", .commands = kEvery,
+     .help = "metrics-registry JSON run report",
+     .output = Output::kStdout, .text = &Args::metrics},
+    {.name = "--heartbeat", .value = "FILE[:MS]", .commands = kEvery,
+     .help = "JSONL heartbeats every MS ms (default 250; - = stderr)",
+     .output = Output::kPath, .text = &Args::heartbeat,
+     .parse = parse_heartbeat},
+    {.name = "--profile", .value = "FILE", .commands = kEvery,
+     .help = "sampling profile as collapsed stacks, also folded into report",
+     .output = Output::kStdout, .text = &Args::profile},
+    {.name = "--progress", .value = nullptr, .commands = kEvery,
+     .help = "live single-line progress view on stderr",
+     .flag = &Args::progress},
+    {.name = "--watchdog", .value = "MS", .commands = kEvery,
+     .help = "stall diagnostic on the heartbeat stream after MS ms idle",
+     .number = &Args::watchdog_ms, .min = 1},
+    {.name = "--log-level", .value = "LEVEL", .commands = kEvery,
+     .help = "error|warn|info|debug (default warn)",
+     .parse = parse_log_level},
+    {.name = "--serve", .value = "[ADDR:]PORT", .commands = kEvery,
+     .help = "live /metrics, /progress, /jobs, /profile and dashboard "
+             "(PORT 0 = ephemeral)",
+     .parse = parse_serve},
+    {.name = "--alu", .value = "N", .commands = kSynthesizes,
+     .help = "ALUs to allocate (default 2)", .number = &Args::alu, .min = 1},
+    {.name = "--mul", .value = "N", .commands = kSynthesizes,
+     .help = "multipliers to allocate (default 2)", .number = &Args::mul,
+     .min = 1},
+    {.name = "--steps", .value = "N", .commands = "synth atpg report explain",
+     .help = "time-constrained schedule length (default 0 = none)",
+     .number = &Args::steps},
+    {.name = "--scan", .value = nullptr, .commands = "synth",
+     .help = "scan variable selection (default none)", .text = &Args::scan,
+     .choices = "none|mfvs|loopcut|boundary|interior"},
+    {.name = "--loop-avoid", .value = nullptr, .commands = "synth",
+     .help = "simultaneous scheduling and register assignment of [33]",
+     .flag = &Args::loop_avoid},
+    {.name = "--verilog", .value = "FILE", .commands = "synth",
+     .help = "the design as Verilog", .output = Output::kStdout,
+     .text = &Args::verilog},
+    {.name = "--arch", .value = nullptr, .commands = "bist",
+     .help = "self-testable architecture (default tfb)", .text = &Args::arch,
+     .choices = "conventional|avra|tfb|xtfb|share"},
+    {.name = "--compact", .value = nullptr, .commands = kFullScan,
+     .help = "compaction (default off; report, explain: static)",
+     .text = &Args::compact, .choices = "off|static|dynamic"},
+    {.name = "--xfill", .value = nullptr, .commands = kFullScan,
+     .help = "don't-care fill (default random)", .text = &Args::xfill,
+     .choices = "random|0|1|zero|one|adjacent"},
+    {.name = "--width", .value = "N", .commands = kFullScan,
+     .help = "gate-level expansion bit width (default 4)",
+     .number = &Args::width, .min = 1},
+    {.name = "--out", .value = "FILE", .commands = "report",
+     .help = "run report JSON (default report.json)",
+     .output = Output::kStdout, .text = &Args::out},
+    {.name = "--dot-rtl", .value = "FILE", .commands = "report",
+     .help = "datapath DOT with a per-component coverage heatmap",
+     .output = Output::kStdout, .text = &Args::dot_rtl},
+    {.name = "--dot-cdfg", .value = "FILE", .commands = "report",
+     .help = "CDFG DOT with a per-operation coverage heatmap",
+     .output = Output::kStdout, .text = &Args::dot_cdfg},
+    {.name = "--html", .value = "FILE", .commands = "report history",
+     .help = "self-contained HTML report (history: fleet dashboard)",
+     .output = Output::kStdout, .text = &Args::html},
+    {.name = "--fault", .value = "N/P/S", .commands = "explain",
+     .help = "one fault: node N, pin P (-1 = output), stuck-at S",
+     .text = &Args::fault},
+    {.name = "--undetected", .value = nullptr, .commands = "explain",
+     .help = "every undetected and aborted fault (the default)"},
+    {.name = "--out-dir", .value = "DIR", .commands = "sweep",
+     .help = "results directory (default results)", .text = &Args::out_dir},
+    {.name = "--threads", .value = "N", .commands = "sweep",
+     .help = "job-level worker threads (default 0 = pool width)",
+     .number = &Args::threads},
+    {.name = "--resume", .value = nullptr, .commands = "sweep",
+     .help = "skip the jobs the journal verifies as complete",
+     .flag = &Args::resume},
+    {.name = "--max-jobs", .value = "N", .commands = "sweep",
+     .help = "stop cleanly after N jobs (default 0 = whole grid)",
+     .number = &Args::max_jobs},
+    {.name = "--baseline", .value = "FILE", .commands = "sweep",
+     .help = "exit 1 unless index.json matches FILE, timing stripped",
+     .text = &Args::baseline},
+    {.name = "--timeline", .value = "FILE", .commands = "sweep",
+     .help = "Chrome trace_event job timeline, one track per worker",
+     .output = Output::kPath, .text = &Args::timeline},
+    {.name = "--history", .value = "DIR", .commands = "sweep",
+     .help = "ingest the finished sweep into the history store at DIR",
+     .output = Output::kPath, .text = &Args::history},
+    {.name = "--key", .value = "SUBSTR", .commands = "history",
+     .help = "trend: only the keys containing SUBSTR",
+     .text = &Args::key_filter},
+    {.name = "--last", .value = "N", .commands = "history",
+     .help = "outliers: the cross-run window", .number = &Args::last_n,
+     .min = 1},
+    {.name = "--json", .value = nullptr, .commands = "history",
+     .help = "trend, outliers: machine-readable output",
+     .flag = &Args::json_out},
+    {.name = "--gate", .value = nullptr, .commands = "history",
+     .help = "outliers: exit 1 on a gating outlier", .flag = &Args::gate},
+    {.name = "--no-time", .value = nullptr, .commands = "history",
+     .help = "diff: ignore wall_ms", .flag = &Args::no_time},
+};
+
+/// True if `word` is one of the `delims`-separated items of `list`.
+bool listed(const char* list, const std::string& word, const char* delims) {
+  for (const std::string& item : util::split(list, delims))
+    if (item == word) return true;
+  return false;
+}
+
+bool reads(const Option& o, const Command& c) {
+  return listed(o.commands, c.name, " ");
+}
+
+void usage_row(const std::string& left, const std::string& help) {
+  constexpr int kColumn = 30;
+  if (left.size() < kColumn)
+    std::fprintf(stderr, "  %-*s%s\n", kColumn, left.c_str(), help.c_str());
+  else
+    std::fprintf(stderr, "  %s\n  %*s%s\n", left.c_str(), kColumn, "",
+                 help.c_str());
+}
+
+void usage(const std::string& msg) {
+  if (!msg.empty()) std::fprintf(stderr, "error: %s\n\n", msg.c_str());
+  std::fprintf(stderr,
+               "usage: tsyn_cli <command> [argument] [options]\n\n"
+               "commands:\n");
+  for (const Command& c : kCommands)
+    usage_row(std::string(c.name) + " " + c.synopsis, c.help);
+  std::fprintf(stderr,
+               "\noptions, as --opt VALUE or --opt=VALUE, by the commands "
+               "that read them:\n");
+  const char* group = "";
+  for (const Option& o : kOptions) {
+    if (std::strcmp(o.commands, group) != 0)
+      std::fprintf(stderr, " %s:\n", group = o.commands);
+    const char* value = o.choices ? o.choices : o.value;
+    usage_row(std::string(o.name) + (value ? std::string(" ") + value : ""),
+              std::string(o.help) +
+                  (o.output == Output::kStdout ? " (- = stdout)" : ""));
+  }
+  std::fprintf(stderr,
+               "\nAn output given \"-\" moves the human report to stderr.\n"
+               "Exit codes: 0 success, 1 runtime failure, 2 usage error.\n");
+  std::exit(2);
+}
+
+Args parse_args(int argc, char** argv) {
+  if (argc < 2) usage();
+  Args a;
+  for (const Command& c : kCommands)
+    if (c.name == std::string(argv[1])) a.cmd = &c;
+  if (!a.cmd) usage("unknown command: " + std::string(argv[1]));
+  a.serve = a.cmd->run == cmd_serve;
+  int i = 2;
+  if (a.cmd->positional != Positional::kNone) {
+    if (argc < 3)
+      usage(std::string("missing ") + a.cmd->synopsis + " argument");
+    a.behavior = argv[i++];
+  }
+  for (; i < argc; ++i) {
+    std::string opt = argv[i];
+    if (opt.empty() || opt[0] != '-') {
+      if (a.cmd->positional != Positional::kOneAndWords)
+        usage("unexpected argument: " + opt);
+      a.extras.push_back(opt);
+      continue;
+    }
+    // `--opt=value` is equivalent to `--opt value`.
+    std::optional<std::string> inline_value;
+    if (const std::size_t eq = opt.find('='); eq != std::string::npos) {
+      inline_value = opt.substr(eq + 1);
+      opt.resize(eq);
+    }
+    const Option* o = nullptr;
+    for (const Option& row : kOptions)
+      if (opt == row.name) o = &row;
+    if (!o) usage("unknown option: " + opt);
+    if (!reads(*o, *a.cmd))
+      usage(opt + " is not an option of " + a.cmd->name);
+    if (!o->value && !o->choices) {
+      if (inline_value) usage(opt + " takes no value");
+      if (o->flag) a.*o->flag = true;
+      continue;
+    }
+    if (!inline_value && i + 1 >= argc) usage(opt + " needs a value");
+    const std::string v = inline_value ? *inline_value : argv[++i];
+    if (o->parse) {
+      o->parse(v, &a);
+    } else if (o->number) {
+      a.*o->number = int_arg(opt, v, o->min);
+    } else {
+      if (o->choices && !listed(o->choices, v, "|"))
+        usage(opt + " expects " + o->choices + " (got \"" + v + "\")");
+      a.*o->text = v;
+    }
+  }
+  return a;
+}
+
+/// Refuses two outputs aimed at one path (the second write would silently
+/// win; "-" is one path too, a stream would interleave two documents) and
+/// moves the human report to stderr when an output claims stdout.
+bool claim_outputs(const Args& a) {
+  std::vector<const Option*> outs;
+  for (const Option& o : kOptions)
+    if (o.output != Output::kNone && reads(o, *a.cmd) && !(a.*o.text).empty())
+      outs.push_back(&o);
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    const std::string& path = a.*outs[i]->text;
+    if (path == "-" && outs[i]->output == Output::kStdout) g_report = stderr;
+    for (std::size_t j = i + 1; j < outs.size(); ++j) {
+      if (path != a.*outs[j]->text) continue;
+      std::fprintf(stderr,
+                   "error: %s and %s point at the same output (%s); give "
+                   "them distinct paths\n",
+                   outs[i]->name, outs[j]->name, path.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const Args a = parse_args(argc, argv);
-  if (a.command == "list") {
-    for (const cdfg::Cdfg& g : cdfg::standard_benchmarks())
-      std::fprintf(g_report, "bench:%-8s %3d ops, %2zu states, %zu CDFG loops\n",
-                  g.name().c_str(), g.num_ops(), g.states().size(),
-                  cdfg::cdfg_loops(g).size());
-    return 0;
-  }
-  // Two machine-readable outputs aimed at one path would silently
-  // clobber each other (the second write wins); refuse up front, across
-  // every output flag uniformly — sweep's --timeline/--history included.
-  // "-" is also one path: a stream would interleave two documents.
-  {
-    std::vector<std::pair<const char*, const std::string*>> outs = {
-        {"--trace", &a.trace},
-        {"--metrics", &a.metrics},
-        {"--heartbeat", &a.heartbeat},
-        {"--profile", &a.profile},
-    };
-    if (a.command == "synth") outs.push_back({"--verilog", &a.verilog});
-    if (a.command == "report") {
-      outs.push_back({"--out", &a.out});
-      outs.push_back({"--html", &a.html});
-      outs.push_back({"--dot-rtl", &a.dot_rtl});
-      outs.push_back({"--dot-cdfg", &a.dot_cdfg});
-    }
-    if (a.command == "sweep") {
-      outs.push_back({"--timeline", &a.timeline});
-      outs.push_back({"--history", &a.history});
-    }
-    if (a.command == "history") outs.push_back({"--html", &a.html});
-    if (!reject_output_collisions(outs)) return 2;
-  }
-  // '-' outputs claim stdout; the human report yields to stderr so the
-  // stream a consumer pipes stays pure JSON.
-  if (a.trace == "-" || a.metrics == "-" || a.profile == "-")
-    g_report = stderr;
+  if (!claim_outputs(a)) return 2;
   if (!a.trace.empty()) util::trace_enable();
 
   // Live telemetry: heartbeat stream, sampling profiler, TTY progress,
@@ -1440,8 +1403,8 @@ int main(int argc, char** argv) {
     observe::ServeOptions sopts;
     sopts.addr = a.serve_addr;
     sopts.port = a.serve_port;
-    sopts.command = a.command;
-    sopts.allow_quit = a.command == "serve";  // attached runs end with the run
+    sopts.command = a.cmd->name;
+    sopts.allow_quit = a.cmd->run == cmd_serve;  // attached runs end with it
     sopts.jobs_extra = [] { return campaign::sweep_live_json(); };
     std::string err;
     if (!server.start(sopts, &err)) {
@@ -1478,46 +1441,25 @@ int main(int argc, char** argv) {
   // errors exited 2 in parse_args; telemetry artifacts below still flush.
   int rc = 0;
   try {
-    rc = run_command(a);
+    util::telemetry_set_phase(a.cmd->name);
+    rc = a.cmd->run(a);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     rc = 1;
   }
 
   if (util::telemetry_active()) util::telemetry_stop();
-  if (!a.profile.empty()) {
-    if (write_output(a.profile, profiler.collapsed())) {
-      if (a.profile != "-")
-        std::fprintf(g_report, "profile   : %ld stack samples -> %s\n",
-                     static_cast<long>(profiler.samples()), a.profile.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write profile to %s\n",
-                   a.profile.c_str());
-      return 1;
-    }
-  }
-  if (!a.trace.empty()) {
-    if (write_output(a.trace, util::trace_to_json())) {
-      if (a.trace != "-")
-        std::fprintf(g_report, "trace     : %zu spans -> %s\n",
-                     util::trace_span_count(), a.trace.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write trace to %s\n",
-                   a.trace.c_str());
-      return 1;
-    }
-  }
-  if (!a.metrics.empty()) {
-    if (write_output(a.metrics, util::metrics().to_json() + "\n")) {
-      if (a.metrics != "-")
-        std::fprintf(g_report, "metrics   : written to %s\n",
-                     a.metrics.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                   a.metrics.c_str());
-      return 1;
-    }
-  }
+  if (!a.profile.empty() &&
+      !emit(a.profile, profiler.collapsed(), "profile",
+            std::to_string(profiler.samples()) + " stack samples -> "))
+    return 1;
+  if (!a.trace.empty() &&
+      !emit(a.trace, util::trace_to_json(), "trace",
+            std::to_string(util::trace_span_count()) + " spans -> "))
+    return 1;
+  if (!a.metrics.empty() &&
+      !emit(a.metrics, util::metrics().to_json() + "\n", "metrics"))
+    return 1;
   // The endpoint outlives the artifact writes above on purpose: a scraper
   // can watch the registry through the very last flush. Stop is part of
   // the command's own lifetime — no lingering socket after exit 0.
