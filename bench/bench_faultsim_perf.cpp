@@ -18,14 +18,11 @@
 #include "common.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cdfg/generator.h"
@@ -37,8 +34,6 @@
 #include "gatelevel/widebits.h"
 #include "observe/ledger.h"
 #include "observe/profile.h"
-#include "observe/serve.h"
-#include "util/httpd.h"
 #include "util/telemetry.h"
 #include "util/trace.h"
 
@@ -328,22 +323,14 @@ SeqRow seq_case(const std::string& name, const gl::Netlist& n,
   return row;
 }
 
-struct LedgerRow {
+struct LedgerRow : bench::PairedTiming {
   std::string case_name;
   long events = 0;  ///< ledger events one enabled run records
-  double off_ms = 0, on_ms = 0;
-  double overhead_pct = 0;  ///< median paired difference / best off pass
 };
 
-/// Times one campaign with the fault-lifecycle ledger disabled vs enabled.
-/// Both arms pay the ledger_reset() so the only difference is recording.
-/// The host may slow down for stretches longer than a whole pass, so
-/// independent best-of sampling of the two arms is noise-bound; instead
-/// each repetition times an adjacent off/on pair and the overhead is the
-/// MEDIAN of the paired differences — a host-wide slow phase hits both
-/// halves of a pair and cancels, and the median discards the pairs a
-/// scheduling spike split. The acceptance budget for the observability PR
-/// is <= 5% overhead.
+/// Times one campaign with the fault-lifecycle ledger disabled vs enabled
+/// (bench::paired_overhead). Both arms pay the ledger_reset() so the only
+/// difference is recording. Budget: <= 5% overhead.
 LedgerRow ledger_case(const std::string& name,
                       const std::function<void()>& campaign, int reps_inner,
                       int reps) {
@@ -355,52 +342,32 @@ LedgerRow ledger_case(const std::string& name,
       campaign();
     }
   };
-  double best_off = 1e300, best_on = 1e300;
-  std::vector<double> diffs;
-  for (int t = 0; t < reps; ++t) {
-    // Alternate which arm goes first so a drift within the pair (cache
-    // warmup, a ramping background task) biases half the pairs each way
-    // instead of always charging the second arm.
-    double off, on;
-    if (t % 2 == 0) {
-      observe::ledger_disable();
-      off = time_ms(pass);
-      observe::ledger_enable();
-      on = time_ms(pass);
-    } else {
-      observe::ledger_enable();
-      on = time_ms(pass);
-      observe::ledger_disable();
-      off = time_ms(pass);
-    }
-    best_off = std::min(best_off, off);
-    best_on = std::min(best_on, on);
-    diffs.push_back(on - off);
-  }
+  static_cast<bench::PairedTiming&>(row) = bench::paired_overhead(
+      [&] {
+        observe::ledger_disable();
+        return time_ms(pass);
+      },
+      [&] {
+        observe::ledger_enable();
+        return time_ms(pass);
+      },
+      reps, reps_inner);
   row.events = observe::ledger_event_count();  // one campaign's worth
   observe::ledger_disable();
   observe::ledger_reset();
-  row.off_ms = best_off / reps_inner;
-  row.on_ms = best_on / reps_inner;
-  std::nth_element(diffs.begin(), diffs.begin() + diffs.size() / 2,
-                   diffs.end());
-  const double median_diff = diffs[diffs.size() / 2] / reps_inner;
-  row.overhead_pct = row.off_ms > 0 ? 100.0 * median_diff / row.off_ms : 0;
   return row;
 }
 
-struct ProvRow {
+struct ProvRow : bench::PairedTiming {
   std::string case_name;
   long entries = 0;  ///< nodes the recorded map attributes
-  double off_ms = 0, on_ms = 0;
-  double overhead_pct = 0;  ///< median paired difference / best off pass
 };
 
 /// Times expand + a serial PPSFP pass with provenance recording off vs on.
 /// Recording is a serial side table filled during expansion, so the
 /// overhead is all in the expand half; the PPSFP half is included because
 /// the acceptance budget (<= 2%) is stated over the whole expand+sim
-/// pipeline. Same paired-median protocol as ledger_case.
+/// pipeline.
 ProvRow provenance_case(const std::string& name, const rtl::Datapath& dp,
                         int width, int blocks_count, int reps_inner,
                         int reps) {
@@ -431,36 +398,16 @@ ProvRow provenance_case(const std::string& name, const rtl::Datapath& dp,
                          gl::FaultSimOptions{1});
     }
   };
-  double best_off = 1e300, best_on = 1e300;
-  std::vector<double> diffs;
-  for (int t = 0; t < reps; ++t) {
-    double off, on;
-    if (t % 2 == 0) {
-      off = time_ms([&] { pass(false); });
-      on = time_ms([&] { pass(true); });
-    } else {
-      on = time_ms([&] { pass(true); });
-      off = time_ms([&] { pass(false); });
-    }
-    best_off = std::min(best_off, off);
-    best_on = std::min(best_on, on);
-    diffs.push_back(on - off);
-  }
-  row.off_ms = best_off / reps_inner;
-  row.on_ms = best_on / reps_inner;
-  std::nth_element(diffs.begin(), diffs.begin() + diffs.size() / 2,
-                   diffs.end());
-  const double median_diff = diffs[diffs.size() / 2] / reps_inner;
-  row.overhead_pct = row.off_ms > 0 ? 100.0 * median_diff / row.off_ms : 0;
+  static_cast<bench::PairedTiming&>(row) = bench::paired_overhead(
+      [&] { return time_ms([&] { pass(false); }); },
+      [&] { return time_ms([&] { pass(true); }); }, reps, reps_inner);
   return row;
 }
 
-struct TelemetryRow {
+struct TelemetryRow : bench::PairedTiming {
   std::string case_name;
   long heartbeats = 0;  ///< heartbeat lines one enabled pass streams
   long samples = 0;     ///< profiler stack samples one enabled pass takes
-  double off_ms = 0, on_ms = 0;
-  double overhead_pct = 0;  ///< median paired difference / best off pass
 };
 
 /// Times one campaign with the live-telemetry layer fully off vs fully on
@@ -468,8 +415,7 @@ struct TelemetryRow {
 /// scratch file + the sampling profiler riding the sampler thread). The
 /// session start/stop — thread spawn and join — sits OUTSIDE the timed
 /// region: the budget is on the steady-state cost a long campaign pays,
-/// not the one-time setup. Same paired-median protocol as ledger_case;
-/// the acceptance budget for the telemetry PR is <= 2% overhead.
+/// not the one-time setup. Budget: <= 2% overhead.
 TelemetryRow telemetry_case(const std::string& name,
                             const std::function<void()>& campaign,
                             int reps_inner, int reps) {
@@ -494,137 +440,10 @@ TelemetryRow telemetry_case(const std::string& name,
     row.samples = static_cast<long>(profiler.ticks());
     return on;
   };
-  double best_off = 1e300, best_on = 1e300;
-  std::vector<double> diffs;
-  for (int t = 0; t < reps; ++t) {
-    // Alternate arm order — see ledger_case.
-    double off, on;
-    if (t % 2 == 0) {
-      off = time_ms(pass);
-      on = on_arm();
-    } else {
-      on = on_arm();
-      off = time_ms(pass);
-    }
-    best_off = std::min(best_off, off);
-    best_on = std::min(best_on, on);
-    diffs.push_back(on - off);
-  }
+  static_cast<bench::PairedTiming&>(row) = bench::paired_overhead(
+      [&] { return time_ms(pass); }, on_arm, reps, reps_inner);
   util::progress_reset();
   std::remove(hb_path);
-  row.off_ms = best_off / reps_inner;
-  row.on_ms = best_on / reps_inner;
-  std::nth_element(diffs.begin(), diffs.begin() + diffs.size() / 2,
-                   diffs.end());
-  const double median_diff = diffs[diffs.size() / 2] / reps_inner;
-  row.overhead_pct = row.off_ms > 0 ? 100.0 * median_diff / row.off_ms : 0;
-  return row;
-}
-
-/// Digest of one campaign's results — coverage bits plus the per-fault
-/// detected mask — for serve_case's bit-identical cross-check.
-std::uint64_t result_digest(double coverage, const std::vector<bool>& det) {
-  std::uint64_t d;
-  static_assert(sizeof(d) == sizeof(coverage), "double is 8 bytes");
-  std::memcpy(&d, &coverage, sizeof(d));
-  for (std::size_t i = 0; i < det.size(); ++i)
-    d = (d ^ (det[i] ? i * 2 + 1 : i * 2)) * 1099511628211ull;
-  return d;
-}
-
-struct ServeRow {
-  std::string case_name;
-  long scrapes = 0;  ///< endpoint responses answered during the on passes
-  bool identical = false;  ///< result digest equal across both arms
-  double off_ms = 0, on_ms = 0;
-  double overhead_pct = 0;  ///< median paired difference / best off pass
-};
-
-/// Times one campaign bare vs with the observability endpoint attached
-/// AND actively scraped: an ObservabilityServer on an ephemeral port plus
-/// a client thread cycling through the read endpoints every 25 ms — two
-/// orders of magnitude faster than a default Prometheus scrape_interval,
-/// but throttled, because an unthrottled loopback client measures CPU
-/// contention on small machines, not the endpoint's cost. Server/poller
-/// spawn and join sit OUTSIDE the timed region (same rationale as
-/// telemetry_case: the budget is the steady-state cost a scraped
-/// campaign pays). The campaign returns a digest of its fault-sim
-/// results; `identical` records that the scraped arm produced
-/// bit-identical results — the endpoint observes the workload, it never
-/// steers it. Acceptance budget for the serve PR: <= 2% overhead.
-ServeRow serve_case(const std::string& name,
-                    const std::function<std::uint64_t()>& campaign,
-                    int reps_inner, int reps) {
-  ServeRow row;
-  row.case_name = name;
-  std::uint64_t digest_off = 0, digest_on = 0;
-  const auto pass = [&] {
-    // FNV-1a fold of the per-rep digests, so ordering matters too.
-    std::uint64_t d = 1469598103934665603ull;
-    for (int r = 0; r < reps_inner; ++r) {
-      d ^= campaign();
-      d *= 1099511628211ull;
-    }
-    return d;
-  };
-  const auto off_arm = [&] { return time_ms([&] { digest_off = pass(); }); };
-  const auto on_arm = [&] {
-    observe::ObservabilityServer server;
-    observe::ServeOptions sopts;
-    sopts.port = 0;  // ephemeral — no collision dance across reps
-    sopts.command = "bench";
-    std::string err;
-    if (!server.start(sopts, &err)) {
-      std::fprintf(stderr, "serve bench: %s\n", err.c_str());
-      return time_ms([&] { digest_on = pass(); });
-    }
-    std::atomic<bool> stop{false};
-    std::thread poller([&server, &stop] {
-      static const char* kTargets[] = {"/metrics", "/progress", "/jobs",
-                                       "/healthz", "/"};
-      std::size_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        util::http_get("127.0.0.1", server.port(),
-                       kTargets[i++ % (sizeof(kTargets) / sizeof(*kTargets))]);
-        std::this_thread::sleep_for(std::chrono::milliseconds(25));
-      }
-    });
-    const double on = time_ms([&] { digest_on = pass(); });
-    stop.store(true, std::memory_order_relaxed);
-    poller.join();
-    row.scrapes += static_cast<long>(server.requests());
-    server.stop();
-    // A /profile hit enables span-stack recording process-wide. The
-    // poller never requests one, but force recording off anyway so the
-    // off arms stay bare no matter what the server did.
-    util::trace_stacks_disable();
-    return on;
-  };
-  double best_off = 1e300, best_on = 1e300;
-  std::vector<double> diffs;
-  row.identical = true;
-  for (int t = 0; t < reps; ++t) {
-    // Alternate arm order — see ledger_case.
-    double off, on;
-    if (t % 2 == 0) {
-      off = off_arm();
-      on = on_arm();
-    } else {
-      on = on_arm();
-      off = off_arm();
-    }
-    if (digest_on != digest_off) row.identical = false;
-    best_off = std::min(best_off, off);
-    best_on = std::min(best_on, on);
-    diffs.push_back(on - off);
-  }
-  util::progress_reset();
-  row.off_ms = best_off / reps_inner;
-  row.on_ms = best_on / reps_inner;
-  std::nth_element(diffs.begin(), diffs.begin() + diffs.size() / 2,
-                   diffs.end());
-  const double median_diff = diffs[diffs.size() / 2] / reps_inner;
-  row.overhead_pct = row.off_ms > 0 ? 100.0 * median_diff / row.off_ms : 0;
   return row;
 }
 
@@ -739,8 +558,8 @@ void write_json(const std::vector<PpsfpRow>& ppsfp,
                 const std::vector<SoaCase>& soa,
                 const std::vector<LedgerRow>& ledger,
                 const std::vector<ProvRow>& prov,
-                const std::vector<TelemetryRow>& telemetry,
-                const std::vector<ServeRow>& serve, int hw, int used) {
+                const std::vector<TelemetryRow>& telemetry, int hw,
+                int used) {
   FILE* f = std::fopen("BENCH_faultsim.json", "w");
   if (!f) {
     std::fprintf(stderr, "cannot write BENCH_faultsim.json\n");
@@ -840,17 +659,6 @@ void write_json(const std::vector<PpsfpRow>& ppsfp,
                  r.case_name.c_str(), r.heartbeats, r.samples, r.off_ms,
                  r.on_ms, r.overhead_pct,
                  i + 1 < telemetry.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"serve\": [\n");
-  for (std::size_t i = 0; i < serve.size(); ++i) {
-    const ServeRow& r = serve[i];
-    std::fprintf(f,
-                 "    {\"case\": \"%s\", \"scrapes\": %ld, "
-                 "\"identical\": %s, \"off_ms\": %.3f, \"on_ms\": %.3f, "
-                 "\"overhead_pct\": %.2f}%s\n",
-                 r.case_name.c_str(), r.scrapes,
-                 r.identical ? "true" : "false", r.off_ms, r.on_ms,
-                 r.overhead_pct, i + 1 < serve.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  ");
   bench::write_metrics_field(f);
@@ -1072,55 +880,7 @@ int main() {
                 util::fmt(r.overhead_pct, 1) + "%"});
   bench::print_table(xt);
 
-  // Observability-endpoint cost under active scraping: the same two
-  // engine shapes, bare vs served on an ephemeral port with a client
-  // hammering the read endpoints for the whole pass. Each row also
-  // cross-checks that the scraped arm's coverage and detected mask are
-  // bit-identical to the bare arm's (budget: <= 2%).
-  std::vector<ServeRow> serve;
-  {
-    const gl::Netlist n = scan_netlist(cdfg::diffeq(), 8);
-    const auto faults = gl::enumerate_faults(n);
-    const auto blocks = gl::lfsr_pattern_blocks(
-        static_cast<int>(n.primary_inputs().size()), 8, 0x5EED);
-    serve.push_back(serve_case(
-        "diffeq_scan_w8_ppsfp",
-        [&]() -> std::uint64_t {
-          std::vector<bool> detected;
-          const double cov = gl::fault_coverage(n, blocks, faults, &detected,
-                                                gl::FaultSimOptions{1});
-          return result_digest(cov, detected);
-        },
-        /*reps_inner=*/16, /*reps=*/15));
-  }
-  {
-    const gl::Netlist n = seq_netlist(cdfg::diffeq(), 4);
-    const auto faults = gl::enumerate_faults(n);
-    const auto frames = gl::lfsr_pattern_blocks(
-        static_cast<int>(n.primary_inputs().size()), 32, 0xFACE);
-    serve.push_back(serve_case(
-        "diffeq_noscan_w4_seq",
-        [&]() -> std::uint64_t {
-          const std::vector<bool> detected = gl::sequential_fault_sim(
-              n, frames, faults, gl::FaultSimOptions{1});
-          const long hits =
-              std::count(detected.begin(), detected.end(), true);
-          return result_digest(static_cast<double>(hits), detected);
-        },
-        /*reps_inner=*/4, /*reps=*/15));
-  }
-
-  util::Table et({"case", "scrapes", "identical", "serve off ms",
-                  "serve on ms", "overhead"});
-  for (const ServeRow& r : serve)
-    et.add_row({r.case_name, std::to_string(r.scrapes),
-                r.identical ? "yes" : "NO", util::fmt(r.off_ms, 2),
-                util::fmt(r.on_ms, 2), util::fmt(r.overhead_pct, 1) + "%"});
-  bench::print_table(et);
-  for (const ServeRow& r : serve)
-    if (!r.identical) report_mismatch(r.case_name + " served vs bare result");
-
-  write_json(ppsfp, seq, soa, ledger, prov, telemetry, serve, hw, hw);
+  write_json(ppsfp, seq, soa, ledger, prov, telemetry, hw, hw);
   std::printf(
       "Wrote BENCH_faultsim.json. Shape check: PPSFP speedup should track "
       "the\nhardware thread count (>= 3x on >= 4 cores, skipped on 1 core); "
@@ -1129,9 +889,7 @@ int main() {
       "matrix speedup over 64\nlanes should reach >= 3x on the largest "
       "netlist; ledger recording overhead\nshould stay within 5%%; "
       "provenance recording within 2%%; live telemetry\n(heartbeats + "
-      "stacks + sampler) within 2%%; the scraped observability\nendpoint "
-      "within 2%% with every serve row identical=yes. Any result\nmismatch "
-      "exits 1.\n");
+      "stacks + sampler) within 2%%. Any result mismatch exits 1.\n");
   if (g_mismatches > 0) {
     std::fprintf(stderr, "FAIL: %d result mismatch(es), see above\n",
                  g_mismatches);

@@ -26,7 +26,9 @@ void add_row(util::Table& table, const cdfg::Cdfg& g,
   // Scan registers the flow commits to (CDFG loop breaking), plus whatever
   // the RTL still needs on top (MFVS over the scan-excluded S-graph).
   // Plain RTL MFVS on the same datapath is always available as a fallback;
-  // a designer takes whichever allocation is smaller.
+  // a designer takes whichever allocation is smaller. Both MFVS figures
+  // come from graph::greedy_mfvs, an upper bound on the minimum, not the
+  // optimum.
   const auto plain = graph::greedy_mfvs(rtl::build_sgraph(rtl.datapath),
                                         {.ignore_self_loops = true});
   const int committed =

@@ -2,8 +2,10 @@
 // resource allocations used throughout, and small helpers for reporting.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,51 @@ inline void print_header(const std::string& exp_id,
 inline void print_table(const util::Table& t) {
   std::fputs(t.to_string().c_str(), stdout);
   std::fputs("\n", stdout);
+}
+
+/// Per-campaign cost of one instrumentation layer, off vs on.
+struct PairedTiming {
+  double off_ms = 0, on_ms = 0;  ///< best pass of each arm
+  double overhead_pct = 0;  ///< median paired difference / best off pass
+};
+
+/// The paired off/on overhead protocol. The host may slow down for
+/// stretches longer than a whole pass, so independent best-of sampling of
+/// the two arms is noise-bound; instead each of `reps` repetitions times
+/// an adjacent off/on pair and the overhead is the MEDIAN of the paired
+/// differences — a host-wide slow phase hits both halves of a pair and
+/// cancels, and the median discards the pairs a scheduling spike split.
+/// The arm order alternates so a drift within the pair (cache warmup, a
+/// ramping background task) biases half the pairs each way instead of
+/// always charging the second arm. `off` and `on` each run one pass of
+/// `reps_inner` campaigns and return its wall ms, so an arm's setup can
+/// stay outside its timed region; the result is per campaign.
+inline PairedTiming paired_overhead(const std::function<double()>& off,
+                                    const std::function<double()>& on,
+                                    int reps, int reps_inner) {
+  double best_off = 1e300, best_on = 1e300;
+  std::vector<double> diffs;
+  for (int t = 0; t < reps; ++t) {
+    double off_ms, on_ms;
+    if (t % 2 == 0) {
+      off_ms = off();
+      on_ms = on();
+    } else {
+      on_ms = on();
+      off_ms = off();
+    }
+    best_off = std::min(best_off, off_ms);
+    best_on = std::min(best_on, on_ms);
+    diffs.push_back(on_ms - off_ms);
+  }
+  PairedTiming p;
+  p.off_ms = best_off / reps_inner;
+  p.on_ms = best_on / reps_inner;
+  std::nth_element(diffs.begin(), diffs.begin() + diffs.size() / 2,
+                   diffs.end());
+  const double median_diff = diffs[diffs.size() / 2] / reps_inner;
+  p.overhead_pct = p.off_ms > 0 ? 100.0 * median_diff / p.off_ms : 0;
+  return p;
 }
 
 /// Version of the BENCH_*.json layout contract. Bump when any bench

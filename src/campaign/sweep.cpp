@@ -366,75 +366,6 @@ JobResult run_one_job(const JobSpec& spec, const Manifest& m,
 }
 
 // ---------------------------------------------------------------------------
-// Live sweep rollup (observability endpoint)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// What the /jobs endpoint can ask about a sweep mid-flight. The cache
-/// pointer stays valid for the published window (RAII scope below);
-/// StageCache::stats() is atomics-only, so concurrent reads are safe.
-struct SweepLive {
-  std::mutex mu;
-  bool active = false;
-  std::string manifest_hash;
-  std::int64_t grid = 0;
-  std::int64_t journal_hits = 0;
-  std::int64_t to_run = 0;
-  const StageCache* cache = nullptr;
-};
-
-SweepLive& sweep_live() {
-  static SweepLive* s = new SweepLive();  // never dtor'd
-  return *s;
-}
-
-/// Publishes the in-flight sweep for sweep_live_json(); clears on scope
-/// exit (normal completion or a thrown SweepError alike).
-class SweepLiveScope {
- public:
-  SweepLiveScope(const std::string& manifest_hash, std::int64_t grid,
-                 std::int64_t journal_hits, std::int64_t to_run,
-                 const StageCache* cache) {
-    SweepLive& s = sweep_live();
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.active = true;
-    s.manifest_hash = manifest_hash;
-    s.grid = grid;
-    s.journal_hits = journal_hits;
-    s.to_run = to_run;
-    s.cache = cache;
-  }
-  ~SweepLiveScope() {
-    SweepLive& s = sweep_live();
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.active = false;
-    s.cache = nullptr;
-  }
-};
-
-}  // namespace
-
-std::string sweep_live_json() {
-  SweepLive& s = sweep_live();
-  std::lock_guard<std::mutex> lk(s.mu);
-  if (!s.active) return "";
-  const CacheStats c = s.cache ? s.cache->stats() : CacheStats{};
-  char buf[320];
-  std::snprintf(buf, sizeof buf,
-                "{\"manifest\":\"%s\",\"grid\":%lld,\"journal_hits\":%lld,"
-                "\"to_run\":%lld,\"cache\":{\"hits\":%lld,\"misses\":%lld,"
-                "\"coalesced\":%lld}}",
-                s.manifest_hash.c_str(), static_cast<long long>(s.grid),
-                static_cast<long long>(s.journal_hits),
-                static_cast<long long>(s.to_run),
-                static_cast<long long>(c.hits()),
-                static_cast<long long>(c.misses()),
-                static_cast<long long>(c.coalesced()));
-  return buf;
-}
-
-// ---------------------------------------------------------------------------
 // The sweep
 // ---------------------------------------------------------------------------
 
@@ -550,12 +481,6 @@ SweepSummary run_sweep(const Manifest& m, const SweepOptions& opts) {
              grid.size(), grid.size() - pending.size(), pending.size());
 
   StageCache cache;
-  // Declared after `cache` so the live view unpublishes before the cache
-  // it points at dies.
-  SweepLiveScope live(summary.manifest_hash,
-                      static_cast<std::int64_t>(grid.size()),
-                      summary.journal_hits,
-                      static_cast<std::int64_t>(pending.size()), &cache);
   std::mutex io_mu;
   std::vector<JobSpan> timeline;
   const bool want_timeline = !opts.timeline_path.empty();

@@ -117,16 +117,8 @@ class SweepError : public std::runtime_error {
 };
 
 /// Runs the sweep. Progress is published on the "sweep.jobs" counter and
-/// heartbeat phase labels while jobs are in flight (PR-7 telemetry).
+/// heartbeat phase labels while jobs are in flight (util/telemetry.h).
 SweepSummary run_sweep(const Manifest& m, const SweepOptions& opts);
-
-/// Live rollup of the sweep currently in flight in this process, as a
-/// compact JSON object: manifest hash, grid size, journal hits, jobs to
-/// run, and the stage cache's hit/miss/coalesced totals so far. Returns
-/// "" when no sweep is running. This is what the observability
-/// endpoint's /jobs embeds as its "sweep" block — the accessor lives
-/// here (not in observe/) so the serve layer stays below campaign.
-std::string sweep_live_json();
 
 /// The deterministic grid index ("schema": 2, bench_diff-compatible; rows
 /// keyed by "case" so fleet-wide diffs match jobs by id).

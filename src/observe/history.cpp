@@ -504,7 +504,7 @@ std::vector<HistoryOutlier> history_outliers(const History& h,
 namespace {
 
 // Escaping, palette, and sparklines come from observe/sparkline.h —
-// shared with the live endpoint's dashboard.
+// shared with the HTML run report.
 constexpr const char* kBlue = kSparkBlue;
 constexpr const char* kOrange = kSparkOrange;
 constexpr const char* kRed = kSparkRed;

@@ -1,10 +1,10 @@
 // Shared inline-SVG sparkline + HTML-escaping helpers.
 //
-// Factored out of the history dashboard (history.cpp) so the live
-// observability endpoint's dashboard draws the same sparklines from the
-// same code instead of a drifting copy. Everything here emits
-// self-contained markup — no scripts, no external references — which
-// both dashboards' self-containment checks rely on.
+// Shared by the history dashboard (history.cpp), which draws the
+// sparklines, and the HTML run report (report.cpp), which escapes through
+// html_escape. Everything here emits self-contained markup — no scripts,
+// no external references — which both pages' self-containment checks
+// rely on.
 #pragma once
 
 #include <ostream>

@@ -64,8 +64,8 @@ TEST_F(Cli, ExitCodes) {
   EXPECT_EQ(code("analyze bench:diffeq stray"), 2);
   EXPECT_EQ(code("list extra"), 2);
   EXPECT_EQ(code("list --progress"), 2);
-  EXPECT_EQ(code("atpg bench:diffeq --serve x"), 2);
-  EXPECT_EQ(code("atpg bench:diffeq --serve 65536"), 2);
+  EXPECT_EQ(code("serve"), 2);
+  EXPECT_EQ(code("atpg bench:diffeq --serve 0"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --log-level loud"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --heartbeat hb.jsonl:0"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --progress=yes"), 2);
@@ -130,11 +130,11 @@ TEST_F(Cli, UsageNamesEveryCommandAndOption) {
   EXPECT_EQ(r.code, 2);
   for (const char* word :
        {"synth", "analyze", "bist", "atpg", "report", "explain", "sweep",
-        "history", "serve", "list", "--alu", "--mul", "--steps", "--scan",
+        "history", "list", "--alu", "--mul", "--steps", "--scan",
         "--loop-avoid", "--verilog", "--arch", "--trace", "--metrics",
         "--compact", "--xfill", "--width", "--out", "--html", "--dot-rtl",
         "--dot-cdfg", "--fault", "--undetected", "--heartbeat", "--profile",
-        "--progress", "--watchdog", "--log-level", "--serve", "--out-dir",
+        "--progress", "--watchdog", "--log-level", "--out-dir",
         "--threads", "--resume", "--max-jobs", "--baseline", "--timeline",
         "--history", "--key", "--last", "--json", "--gate", "--no-time"})
     EXPECT_NE(r.out.find(std::string(" ") + word + " "), std::string::npos)

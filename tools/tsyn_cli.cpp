@@ -2,9 +2,8 @@
 // benchmark (bench:NAME) or a .cdfg file — synthesis with scan selection
 // and loop avoidance (synth), behavioral analysis (analyze), self-testable
 // architectures (bist), full-scan ATPG with test-set compaction (atpg),
-// the consolidated run report (report, explain), manifest sweeps (sweep),
-// the cross-run history store (history) and the live observability
-// endpoint (serve).
+// the consolidated run report (report, explain), manifest sweeps (sweep)
+// and the cross-run history store (history).
 //
 // Every command and every option is declared once, in kCommands and
 // kOptions below. Parsing, range and enum checks, the usage text (run
@@ -60,8 +59,6 @@
 #include "testability/loop_avoid.h"
 #include "testability/scan_select.h"
 #include "observe/profile.h"
-#include "observe/serve.h"
-#include "util/httpd.h"
 #include "util/json.h"
 #include "util/log.h"
 #include "util/metrics.h"
@@ -82,10 +79,6 @@ FILE* g_report = stdout;
 /// Set while --profile is active, so cmd_report can fold the top self-time
 /// table into the run report.
 observe::Profiler* g_profiler = nullptr;
-
-/// Set while --serve is active (or the serve command runs), so the
-/// crash-flush path can take the endpoint down with the process.
-observe::ObservabilityServer* g_server = nullptr;
 
 /// Prints `msg` (if any) and the usage text from the tables; exit 2.
 [[noreturn]] void usage(const std::string& msg = "");
@@ -121,10 +114,6 @@ struct Args {
   std::string profile;
   bool progress = false;
   int watchdog_ms = 0;  ///< 0 = stall watchdog off
-  // Observability endpoint (--serve, and the serve command's defaults).
-  bool serve = false;
-  std::string serve_addr = "127.0.0.1";
-  int serve_port = 0;  ///< 0 = kernel-assigned ephemeral port
   // sweep.
   std::string out_dir = "results";
   int threads = 0;  ///< 0 = shared pool width
@@ -993,18 +982,6 @@ int cmd_history(const Args& a) {
   return rc;
 }
 
-/// The standalone daemon (`tsyn_cli serve`): the observability endpoint
-/// with nothing attached, the `tsyn_serve` skeleton from the ROADMAP.
-/// main() already started the server (g_server); this just parks until a
-/// client asks it to leave via GET /quitz or a signal takes the process
-/// down (the crash-flush path stops the server either way).
-int cmd_serve(const Args&) {
-  if (!g_server) return 1;  // unreachable: main() starts it or exits
-  std::fprintf(g_report, "serve     : GET /quitz (or SIGINT/SIGTERM) stops\n");
-  g_server->wait_for_quit();
-  return 0;
-}
-
 int cmd_list(const Args&) {
   for (const cdfg::Cdfg& g : cdfg::standard_benchmarks())
     std::fprintf(g_report, "bench:%-8s %3d ops, %2zu states, %zu CDFG loops\n",
@@ -1052,9 +1029,6 @@ const Command kCommands[] = {
     {"history", Positional::kOneAndWords,
      "<dir> [trend|diff [BASE [NEW]]|outliers|ingest FILE...]",
      "query or feed the run-history store (docs/history.md)", cmd_history},
-    {"serve", Positional::kNone, "",
-     "observability endpoint alone, until GET /quitz or SIGINT/TERM",
-     cmd_serve},
     {"list", Positional::kNone, "", "list the built-in benchmarks", cmd_list},
 };
 
@@ -1113,14 +1087,6 @@ void parse_heartbeat(const std::string& v, Args* a) {
   a->heartbeat_ms = int_arg("--heartbeat :MS", ms, 1);
 }
 
-/// --serve [ADDR:]PORT, checked by the same parser the server binds with.
-void parse_serve(const std::string& v, Args* a) {
-  if (!util::parse_serve_spec(v, &a->serve_addr, &a->serve_port))
-    usage("--serve expects [ADDR:]PORT, PORT in [0, 65535], ADDR an IPv4 "
-          "literal (got \"" + v + "\")");
-  a->serve = true;
-}
-
 void parse_log_level(const std::string& v, Args*) {
   util::LogLevel level;
   if (!util::parse_log_level(v, &level))
@@ -1129,7 +1095,7 @@ void parse_log_level(const std::string& v, Args*) {
 }
 
 constexpr const char* kEvery =
-    "synth analyze bist atpg report explain sweep history serve";
+    "synth analyze bist atpg report explain sweep history";
 constexpr const char* kSynthesizes = "synth bist atpg report explain";
 constexpr const char* kFullScan = "atpg report explain";
 
@@ -1157,10 +1123,6 @@ const Option kOptions[] = {
     {.name = "--log-level", .value = "LEVEL", .commands = kEvery,
      .help = "error|warn|info|debug (default warn)",
      .parse = parse_log_level},
-    {.name = "--serve", .value = "[ADDR:]PORT", .commands = kEvery,
-     .help = "live /metrics, /progress, /jobs, /profile and dashboard "
-             "(PORT 0 = ephemeral)",
-     .parse = parse_serve},
     {.name = "--alu", .value = "N", .commands = kSynthesizes,
      .help = "ALUs to allocate (default 2)", .number = &Args::alu, .min = 1},
     {.name = "--mul", .value = "N", .commands = kSynthesizes,
@@ -1293,7 +1255,6 @@ Args parse_args(int argc, char** argv) {
   for (const Command& c : kCommands)
     if (c.name == std::string(argv[1])) a.cmd = &c;
   if (!a.cmd) usage("unknown command: " + std::string(argv[1]));
-  a.serve = a.cmd->run == cmd_serve;
   int i = 2;
   if (a.cmd->positional != Positional::kNone) {
     if (argc < 3)
@@ -1395,35 +1356,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // Live observability endpoint: started before the workload so the very
-  // first pattern is already scrapeable, bound port announced on stderr
-  // ("serving on ADDR:PORT") so callers of --serve 0 can find it.
-  static observe::ObservabilityServer server;
-  if (a.serve) {
-    observe::ServeOptions sopts;
-    sopts.addr = a.serve_addr;
-    sopts.port = a.serve_port;
-    sopts.command = a.cmd->name;
-    sopts.allow_quit = a.cmd->run == cmd_serve;  // attached runs end with it
-    sopts.jobs_extra = [] { return campaign::sweep_live_json(); };
-    std::string err;
-    if (!server.start(sopts, &err)) {
-      std::fprintf(stderr, "error: cannot start observability server: %s\n",
-                   err.c_str());
-      if (util::telemetry_active()) util::telemetry_stop();
-      return 1;
-    }
-    g_server = &server;
-    std::fprintf(stderr, "serving on %s:%d\n", server.address().c_str(),
-                 server.port());
-    std::fflush(stderr);
-  }
   // Make --trace/--metrics/--profile artifacts survive a crash, a watchdog
   // abort, or an operator Ctrl-C: best-effort flush of whatever was
-  // collected so far — and take the endpoint's socket down with the
-  // process. The normal shutdown path below disarms this.
-  if (!a.trace.empty() || !a.metrics.empty() || !a.profile.empty() ||
-      g_server) {
+  // collected so far. The normal shutdown path below disarms this.
+  if (!a.trace.empty() || !a.metrics.empty() || !a.profile.empty()) {
     const std::string trace_path = a.trace, metrics_path = a.metrics,
                       profile_path = a.profile;
     util::install_crash_flush([trace_path, metrics_path, profile_path] {
@@ -1432,7 +1368,6 @@ int main(int argc, char** argv) {
         write_output(metrics_path, util::metrics().to_json() + "\n");
       if (!profile_path.empty() && g_profiler)
         write_output(profile_path, g_profiler->collapsed());
-      if (g_server) g_server->stop();
     });
   }
 
@@ -1460,15 +1395,6 @@ int main(int argc, char** argv) {
   if (!a.metrics.empty() &&
       !emit(a.metrics, util::metrics().to_json() + "\n", "metrics"))
     return 1;
-  // The endpoint outlives the artifact writes above on purpose: a scraper
-  // can watch the registry through the very last flush. Stop is part of
-  // the command's own lifetime — no lingering socket after exit 0.
-  if (g_server) {
-    const long long served = g_server->requests();
-    g_server->stop();
-    std::fprintf(g_report, "serve     : %lld request(s) served on %s:%d\n",
-                 served, a.serve_addr.c_str(), server.port());
-  }
   util::disarm_crash_flush();
   return rc;
 }
