@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -404,10 +405,16 @@ ProvRow provenance_case(const std::string& name, const rtl::Datapath& dp,
   return row;
 }
 
+/// The fewest heartbeats a telemetry row's on pass must stream (at 25 ms
+/// intervals) for its overhead to price a sampler that actually fires.
+constexpr long kMinHeartbeats = 4;
+
 struct TelemetryRow : bench::PairedTiming {
   std::string case_name;
-  long heartbeats = 0;  ///< heartbeat lines one enabled pass streams
-  long samples = 0;     ///< profiler stack samples one enabled pass takes
+  long heartbeats = 0;  ///< fewest heartbeat lines any enabled pass streamed
+  long samples = 0;     ///< profiler stack samples of that pass
+
+  bool sampled() const { return heartbeats >= kMinHeartbeats; }
 };
 
 /// Times one campaign with the live-telemetry layer fully off vs fully on
@@ -415,12 +422,16 @@ struct TelemetryRow : bench::PairedTiming {
 /// scratch file + the sampling profiler riding the sampler thread). The
 /// session start/stop — thread spawn and join — sits OUTSIDE the timed
 /// region: the budget is on the steady-state cost a long campaign pays,
-/// not the one-time setup. Budget: <= 2% overhead.
+/// not the one-time setup. `reps_inner` must make a pass span several
+/// heartbeat intervals; a row whose on pass streamed fewer than
+/// kMinHeartbeats is not a measurement (sampled() is false). Budget: <= 2%
+/// overhead.
 TelemetryRow telemetry_case(const std::string& name,
                             const std::function<void()>& campaign,
                             int reps_inner, int reps) {
   TelemetryRow row;
   row.case_name = name;
+  row.heartbeats = std::numeric_limits<long>::max();
   const char* hb_path = "bench_telemetry_scratch.jsonl";
   const auto pass = [&] {
     for (int r = 0; r < reps_inner; ++r) campaign();
@@ -436,8 +447,11 @@ TelemetryRow telemetry_case(const std::string& name,
     const double on = time_ms(pass);
     util::telemetry_stop();
     util::trace_stacks_disable();
-    row.heartbeats = util::telemetry_heartbeat_count();
-    row.samples = static_cast<long>(profiler.ticks());
+    const long heartbeats = util::telemetry_heartbeat_count();
+    if (heartbeats < row.heartbeats) {
+      row.heartbeats = heartbeats;
+      row.samples = static_cast<long>(profiler.ticks());
+    }
     return on;
   };
   static_cast<bench::PairedTiming&>(row) = bench::paired_overhead(
@@ -635,9 +649,10 @@ void write_json(const std::vector<PpsfpRow>& ppsfp,
     std::fprintf(f,
                  "    {\"case\": \"%s\", \"events\": %ld, "
                  "\"off_ms\": %.3f, \"on_ms\": %.3f, "
-                 "\"overhead_pct\": %.2f}%s\n",
+                 "\"overhead_pct\": %.2f, \"overhead_iqr_pct\": %.2f}%s\n",
                  r.case_name.c_str(), r.events, r.off_ms, r.on_ms,
-                 r.overhead_pct, i + 1 < ledger.size() ? "," : "");
+                 r.overhead_pct, r.overhead_iqr_pct,
+                 i + 1 < ledger.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"provenance\": [\n");
   for (std::size_t i = 0; i < prov.size(); ++i) {
@@ -645,19 +660,26 @@ void write_json(const std::vector<PpsfpRow>& ppsfp,
     std::fprintf(f,
                  "    {\"case\": \"%s\", \"entries\": %ld, "
                  "\"off_ms\": %.3f, \"on_ms\": %.3f, "
-                 "\"overhead_pct\": %.2f}%s\n",
+                 "\"overhead_pct\": %.2f, \"overhead_iqr_pct\": %.2f}%s\n",
                  r.case_name.c_str(), r.entries, r.off_ms, r.on_ms,
-                 r.overhead_pct, i + 1 < prov.size() ? "," : "");
+                 r.overhead_pct, r.overhead_iqr_pct,
+                 i + 1 < prov.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"telemetry\": [\n");
   for (std::size_t i = 0; i < telemetry.size(); ++i) {
     const TelemetryRow& r = telemetry[i];
+    // An unsampled row's overhead is not a measurement: null, like a
+    // skipped parallel time.
+    const auto pct = [&](double v) {
+      return r.sampled() ? util::fmt(v, 2) : std::string("null");
+    };
     std::fprintf(f,
                  "    {\"case\": \"%s\", \"heartbeats\": %ld, "
                  "\"samples\": %ld, \"off_ms\": %.3f, \"on_ms\": %.3f, "
-                 "\"overhead_pct\": %.2f}%s\n",
+                 "\"overhead_pct\": %s, \"overhead_iqr_pct\": %s}%s\n",
                  r.case_name.c_str(), r.heartbeats, r.samples, r.off_ms,
-                 r.on_ms, r.overhead_pct,
+                 r.on_ms, pct(r.overhead_pct).c_str(),
+                 pct(r.overhead_iqr_pct).c_str(),
                  i + 1 < telemetry.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  ");
@@ -808,11 +830,12 @@ int main() {
   }
 
   util::Table lt({"case", "events", "ledger off ms", "ledger on ms",
-                  "overhead"});
+                  "overhead", "IQR"});
   for (const LedgerRow& r : ledger)
     lt.add_row({r.case_name, std::to_string(r.events),
                 util::fmt(r.off_ms, 2), util::fmt(r.on_ms, 2),
-                util::fmt(r.overhead_pct, 1) + "%"});
+                util::fmt(r.overhead_pct, 1) + "%",
+                util::fmt(r.overhead_iqr_pct, 1) + "%"});
   bench::print_table(lt);
 
   // Provenance recording cost over the full expand + serial-PPSFP
@@ -834,16 +857,19 @@ int main() {
   }
 
   util::Table vt({"case", "entries", "record off ms", "record on ms",
-                  "overhead"});
+                  "overhead", "IQR"});
   for (const ProvRow& r : prov)
     vt.add_row({r.case_name, std::to_string(r.entries),
                 util::fmt(r.off_ms, 2), util::fmt(r.on_ms, 2),
-                util::fmt(r.overhead_pct, 1) + "%"});
+                util::fmt(r.overhead_pct, 1) + "%",
+                util::fmt(r.overhead_iqr_pct, 1) + "%"});
   bench::print_table(vt);
 
   // Live-telemetry cost on the same two engine shapes: heartbeat
   // streaming + progress counters + live span stacks + the sampling
-  // profiler, all running, vs everything off (budget: <= 2%).
+  // profiler, all running, vs everything off (budget: <= 2%). One
+  // campaign takes 3-5 ms on a 4-vCPU AVX-512 host, so a pass of 64 spans
+  // about eight heartbeat intervals.
   std::vector<TelemetryRow> telemetry;
   {
     const gl::Netlist n = scan_netlist(cdfg::diffeq(), 8);
@@ -856,7 +882,7 @@ int main() {
           gl::fault_coverage(n, blocks, faults, nullptr,
                              gl::FaultSimOptions{1});
         },
-        /*reps_inner=*/4, /*reps=*/15));
+        /*reps_inner=*/64, /*reps=*/15));
   }
   {
     const gl::Netlist n = seq_netlist(cdfg::diffeq(), 4);
@@ -868,16 +894,26 @@ int main() {
         [&] {
           gl::sequential_fault_sim(n, frames, faults, gl::FaultSimOptions{1});
         },
-        /*reps_inner=*/1, /*reps=*/15));
+        /*reps_inner=*/64, /*reps=*/15));
   }
 
   util::Table xt({"case", "heartbeats", "samples", "telemetry off ms",
-                  "telemetry on ms", "overhead"});
-  for (const TelemetryRow& r : telemetry)
+                  "telemetry on ms", "overhead", "IQR"});
+  int unsampled = 0;
+  for (const TelemetryRow& r : telemetry) {
     xt.add_row({r.case_name, std::to_string(r.heartbeats),
                 std::to_string(r.samples), util::fmt(r.off_ms, 2),
                 util::fmt(r.on_ms, 2),
-                util::fmt(r.overhead_pct, 1) + "%"});
+                r.sampled() ? util::fmt(r.overhead_pct, 1) + "%" : "FAIL",
+                r.sampled() ? util::fmt(r.overhead_iqr_pct, 1) + "%" : "-"});
+    if (!r.sampled()) {
+      ++unsampled;
+      std::fprintf(stderr,
+                   "SHAPE: telemetry %s streamed %ld heartbeat(s) per on "
+                   "pass, fewer than %ld: too few to price the sampler\n",
+                   r.case_name.c_str(), r.heartbeats, kMinHeartbeats);
+    }
+  }
   bench::print_table(xt);
 
   write_json(ppsfp, seq, soa, ledger, prov, telemetry, hw, hw);
@@ -889,10 +925,16 @@ int main() {
       "matrix speedup over 64\nlanes should reach >= 3x on the largest "
       "netlist; ledger recording overhead\nshould stay within 5%%; "
       "provenance recording within 2%%; live telemetry\n(heartbeats + "
-      "stacks + sampler) within 2%%. Any result mismatch exits 1.\n");
-  if (g_mismatches > 0) {
-    std::fprintf(stderr, "FAIL: %d result mismatch(es), see above\n",
-                 g_mismatches);
+      "stacks + sampler) within 2%%, over on passes that stream >= %ld\n"
+      "heartbeats. An overhead meets or misses its budget only when its "
+      "distance\nto the budget exceeds its IQR. Any result mismatch or "
+      "unsampled telemetry\nrow exits 1.\n",
+      kMinHeartbeats);
+  if (g_mismatches > 0 || unsampled > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %d result mismatch(es), %d unsampled telemetry "
+                 "row(s), see above\n",
+                 g_mismatches, unsampled);
     return 1;
   }
   return 0;

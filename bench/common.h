@@ -43,6 +43,9 @@ inline void print_table(const util::Table& t) {
 struct PairedTiming {
   double off_ms = 0, on_ms = 0;  ///< best pass of each arm
   double overhead_pct = 0;  ///< median paired difference / best off pass
+  /// Interquartile range of the paired differences / best off pass: the
+  /// spread a budget verdict on overhead_pct has to clear.
+  double overhead_iqr_pct = 0;
 };
 
 /// The paired off/on overhead protocol. The host may slow down for
@@ -55,7 +58,8 @@ struct PairedTiming {
 /// ramping background task) biases half the pairs each way instead of
 /// always charging the second arm. `off` and `on` each run one pass of
 /// `reps_inner` campaigns and return its wall ms, so an arm's setup can
-/// stay outside its timed region; the result is per campaign.
+/// stay outside its timed region; the result is per campaign. Quartiles
+/// are nearest-rank over the sorted differences.
 inline PairedTiming paired_overhead(const std::function<double()>& off,
                                     const std::function<double()>& on,
                                     int reps, int reps_inner) {
@@ -77,10 +81,13 @@ inline PairedTiming paired_overhead(const std::function<double()>& off,
   PairedTiming p;
   p.off_ms = best_off / reps_inner;
   p.on_ms = best_on / reps_inner;
-  std::nth_element(diffs.begin(), diffs.begin() + diffs.size() / 2,
-                   diffs.end());
-  const double median_diff = diffs[diffs.size() / 2] / reps_inner;
-  p.overhead_pct = p.off_ms > 0 ? 100.0 * median_diff / p.off_ms : 0;
+  std::sort(diffs.begin(), diffs.end());
+  const std::size_t n = diffs.size();
+  const auto pct = [&](double diff) {
+    return p.off_ms > 0 ? 100.0 * diff / reps_inner / p.off_ms : 0;
+  };
+  p.overhead_pct = pct(diffs[n / 2]);
+  p.overhead_iqr_pct = pct(diffs[3 * n / 4] - diffs[n / 4]);
   return p;
 }
 

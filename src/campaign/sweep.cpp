@@ -19,7 +19,6 @@
 #include "gatelevel/faultsim.h"
 #include "gatelevel/simgraph.h"
 #include "hls/synthesis.h"
-#include "observe/history.h"
 #include "observe/report.h"
 #include "testability/scan_select.h"
 #include "util/hash.h"
@@ -551,49 +550,6 @@ SweepSummary run_sweep(const Manifest& m, const SweepOptions& opts) {
       throw SweepError("cannot write timeline " + opts.timeline_path);
   }
 
-  if (summary.complete && !opts.history_dir.empty()) {
-    observe::HistoryRun hr;
-    hr.manifest = summary.manifest_hash;
-    hr.source = "sweep:" + opts.results_dir;
-    hr.wall_ms = summary.wall_ms;
-    const std::int64_t memo_hits = summary.journal_hits + summary.cache.hits();
-    const std::int64_t lookups = memo_hits + summary.cache.misses();
-    hr.memo_hit_rate = lookups > 0 ? static_cast<double>(memo_hits) /
-                                         static_cast<double>(lookups)
-                                   : 1.0;
-    hr.entries.reserve(summary.jobs.size());
-    for (const JobResult& r : summary.jobs) {
-      observe::HistoryEntry e;
-      e.job = r.spec.id;
-      e.design = r.spec.design;
-      e.config = r.spec.config.name;
-      e.scan = r.spec.scan;
-      e.width = r.spec.width;
-      e.seed = r.spec.seed;
-      e.status = r.status;
-      e.error = r.error;
-      e.gates = r.gates;
-      e.faults = r.faults;
-      e.patterns = r.patterns;
-      e.cubes = r.cubes;
-      e.coverage = r.coverage;
-      e.efficiency = r.efficiency;
-      e.wall_ms = r.wall_ms;
-      hr.entries.push_back(std::move(e));
-    }
-    try {
-      const observe::IngestResult ing =
-          observe::history_ingest(opts.history_dir, hr);
-      summary.history_run_id = ing.run_id;
-      summary.history_added = ing.added;
-      summary.history_runs_total = ing.runs_total;
-      summary.history_outliers_json = observe::outliers_to_json(
-          observe::history_outliers(observe::history_load(opts.history_dir)));
-    } catch (const observe::HistoryError& e) {
-      throw SweepError(std::string("history ingest failed: ") + e.what());
-    }
-  }
-
   if (summary.complete) {
     if (!write_file((dir / "index.json").string(), index_to_json(summary)))
       throw SweepError("cannot write index.json in " + opts.results_dir);
@@ -698,15 +654,8 @@ std::string sweep_stats_to_json(const SweepSummary& s) {
      << fmt_double(lookups > 0
                        ? static_cast<double>(memo_hits) /
                              static_cast<double>(lookups)
-                       : 1.0);
-  if (!s.history_run_id.empty()) {
-    os << ",\n  \"history\": {\"run\": \"" << s.history_run_id
-       << "\", \"added\": " << (s.history_added ? "true" : "false")
-       << ", \"runs_total\": " << s.history_runs_total << ", \"outliers\": "
-       << (s.history_outliers_json.empty() ? "[]" : s.history_outliers_json)
-       << "}";
-  }
-  os << "\n}\n";
+                       : 1.0)
+     << "\n}\n";
   return os.str();
 }
 

@@ -58,12 +58,6 @@ struct SweepOptions {
   /// sub-spans). Run-varying, like sweep_stats.json; written even for an
   /// incomplete (max_jobs-stopped) run so partial runs stay inspectable.
   std::string timeline_path;
-  /// Non-empty: on grid completion, ingest this sweep's results into the
-  /// persistent run-history store at this directory (observe/history.h)
-  /// and surface the store's verdicts in sweep_stats.json's "history"
-  /// block. Values are ingested at journal (%.17g) precision, so history
-  /// queries reproduce sweep numbers exactly.
-  std::string history_dir;
 };
 
 /// One grid point's outcome. `status` is "ok" or "failed"; failed jobs
@@ -94,14 +88,6 @@ struct SweepSummary {
   double wall_ms = 0.0;
   /// False when max_jobs stopped the run early; the index is not written.
   bool complete = true;
-  /// Filled when SweepOptions::history_dir was set and the grid completed:
-  /// the ingested run's content id, whether it was new to the store, the
-  /// store's run count, and the store's current outlier verdicts (compact
-  /// JSON array) — all echoed into sweep_stats.json's "history" block.
-  std::string history_run_id;
-  bool history_added = false;
-  std::int64_t history_runs_total = 0;
-  std::string history_outliers_json;
 
   std::int64_t total() const {
     return static_cast<std::int64_t>(jobs.size());

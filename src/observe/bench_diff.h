@@ -51,8 +51,7 @@ BenchDiffResult diff_bench_json(const util::Json& baseline,
 
 /// The canonical human rendering of a diff result — "FAIL ..." lines,
 /// "note ..." lines (suppressed when `quiet`), and the one-line summary
-/// tagged with `label`. Shared by the bench_diff CLI and
-/// `tsyn_cli history diff`, so the two gates read identically.
+/// tagged with `label`, as the bench_diff CLI prints it.
 std::string diff_result_to_text(const BenchDiffResult& res, bool quiet,
                                 const std::string& label);
 

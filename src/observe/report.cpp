@@ -5,7 +5,6 @@
 #include <sstream>
 #include <vector>
 
-#include "observe/sparkline.h"
 #include "util/json.h"
 #include "util/text.h"
 
@@ -79,6 +78,22 @@ namespace {
 const char* const kPalette[] = {"#4269d0", "#efb118", "#ff725c", "#6cc5b0",
                                 "#3ca951", "#ff8ab7", "#a463f2", "#97bbf5"};
 constexpr int kPaletteSize = 8;
+
+/// `s` with &, <, >, " replaced by entities.
+std::string html_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"': out += "&quot;"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
 
 std::string fmt_pct(double v) {
   char buf[32];

@@ -14,7 +14,6 @@
 #include "campaign/manifest.h"
 #include "campaign/sweep.h"
 #include "observe/bench_diff.h"
-#include "observe/history.h"
 #include "util/hash.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
@@ -465,64 +464,61 @@ TEST(Sweep, TimelineReconcilesWithTheJournal) {
   }
 }
 
-TEST(Sweep, HistoryIngestReproducesSweepNumbersExactly) {
+/// bench_diff reads a sweep's index.json as it stands: the run diffed
+/// against itself is clean, and edited copies gate exactly as a later run
+/// with those results would.
+TEST(Sweep, BenchDiffGatesIndexRegressions) {
   Manifest m = economy_manifest();
-  m.seeds.resize(2);  // 8 jobs
-  const fs::path dir = scratch("hist");
-  const fs::path store = dir / "history";
+  m.seeds.resize(1);  // 4 jobs
+  const fs::path dir = scratch("benchdiff");
   SweepOptions opts;
-  opts.results_dir = (dir / "run1").string();
-  opts.history_dir = store.string();
+  opts.results_dir = dir.string();
   const SweepSummary s = run_sweep(m, opts);
   ASSERT_TRUE(s.complete);
-  EXPECT_TRUE(s.history_added);
-  EXPECT_EQ(s.history_runs_total, 1);
-  ASSERT_FALSE(s.history_run_id.empty());
+  ASSERT_EQ(s.failed, 0);
+  const util::Json index = util::Json::parse(slurp(dir / "index.json"));
+  const auto json = [](const SweepSummary& x) {
+    return util::Json::parse(index_to_json(x));
+  };
+  observe::BenchDiffOptions no_time;
+  no_time.check_time = false;
+  const auto diff = [&](const util::Json& base, const util::Json& fresh) {
+    return observe::diff_bench_json(base, fresh, no_time);
+  };
+  const auto text = [](const observe::BenchDiffResult& r) {
+    return observe::diff_result_to_text(r, false, "");
+  };
 
-  // The store reproduces the sweep's numbers exactly (%.17g round-trip).
-  const observe::History h = observe::history_load(store.string());
-  ASSERT_EQ(h.runs.size(), 1u);
-  const observe::HistoryRun& run = h.runs[0];
-  EXPECT_EQ(run.run_id, s.history_run_id);
-  EXPECT_EQ(run.manifest, s.manifest_hash);
-  ASSERT_EQ(run.entries.size(), s.jobs.size());
-  for (std::size_t i = 0; i < s.jobs.size(); ++i) {
-    const JobResult& r = s.jobs[i];
-    const observe::HistoryEntry& e = run.entries[i];
-    EXPECT_EQ(e.job, r.spec.id);
-    EXPECT_EQ(e.coverage, r.coverage) << e.job;
-    EXPECT_EQ(e.efficiency, r.efficiency) << e.job;
-    EXPECT_EQ(e.patterns, r.patterns) << e.job;
-    EXPECT_EQ(e.wall_ms, r.wall_ms) << e.job;
-  }
+  const observe::BenchDiffResult same = observe::diff_bench_json(index, index);
+  EXPECT_TRUE(same.ok());
+  EXPECT_TRUE(same.notes.empty()) << text(same);
 
-  // sweep_stats.json carries the history block.
-  const std::string stats = slurp(dir / "run1" / "sweep_stats.json");
-  EXPECT_NE(stats.find("\"history\""), std::string::npos);
-  EXPECT_NE(stats.find(s.history_run_id), std::string::npos);
+  // A coverage drop gates; read the other way it is an improvement.
+  SweepSummary drop = s;
+  drop.jobs[0].coverage -= 0.05;
+  const observe::BenchDiffResult down = diff(index, json(drop));
+  EXPECT_FALSE(down.ok());
+  EXPECT_NE(text(down).find("FAIL jobs[" + s.jobs[0].spec.id + "].coverage"),
+            std::string::npos)
+      << text(down);
+  EXPECT_TRUE(diff(json(drop), index).ok());
 
-  // A second execution of the same grid is a distinct run (timings
-  // differ), and the deterministic metrics diff clean across the two.
-  SweepOptions again = opts;
-  again.results_dir = (dir / "run2").string();
-  const SweepSummary s2 = run_sweep(m, again);
-  ASSERT_TRUE(s2.complete);
-  EXPECT_TRUE(s2.history_added);
-  EXPECT_EQ(s2.history_runs_total, 2);
-  EXPECT_NE(s2.history_run_id, s.history_run_id);
-
-  const observe::History h2 = observe::history_load(store.string());
-  std::string err;
-  const observe::HistoryRun* a = observe::history_resolve(h2, "prev", &err);
-  const observe::HistoryRun* b = observe::history_resolve(h2, "latest", &err);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  observe::BenchDiffOptions dopts;
-  dopts.check_time = false;
-  const observe::BenchDiffResult diff = observe::diff_bench_json(
-      util::Json::parse(observe::history_run_to_bench_json(*a)),
-      util::Json::parse(observe::history_run_to_bench_json(*b)), dopts);
-  EXPECT_TRUE(diff.ok()) << observe::diff_result_to_text(diff, false, "");
+  // An ok job that fails: run_sweep writes it with zeros beside the error.
+  SweepSummary flip = s;
+  JobResult& job = flip.jobs[1];
+  job = JobResult();
+  job.spec = s.jobs[1].spec;
+  job.status = "failed";
+  job.error = "boom";
+  flip.failed = 1;
+  const observe::BenchDiffResult failed = diff(index, json(flip));
+  EXPECT_FALSE(failed.ok());
+  EXPECT_NE(text(failed).find("FAIL jobs[" + job.spec.id + "].coverage"),
+            std::string::npos)
+      << text(failed);
+  // The job passing again is a recovery: its zeros were never measurements.
+  const observe::BenchDiffResult recovered = diff(json(flip), index);
+  EXPECT_TRUE(recovered.ok()) << text(recovered);
 }
 
 TEST(Sweep, FailedJournalRecordCarriesDiagnostics) {

@@ -66,6 +66,8 @@ TEST_F(Cli, ExitCodes) {
   EXPECT_EQ(code("list --progress"), 2);
   EXPECT_EQ(code("serve"), 2);
   EXPECT_EQ(code("atpg bench:diffeq --serve 0"), 2);
+  EXPECT_EQ(code("history store"), 2);
+  EXPECT_EQ(code("sweep m.json --history store"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --log-level loud"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --heartbeat hb.jsonl:0"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --progress=yes"), 2);
@@ -83,7 +85,6 @@ TEST_F(Cli, BadValuesAreUsageErrors) {
   EXPECT_EQ(code("atpg bench:diffeq --width 0"), 2);
   EXPECT_EQ(code("sweep m.json --threads -1"), 2);
   EXPECT_EQ(code("sweep m.json --max-jobs -1"), 2);
-  EXPECT_EQ(code("history store --last 0"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --watchdog 0"), 2);
   // Enum values.
   EXPECT_EQ(code("synth bench:diffeq --scan nope"), 2);
@@ -100,7 +101,7 @@ TEST_F(Cli, OptionsACommandDoesNotReadAreRejected) {
   EXPECT_EQ(code("bist bench:diffeq --steps 6"), 2);
   EXPECT_EQ(code("atpg bench:diffeq --out r.json"), 2);
   EXPECT_EQ(code("explain bench:diffeq --html r.html"), 2);
-  EXPECT_EQ(code("history store --threads 2"), 2);
+  EXPECT_EQ(code("sweep m.json --html r.html"), 2);
 }
 
 TEST_F(Cli, CollidingOutputsAreRejectedBeforeAnythingRuns) {
@@ -108,7 +109,7 @@ TEST_F(Cli, CollidingOutputsAreRejectedBeforeAnythingRuns) {
             2);
   EXPECT_EQ(code("analyze bench:diffeq --heartbeat - --profile -"), 2);
   EXPECT_EQ(code("report bench:fir8 --width 2 --html report.json"), 2);
-  EXPECT_EQ(code("sweep m.json --timeline same.out --history same.out"), 2);
+  EXPECT_EQ(code("sweep m.json --timeline same.out --heartbeat same.out"), 2);
   EXPECT_FALSE(fs::exists(dir_ / "same.json"));
   EXPECT_FALSE(fs::exists(dir_ / "report.json"));
   EXPECT_FALSE(fs::exists(dir_ / "same.out"));
@@ -130,19 +131,18 @@ TEST_F(Cli, UsageNamesEveryCommandAndOption) {
   EXPECT_EQ(r.code, 2);
   for (const char* word :
        {"synth", "analyze", "bist", "atpg", "report", "explain", "sweep",
-        "history", "list", "--alu", "--mul", "--steps", "--scan",
+        "list", "--alu", "--mul", "--steps", "--scan",
         "--loop-avoid", "--verilog", "--arch", "--trace", "--metrics",
         "--compact", "--xfill", "--width", "--out", "--html", "--dot-rtl",
         "--dot-cdfg", "--fault", "--undetected", "--heartbeat", "--profile",
         "--progress", "--watchdog", "--log-level", "--out-dir",
-        "--threads", "--resume", "--max-jobs", "--baseline", "--timeline",
-        "--history", "--key", "--last", "--json", "--gate", "--no-time"})
+        "--threads", "--resume", "--max-jobs", "--baseline", "--timeline"})
     EXPECT_NE(r.out.find(std::string(" ") + word + " "), std::string::npos)
         << word;
   // A usage error prints the same text after the error line.
   const Outcome bad = run("analyze bench:diffeq --bogus", "2>&1");
   EXPECT_EQ(bad.out.rfind("error: unknown option: --bogus", 0), 0u);
-  EXPECT_NE(bad.out.find("--no-time"), std::string::npos);
+  EXPECT_NE(bad.out.find("--timeline"), std::string::npos);
 }
 
 TEST_F(Cli, StdoutOutputsStayPure) {

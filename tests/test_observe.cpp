@@ -386,7 +386,8 @@ const char* kBase = R"({
   "schema": 2, "seed": 1,
   "ppsfp": [
     {"circuit": "diffeq", "gates": 100, "faults": 400,
-     "coverage": 98.5, "serial_ms": 10.0, "speedup8": 4.0}
+     "coverage": 98.5, "serial_ms": 10.0, "speedup8": 4.0,
+     "overhead_pct": 1.0, "overhead_iqr_pct": 2.0}
   ]
 })";
 
@@ -444,10 +445,13 @@ TEST(BenchDiff, WorkloadIdentityMustMatch) {
 }
 
 TEST(BenchDiff, SpeedupDriftIsInformational) {
-  const BenchDiffResult res =
-      diff_bench_json(parse(kBase), parse(with("speedup8", "2.0")));
-  EXPECT_TRUE(res.ok());
-  EXPECT_FALSE(res.notes.empty());
+  // Ratios derived from times drift whenever the times do.
+  for (const char* field : {"speedup8", "overhead_pct", "overhead_iqr_pct"}) {
+    const BenchDiffResult res =
+        diff_bench_json(parse(kBase), parse(with(field, "9.0")));
+    EXPECT_TRUE(res.ok()) << field;
+    EXPECT_FALSE(res.notes.empty()) << field;
+  }
 }
 
 TEST(BenchDiff, MissingRowFailsUnlessAllowed) {

@@ -2,8 +2,8 @@
 // benchmark (bench:NAME) or a .cdfg file — synthesis with scan selection
 // and loop avoidance (synth), behavioral analysis (analyze), self-testable
 // architectures (bist), full-scan ATPG with test-set compaction (atpg),
-// the consolidated run report (report, explain), manifest sweeps (sweep)
-// and the cross-run history store (history).
+// the consolidated run report (report, explain) and manifest sweeps
+// (sweep).
 //
 // Every command and every option is declared once, in kCommands and
 // kOptions below. Parsing, range and enum checks, the usage text (run
@@ -45,8 +45,6 @@
 #include "gatelevel/faultsim.h"
 #include "gatelevel/scoap.h"
 #include "hls/synthesis.h"
-#include "observe/bench_diff.h"
-#include "observe/history.h"
 #include "observe/ledger.h"
 #include "observe/provenance.h"
 #include "observe/report.h"
@@ -59,7 +57,6 @@
 #include "testability/loop_avoid.h"
 #include "testability/scan_select.h"
 #include "observe/profile.h"
-#include "util/json.h"
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -87,8 +84,7 @@ struct Command;
 
 struct Args {
   const Command* cmd = nullptr;
-  std::string behavior;  ///< the positional: behavior, manifest or store dir
-  std::vector<std::string> extras;  ///< history: subcommand and its words
+  std::string behavior;  ///< the positional: behavior or manifest
   int alu = 2;
   int mul = 2;
   int steps = 0;
@@ -121,13 +117,6 @@ struct Args {
   int max_jobs = 0;  ///< 0 = whole grid
   std::string baseline;
   std::string timeline;
-  std::string history;
-  // history.
-  std::string key_filter;
-  int last_n = 0;  ///< 0 = the outlier scan's default window
-  bool json_out = false;
-  bool gate = false;
-  bool no_time = false;
 };
 
 /// Best-effort creation of `path`'s missing parent directories, shared by
@@ -697,9 +686,7 @@ int cmd_sweep(const Args& a) {
   opts.resume = a.resume;
   opts.max_jobs = a.max_jobs;
   opts.timeline_path = a.timeline;
-  opts.history_dir = a.history;
   if (!a.timeline.empty()) ensure_parent_dirs(a.timeline);
-  if (!a.history.empty()) ensure_parent_dirs(a.history + "/store.jsonl");
   const campaign::SweepSummary s = campaign::run_sweep(m, opts);
 
   std::fprintf(g_report,
@@ -738,12 +725,6 @@ int cmd_sweep(const Args& a) {
     return 0;  // an early stop was requested, not a failure
   }
   std::fprintf(g_report, "index     : %s/index.json\n", a.out_dir.c_str());
-  if (!s.history_run_id.empty())
-    std::fprintf(g_report, "history   : run %.12s %s -> %s (%lld run(s))\n",
-                 s.history_run_id.c_str(),
-                 s.history_added ? "ingested" : "already present",
-                 a.history.c_str(),
-                 static_cast<long long>(s.history_runs_total));
 
   if (!a.baseline.empty()) {
     const std::string got = campaign::strip_timing(campaign::index_to_json(s));
@@ -767,221 +748,6 @@ int cmd_sweep(const Args& a) {
   return s.failed > 0 ? 1 : 0;
 }
 
-// ---------------------------------------------------------------------------
-// history
-// ---------------------------------------------------------------------------
-
-namespace cli_history {
-
-/// Turns a sweep index.json (schema 2) or a schema-1 single-job run report
-/// into a HistoryRun, so `history ingest` accepts both artifact kinds the
-/// pipeline produces.
-observe::HistoryRun run_from_artifact(const util::Json& doc,
-                                      const std::string& source) {
-  if (!doc.is_object())
-    throw std::runtime_error("ingest: " + source + " is not a JSON object");
-  observe::HistoryRun r;
-  r.source = source;
-  const double schema = doc.number_or("schema", -1);
-  const util::Json* jobs = doc.find("jobs");
-  auto str_or = [](const util::Json& o, const char* key,
-                   const std::string& fallback) {
-    const util::Json* v = o.find(key);
-    return v && v->is_string() ? v->str : fallback;
-  };
-  if (schema == 2 && jobs && jobs->is_array()) {
-    r.manifest = str_or(doc, "manifest", "index");
-    for (const util::Json& row : jobs->arr) {
-      if (!row.is_object()) continue;
-      observe::HistoryEntry e;
-      e.job = str_or(row, "case", "");
-      if (e.job.empty()) continue;
-      e.design = str_or(row, "design", "");
-      e.config = str_or(row, "config", "");
-      e.scan = str_or(row, "scan", "");
-      e.width = static_cast<int>(row.number_or("width", 0));
-      e.seed = static_cast<std::uint64_t>(row.number_or("job_seed", 0));
-      e.status = str_or(row, "status", "ok");
-      e.error = str_or(row, "error", "");
-      e.gates = static_cast<std::int64_t>(row.number_or("gates", 0));
-      e.faults = static_cast<std::int64_t>(row.number_or("faults", 0));
-      e.patterns = static_cast<std::int64_t>(row.number_or("patterns", 0));
-      e.cubes = static_cast<std::int64_t>(row.number_or("cubes", 0));
-      e.coverage = row.number_or("coverage", 0);
-      e.efficiency = row.number_or("efficiency", 0);
-      e.wall_ms = row.number_or("wall_ms", 0);
-      r.entries.push_back(std::move(e));
-    }
-    if (r.entries.empty())
-      throw std::runtime_error("ingest: " + source + " has no usable jobs");
-    return r;
-  }
-  if (schema == 1) {
-    // Schema-1 run report: one job keyed by its title.
-    r.manifest = "report";
-    observe::HistoryEntry e;
-    e.job = str_or(doc, "title", source);
-    e.design = str_or(doc, "behavior", "");
-    e.width = static_cast<int>(doc.number_or("width", 0));
-    e.status = str_or(doc, "status", "ok");
-    e.error = str_or(doc, "error", "");
-    e.gates = static_cast<std::int64_t>(doc.number_or("gates", 0));
-    e.faults = static_cast<std::int64_t>(doc.number_or("faults", 0));
-    e.patterns = static_cast<std::int64_t>(doc.number_or("patterns", 0));
-    e.cubes = static_cast<std::int64_t>(doc.number_or("cubes", 0));
-    e.coverage = doc.number_or("fault_coverage", 0);
-    e.efficiency = doc.number_or("fault_efficiency", 0);
-    r.entries.push_back(std::move(e));
-    return r;
-  }
-  throw std::runtime_error(
-      "ingest: " + source +
-      " is neither a sweep index.json (schema 2) nor a run report (schema 1)");
-}
-
-int cmd_trend(const observe::History& h, const Args& a) {
-  const std::vector<observe::TrendSeries> trend =
-      observe::history_trend(h, a.key_filter);
-  if (a.json_out) {
-    std::string out = "[";
-    bool first_s = true;
-    for (const observe::TrendSeries& s : trend) {
-      out += first_s ? "\n  " : ",\n  ";
-      first_s = false;
-      out += "{\"job\": \"" + util::json_escape(s.job) + "\", \"points\": [";
-      for (std::size_t i = 0; i < s.points.size(); ++i) {
-        const observe::TrendPoint& p = s.points[i];
-        out += std::string(i ? ", " : "") + "{\"run\": \"" +
-               util::json_escape(p.run_id.substr(0, 12)) +
-               "\", \"status\": \"" + util::json_escape(p.status) +
-               "\", \"coverage\": " + util::fmt_exact(p.coverage) +
-               ", \"wall_ms\": " + util::fmt_exact(p.wall_ms) +
-               ", \"patterns\": " + std::to_string(p.patterns) + "}";
-      }
-      out += "]}";
-    }
-    out += "\n]\n";
-    std::fputs(out.c_str(), stdout);
-    return 0;
-  }
-  for (const observe::TrendSeries& s : trend) {
-    const observe::TrendPoint& f = s.points.front();
-    const observe::TrendPoint& l = s.points.back();
-    std::fprintf(g_report,
-                 "%-28s %2zu run(s)  coverage %.4f -> %.4f (%+.4f)  "
-                 "wall_ms %.1f -> %.1f  patterns %lld -> %lld%s\n",
-                 s.job.c_str(), s.points.size(), f.coverage, l.coverage,
-                 l.coverage - f.coverage, f.wall_ms, l.wall_ms,
-                 static_cast<long long>(f.patterns),
-                 static_cast<long long>(l.patterns),
-                 l.status == "failed" ? "  [FAILED]" : "");
-  }
-  std::fprintf(g_report, "trend     : %zu key(s) over %zu run(s)\n",
-               trend.size(), h.runs.size());
-  return 0;
-}
-
-int cmd_diff(const observe::History& h, const Args& a) {
-  const std::string base_ref = a.extras.size() > 1 ? a.extras[1] : "prev";
-  const std::string new_ref = a.extras.size() > 2 ? a.extras[2] : "latest";
-  std::string err;
-  const observe::HistoryRun* base = observe::history_resolve(h, base_ref, &err);
-  if (!base) throw std::runtime_error("diff: " + err);
-  const observe::HistoryRun* fresh = observe::history_resolve(h, new_ref, &err);
-  if (!fresh) throw std::runtime_error("diff: " + err);
-
-  observe::BenchDiffOptions opts;
-  opts.check_time = !a.no_time;
-  const util::Json b = util::Json::parse(observe::history_run_to_bench_json(*base));
-  const util::Json f =
-      util::Json::parse(observe::history_run_to_bench_json(*fresh));
-  const observe::BenchDiffResult res = observe::diff_bench_json(b, f, opts);
-  if (!res.schema_ok) {
-    std::fprintf(stderr, "history diff: %s\n", res.schema_error.c_str());
-    return 2;
-  }
-  const std::string text = observe::diff_result_to_text(
-      res, /*quiet=*/false,
-      base->run_id.substr(0, 12) + " vs " + fresh->run_id.substr(0, 12));
-  std::fputs(text.c_str(), res.regressions.empty() ? stdout : stderr);
-  return res.regressions.empty() ? 0 : 1;
-}
-
-int cmd_outliers(const observe::History& h, const Args& a) {
-  observe::OutlierOptions opts;
-  if (a.last_n > 0) opts.last_n = a.last_n;
-  const std::vector<observe::HistoryOutlier> found =
-      observe::history_outliers(h, opts);
-  std::int64_t gating = 0;
-  for (const observe::HistoryOutlier& o : found)
-    if (o.gating) ++gating;
-  if (a.json_out) {
-    std::fputs((observe::outliers_to_json(found) + "\n").c_str(), stdout);
-  } else {
-    for (const observe::HistoryOutlier& o : found)
-      std::fprintf(g_report,
-                   "%s %-28s %-9s %-6s run %.12s  value %g vs median %g "
-                   "(z=%.1f)\n",
-                   o.gating ? "FAIL" : "note", o.job.c_str(),
-                   o.metric.c_str(), o.scope.c_str(), o.run_id.c_str(),
-                   o.value, o.median, o.z);
-    std::fprintf(g_report,
-                 "outliers  : %zu flagged (%lld gating) over %zu run(s)\n",
-                 found.size(), static_cast<long long>(gating), h.runs.size());
-  }
-  return a.gate && gating > 0 ? 1 : 0;
-}
-
-}  // namespace cli_history
-
-/// `tsyn_cli history DIR [trend|diff|outliers|ingest] ...` — query (or feed)
-/// the persistent run-history store. --html renders the fleet dashboard
-/// alongside (or instead of) any subcommand.
-int cmd_history(const Args& a) {
-  const std::string& dir = a.behavior;
-  const std::string sub = a.extras.empty() ? "" : a.extras[0];
-
-  if (sub == "ingest") {
-    if (a.extras.size() < 2) usage("history ingest needs a FILE argument");
-    int added = 0;
-    for (std::size_t i = 1; i < a.extras.size(); ++i) {
-      const observe::HistoryRun run = cli_history::run_from_artifact(
-          util::Json::parse(read_input(a.extras[i])), a.extras[i]);
-      const observe::IngestResult res = observe::history_ingest(dir, run);
-      added += res.added ? 1 : 0;
-      std::fprintf(g_report, "ingest    : %s -> run %.12s %s (%lld entries)\n",
-                   a.extras[i].c_str(), res.run_id.c_str(),
-                   res.added ? "added" : "already present",
-                   static_cast<long long>(res.entries));
-    }
-    (void)added;
-    return 0;
-  }
-
-  const observe::History h = observe::history_load(dir);
-  if (h.runs.empty()) throw std::runtime_error("history store " + dir +
-                                               " holds no complete runs");
-  int rc = 0;
-  if (sub == "trend") rc = cli_history::cmd_trend(h, a);
-  else if (sub == "diff") rc = cli_history::cmd_diff(h, a);
-  else if (sub == "outliers") rc = cli_history::cmd_outliers(h, a);
-  else if (sub.empty()) {
-    std::size_t entries = 0;
-    for (const observe::HistoryRun& r : h.runs) entries += r.entries.size();
-    std::fprintf(g_report, "history   : %zu run(s), %zu entries in %s\n",
-                 h.runs.size(), entries, dir.c_str());
-  } else {
-    usage("unknown history subcommand: " + sub +
-          " (expected trend|diff|outliers|ingest)");
-  }
-
-  if (!a.html.empty() &&
-      !emit(a.html, observe::history_to_html(h), "html",
-            "dashboard written to "))
-    return 1;
-  return rc;
-}
-
 int cmd_list(const Args&) {
   for (const cdfg::Cdfg& g : cdfg::standard_benchmarks())
     std::fprintf(g_report, "bench:%-8s %3d ops, %2zu states, %zu CDFG loops\n",
@@ -997,8 +763,7 @@ int cmd_list(const Args&) {
 /// The positional arguments a command takes.
 enum class Positional {
   kNone,
-  kOne,          ///< one: behavior, manifest or store directory
-  kOneAndWords,  ///< one plus trailing words (history's subcommand)
+  kOne,  ///< one: behavior or manifest
 };
 
 /// One command; its telemetry phase is its name.
@@ -1026,9 +791,6 @@ const Command kCommands[] = {
      "trace faults back: gate -> RTL component -> CDFG op", cmd_explain},
     {"sweep", Positional::kOne, "<manifest.json>",
      "run a manifest's design x config grid (docs/sweep.md)", cmd_sweep},
-    {"history", Positional::kOneAndWords,
-     "<dir> [trend|diff [BASE [NEW]]|outliers|ingest FILE...]",
-     "query or feed the run-history store (docs/history.md)", cmd_history},
     {"list", Positional::kNone, "", "list the built-in benchmarks", cmd_list},
 };
 
@@ -1095,7 +857,7 @@ void parse_log_level(const std::string& v, Args*) {
 }
 
 constexpr const char* kEvery =
-    "synth analyze bist atpg report explain sweep history";
+    "synth analyze bist atpg report explain sweep";
 constexpr const char* kSynthesizes = "synth bist atpg report explain";
 constexpr const char* kFullScan = "atpg report explain";
 
@@ -1161,8 +923,8 @@ const Option kOptions[] = {
     {.name = "--dot-cdfg", .value = "FILE", .commands = "report",
      .help = "CDFG DOT with a per-operation coverage heatmap",
      .output = Output::kStdout, .text = &Args::dot_cdfg},
-    {.name = "--html", .value = "FILE", .commands = "report history",
-     .help = "self-contained HTML report (history: fleet dashboard)",
+    {.name = "--html", .value = "FILE", .commands = "report",
+     .help = "self-contained HTML report",
      .output = Output::kStdout, .text = &Args::html},
     {.name = "--fault", .value = "N/P/S", .commands = "explain",
      .help = "one fault: node N, pin P (-1 = output), stuck-at S",
@@ -1186,22 +948,6 @@ const Option kOptions[] = {
     {.name = "--timeline", .value = "FILE", .commands = "sweep",
      .help = "Chrome trace_event job timeline, one track per worker",
      .output = Output::kPath, .text = &Args::timeline},
-    {.name = "--history", .value = "DIR", .commands = "sweep",
-     .help = "ingest the finished sweep into the history store at DIR",
-     .output = Output::kPath, .text = &Args::history},
-    {.name = "--key", .value = "SUBSTR", .commands = "history",
-     .help = "trend: only the keys containing SUBSTR",
-     .text = &Args::key_filter},
-    {.name = "--last", .value = "N", .commands = "history",
-     .help = "outliers: the cross-run window", .number = &Args::last_n,
-     .min = 1},
-    {.name = "--json", .value = nullptr, .commands = "history",
-     .help = "trend, outliers: machine-readable output",
-     .flag = &Args::json_out},
-    {.name = "--gate", .value = nullptr, .commands = "history",
-     .help = "outliers: exit 1 on a gating outlier", .flag = &Args::gate},
-    {.name = "--no-time", .value = nullptr, .commands = "history",
-     .help = "diff: ignore wall_ms", .flag = &Args::no_time},
 };
 
 /// True if `word` is one of the `delims`-separated items of `list`.
@@ -1263,12 +1009,7 @@ Args parse_args(int argc, char** argv) {
   }
   for (; i < argc; ++i) {
     std::string opt = argv[i];
-    if (opt.empty() || opt[0] != '-') {
-      if (a.cmd->positional != Positional::kOneAndWords)
-        usage("unexpected argument: " + opt);
-      a.extras.push_back(opt);
-      continue;
-    }
+    if (opt.empty() || opt[0] != '-') usage("unexpected argument: " + opt);
     // `--opt=value` is equivalent to `--opt value`.
     std::optional<std::string> inline_value;
     if (const std::size_t eq = opt.find('='); eq != std::string::npos) {
