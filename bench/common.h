@@ -46,6 +46,9 @@ struct PairedTiming {
   /// Interquartile range of the paired differences / best off pass: the
   /// spread a budget verdict on overhead_pct has to clear.
   double overhead_iqr_pct = 0;
+  /// Median paired off/on ratio — a speedup when `on` is the faster arm —
+  /// and the interquartile range of those ratios.
+  double ratio = 0, ratio_iqr = 0;
 };
 
 /// The paired off/on overhead protocol. The host may slow down for
@@ -59,12 +62,12 @@ struct PairedTiming {
 /// always charging the second arm. `off` and `on` each run one pass of
 /// `reps_inner` campaigns and return its wall ms, so an arm's setup can
 /// stay outside its timed region; the result is per campaign. Quartiles
-/// are nearest-rank over the sorted differences.
+/// are nearest-rank over the sorted differences (and ratios).
 inline PairedTiming paired_overhead(const std::function<double()>& off,
                                     const std::function<double()>& on,
                                     int reps, int reps_inner) {
   double best_off = 1e300, best_on = 1e300;
-  std::vector<double> diffs;
+  std::vector<double> diffs, ratios;
   for (int t = 0; t < reps; ++t) {
     double off_ms, on_ms;
     if (t % 2 == 0) {
@@ -77,6 +80,7 @@ inline PairedTiming paired_overhead(const std::function<double()>& off,
     best_off = std::min(best_off, off_ms);
     best_on = std::min(best_on, on_ms);
     diffs.push_back(on_ms - off_ms);
+    ratios.push_back(on_ms > 0 ? off_ms / on_ms : 0);
   }
   PairedTiming p;
   p.off_ms = best_off / reps_inner;
@@ -88,6 +92,9 @@ inline PairedTiming paired_overhead(const std::function<double()>& off,
   };
   p.overhead_pct = pct(diffs[n / 2]);
   p.overhead_iqr_pct = pct(diffs[3 * n / 4] - diffs[n / 4]);
+  std::sort(ratios.begin(), ratios.end());
+  p.ratio = ratios[n / 2];
+  p.ratio_iqr = ratios[3 * n / 4] - ratios[n / 4];
   return p;
 }
 

@@ -577,14 +577,14 @@ std::string index_to_json(const SweepSummary& s) {
   std::ostringstream os;
   os << "{\n  \"schema\": 2,\n  \"seed\": " << (manifest_bits & 0xFFFFFFFFu)
      << ",\n  \"manifest\": \"" << s.manifest_hash << "\",\n  \"jobs\": [";
+  // The mean runs over every job, a failed one counting its zero coverage,
+  // so a job that recovers can only raise it.
   double cov_sum = 0;
   std::int64_t ok = 0;
   for (std::size_t i = 0; i < s.jobs.size(); ++i) {
     const JobResult& r = s.jobs[i];
-    if (r.status == "ok") {
-      cov_sum += r.coverage;
-      ++ok;
-    }
+    cov_sum += r.coverage;
+    if (r.status == "ok") ++ok;
     os << (i ? ",\n    " : "\n    ") << "{\"case\": \""
        << json_escape(r.spec.id) << "\", \"design\": \""
        << json_escape(r.spec.design) << "\", \"config\": \""
@@ -601,7 +601,9 @@ std::string index_to_json(const SweepSummary& s) {
   os << "\n  ],\n  \"summary\": {\"jobs\": " << s.jobs.size()
      << ", \"jobs_ok\": " << ok << ", \"jobs_failed\": " << s.failed
      << ", \"mean_coverage\": "
-     << fmt_double(ok > 0 ? cov_sum / static_cast<double>(ok) : 0.0)
+     << fmt_double(s.jobs.empty()
+                       ? 0.0
+                       : cov_sum / static_cast<double>(s.jobs.size()))
      << "}\n}\n";
   return os.str();
 }

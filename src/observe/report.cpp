@@ -51,18 +51,6 @@ std::string report_to_json(const RunReport& r) {
   if (!r.provenance.empty())
     os << "  \"provenance\": "
        << provenance_to_json(r.provenance, r.attribution) << ",\n";
-  if (r.profile_samples > 0) {
-    os << "  \"profile\": {\"samples\": " << r.profile_samples
-       << ", \"top\": [";
-    bool first_frame = true;
-    for (const ProfileFrame& f : r.profile_top) {
-      if (!first_frame) os << ", ";
-      first_frame = false;
-      os << "{\"frame\": \"" << util::json_escape(f.name) << '"';
-      os << ", \"self\": " << f.self << ", \"total\": " << f.total << "}";
-    }
-    os << "]},\n";
-  }
   os << "  \"metrics\": "
      << (r.metrics_json.empty() ? std::string("{}") : r.metrics_json);
   os << "\n}\n";
@@ -372,28 +360,6 @@ std::string report_to_html(const RunReport& r) {
          << "</td></tr>\n";
     }
     if (any_op) os << "</table>\n";
-  }
-
-  if (r.profile_samples > 0) {
-    os << "<h2>Sampling profile</h2>\n<p>Wall-clock span-stack samples: "
-          "<code>"
-       << r.profile_samples
-       << "</code>. Self = samples with the span as the innermost live "
-          "frame; total = samples with it anywhere on the stack.</p>\n"
-          "<table>\n<tr><th>span</th><th class=\"num\">self</th>"
-          "<th class=\"num\">self %</th><th class=\"num\">total</th>"
-          "<th class=\"num\">total %</th></tr>\n";
-    const double denom = static_cast<double>(r.profile_samples);
-    for (const ProfileFrame& f : r.profile_top) {
-      os << "<tr><td><code>" << html_escape(f.name)
-         << "</code></td><td class=\"num\">" << f.self
-         << "</td><td class=\"num\">"
-         << fmt_pct(100.0 * static_cast<double>(f.self) / denom)
-         << "</td><td class=\"num\">" << f.total << "</td><td class=\"num\">"
-         << fmt_pct(100.0 * static_cast<double>(f.total) / denom)
-         << "</td></tr>\n";
-    }
-    os << "</table>\n";
   }
 
   os << "</body>\n</html>\n";

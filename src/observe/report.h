@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "observe/ledger.h"
-#include "observe/profile.h"
 #include "observe/provenance.h"
 #include "observe/scoap_attr.h"
 
@@ -43,11 +42,6 @@ struct RunReport {
   /// omits the provenance section.
   ProvenanceMap provenance;
   ProvenanceAttribution attribution;
-  /// Wall-clock sampling profile (filled when the run sampled via
-  /// --profile): total stack samples and the top self-time frames. Zero
-  /// samples (the default) omits the profile section.
-  std::int64_t profile_samples = 0;
-  std::vector<ProfileFrame> profile_top;
   std::string metrics_json;  ///< util::metrics().to_json(), embedded raw
 };
 

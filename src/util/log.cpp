@@ -60,8 +60,8 @@ void logf(LogLevel level, const char* stage, const char* fmt, ...) {
   }
   line[n++] = '"';
   line[n++] = '\n';
-  // Through the shared stderr writer so log lines, the TTY status line,
-  // and "-"-heartbeats interleave whole-line, never sheared.
+  // Through the shared stderr writer so log lines and "-"-heartbeats
+  // interleave whole-line, never sheared.
   stderr_write(line, static_cast<std::size_t>(n));
 }
 

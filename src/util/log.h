@@ -4,9 +4,8 @@
 //   tsyn level=info stage=atpg msg="campaign done" faults=412
 // The level gate is a relaxed atomic load, so debug logging in library
 // code costs one branch when filtered out. Each line goes out through
-// util::stderr_write (one locked fwrite), so concurrent loggers, the
-// telemetry TTY status line, and "-"-heartbeats interleave whole lines,
-// never characters.
+// util::stderr_write (one locked fwrite), so concurrent loggers and
+// "-"-heartbeats interleave whole lines, never characters.
 #pragma once
 
 #include <string>

@@ -15,7 +15,6 @@
 #include <thread>
 
 #include "util/json.h"
-#include "util/trace.h"
 
 namespace tsyn::util {
 
@@ -177,8 +176,8 @@ struct TelemetrySession {
 
   double start_ms = 0.0;
   long seq = 0;
+  double last_t_ms = 0.0;  ///< t_ms of the previous heartbeat
   std::map<std::string, RowState> row_state;
-  bool tty_dirty = false;
 };
 
 TelemetrySession* g_session = nullptr;  // guarded by g_session_mu
@@ -189,24 +188,15 @@ std::atomic<long> g_heartbeats{0};
 std::string* g_last_line = new std::string();  // leaked: crash-flush safe
 std::mutex g_last_line_mu;
 
-/// One heartbeat/stall line. `stalled_ms` < 0 means a plain heartbeat.
-void emit_record(TelemetrySession& s, double t_ms, double stalled_ms) {
-  const bool stall = stalled_ms >= 0.0;
-  // dt for rate estimation: time since the previous heartbeat (rates are
-  // only updated on heartbeats, so stall records reuse the stored ones).
-  static thread_local double last_t_ms = 0.0;  // sampler thread only
-  const double dt_ms = s.seq == 0 ? t_ms : t_ms - last_t_ms;
+/// One heartbeat line.
+void emit_heartbeat(TelemetrySession& s, double t_ms) {
+  // dt for rate estimation: time since the previous heartbeat.
+  const double dt_ms = s.seq == 0 ? t_ms : t_ms - s.last_t_ms;
 
-  std::string line = "{\"schema\":1,\"type\":\"";
-  line += stall ? "stall" : "heartbeat";
-  line += "\",\"seq\":";
+  std::string line = "{\"schema\":1,\"type\":\"heartbeat\",\"seq\":";
   line += std::to_string(s.seq);
   line += ",\"t_ms\":";
   append_double(line, t_ms);
-  if (stall) {
-    line += ",\"stalled_ms\":";
-    append_double(line, stalled_ms);
-  }
   line += ",\"phase\":\"";
   line += json_escape(telemetry_phase());
   line += "\",\"progress\":[";
@@ -217,7 +207,7 @@ void emit_record(TelemetrySession& s, double t_ms, double stalled_ms) {
     // not pre-registered); never report total < done.
     const std::int64_t total = std::max(row.total, row.done);
     const std::int64_t delta = row.done - st.last_done;
-    if (!stall && dt_ms > 0.0) {
+    if (dt_ms > 0.0) {
       const double inst = static_cast<double>(delta) / (dt_ms / 1e3);
       st.rate_per_s =
           st.rate_per_s == 0.0 ? inst : 0.7 * st.rate_per_s + 0.3 * inst;
@@ -242,7 +232,7 @@ void emit_record(TelemetrySession& s, double t_ms, double stalled_ms) {
       line += "null";
     }
     line += '}';
-    if (!stall) st.last_done = row.done;
+    st.last_done = row.done;
   }
   line += ']';
   const JobsSnapshot jobs = telemetry_jobs_snapshot();
@@ -267,25 +257,6 @@ void emit_record(TelemetrySession& s, double t_ms, double stalled_ms) {
     line += std::to_string(jobs.running.size());
     line += '}';
   }
-  if (stall) {
-    line += ",\"stacks\":[";
-    bool first_stack = true;
-    for (const ThreadStack& ts : trace_sample_stacks()) {
-      if (!first_stack) line += ',';
-      first_stack = false;
-      line += "{\"tid\":";
-      line += std::to_string(ts.tid);
-      line += ",\"frames\":[";
-      for (std::size_t i = 0; i < ts.frames.size(); ++i) {
-        if (i) line += ',';
-        line += '"';
-        line += json_escape(ts.frames[i]);
-        line += '"';
-      }
-      line += "]}";
-    }
-    line += ']';
-  }
   const MetricsSnapshot m = metrics().snapshot();
   line += ",\"counters\":{";
   first = true;
@@ -309,108 +280,32 @@ void emit_record(TelemetrySession& s, double t_ms, double stalled_ms) {
   }
   line += "}}\n";
 
-  if (!stall) {
-    last_t_ms = t_ms;
-    ++s.seq;
-  }
+  s.last_t_ms = t_ms;
+  ++s.seq;
   ++g_heartbeats;
   {
     std::lock_guard<std::mutex> lk(g_last_line_mu);
     g_last_line->assign(line.data(), line.size() - 1);  // strip the '\n'
   }
   if (s.stream == stderr) {
-    stderr_write(line);  // shared writer: never shears the TTY line
+    stderr_write(line);  // shared writer: never shears a log line
   } else if (s.stream) {
     std::fwrite(line.data(), 1, line.size(), s.stream);
     std::fflush(s.stream);  // each line must survive a crash
   }
 }
 
-void update_tty(TelemetrySession& s) {
-  std::string line = "\r[";
-  line += telemetry_phase();
-  line += "]";
-  for (const ProgressRow& row : progress_snapshot()) {
-    const std::int64_t total = std::max(row.total, row.done);
-    line += ' ';
-    line += row.name;
-    line += ' ';
-    line += std::to_string(row.done);
-    line += '/';
-    line += std::to_string(total);
-    if (total > 0) {
-      char buf[16];
-      std::snprintf(buf, sizeof buf, " (%d%%)",
-                    static_cast<int>(100 * row.done / total));
-      line += buf;
-    }
-  }
-  if (line.size() > 119) line.resize(119);  // 1 for '\r' + 118 visible
-  line.resize(121, ' ');  // overwrite any longer previous line
-  stderr_write(line);  // one write: heartbeat lines can't land mid-line
-  s.tty_dirty = true;
-}
-
-void clear_tty(TelemetrySession& s) {
-  if (!s.tty_dirty) return;
-  std::string wipe = "\r";
-  wipe.append(120, ' ');
-  wipe += '\r';
-  stderr_write(wipe);
-  s.tty_dirty = false;
-}
-
-std::int64_t progress_done_sum() {
-  std::int64_t sum = 0;
-  for (const ProgressRow& row : progress_snapshot()) sum += row.done;
-  return sum;
-}
-
 void sampler_loop(TelemetrySession& s) {
-  const double interval = std::max(1, s.opts.interval_ms);
-  double tick = interval;
-  if (s.opts.sampler) tick = std::min(tick, 5.0);
-  if (s.opts.watchdog_ms > 0)
-    tick = std::min(tick, std::max(1.0, s.opts.watchdog_ms / 4.0));
-
-  double last_hb = s.start_ms;
-  double last_advance = s.start_ms;
-  std::int64_t last_sum = progress_done_sum();
-  bool stall_fired = false;
-
+  const auto interval =
+      std::chrono::milliseconds(std::max(1, s.opts.interval_ms));
   std::unique_lock<std::mutex> lk(s.mu);
-  while (!s.stop) {
-    s.cv.wait_for(lk, std::chrono::duration<double, std::milli>(tick),
-                  [&] { return s.stop; });
-    if (s.stop) break;
+  while (!s.cv.wait_for(lk, interval, [&] { return s.stop; })) {
     lk.unlock();
-
-    if (s.opts.sampler) s.opts.sampler();
-    const double now = now_ms();
-
-    const std::int64_t sum = progress_done_sum();
-    if (sum != last_sum) {
-      last_sum = sum;
-      last_advance = now;
-      stall_fired = false;  // re-arm for the next episode
-    }
-    if (s.opts.watchdog_ms > 0 && !stall_fired &&
-        now - last_advance >= static_cast<double>(s.opts.watchdog_ms)) {
-      emit_record(s, now - s.start_ms, now - last_advance);
-      if (s.opts.on_stall) s.opts.on_stall();
-      stall_fired = true;
-    }
-    if (now - last_hb >= interval) {
-      emit_record(s, now - s.start_ms, -1.0);
-      if (s.opts.tty_progress) update_tty(s);
-      last_hb = now;
-    }
-
+    emit_heartbeat(s, now_ms() - s.start_ms);
     lk.lock();
   }
   lk.unlock();
-  emit_record(s, now_ms() - s.start_ms, -1.0);  // final state, always
-  clear_tty(s);
+  emit_heartbeat(s, now_ms() - s.start_ms);  // final state, always
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
-// Live telemetry: progress counters, JSONL heartbeats, and a stall
-// watchdog, streamed from a background sampler thread while a run is in
-// flight.
+// Live telemetry: progress counters and JSONL heartbeats, streamed from
+// a background sampler thread while a run is in flight.
 //
 // Everything else in the observability stack (metrics, trace spans, the
 // fault ledger, run reports) is post-mortem — nothing is visible until
-// the process exits. The campaign-orchestrator item on the ROADMAP needs
-// the opposite: thousands of long-running jobs reporting liveness,
-// progress, and cost while they run. This layer provides that substrate:
+// the process exits. Heartbeats answer the one live question "what is the
+// run doing now, and how far along is it?", and their last line is what a
+// failed sweep job's post-mortem attaches:
 //
 //  * Progress counters — phase-scoped (done, total) pairs such as
 //    "sim.patterns" or "atpg.targets". add() is one relaxed load plus (when
@@ -22,23 +21,11 @@
 //    flushed as written, so the stream survives a crash of the host
 //    process.
 //
-//  * Stall watchdog — if no progress counter advances for watchdog_ms,
-//    the sampler emits one diagnostic "stall" record carrying the live
-//    per-thread span stacks (util::trace_sample_stacks()), the last
-//    per-counter deltas, and the metric snapshot, then re-arms when
-//    progress resumes.
-//
-// The sampler thread also drives an optional external hook (the
-// observe::Profiler's sample() in practice) at a fine cadence, which keeps
-// this file free of dependencies above util.
-//
 // Heartbeat line schema (version 1):
 //   {"schema":1,"type":"heartbeat","seq":3,"t_ms":752.1,"phase":"atpg",
 //    "progress":[{"name":"atpg.targets","done":120,"total":482,
 //                 "delta":40,"rate_per_s":160.4,"eta_ms":2256.9}, ...],
 //    "counters":{...},"gauges":{...}}
-// Stall records use "type":"stall" and add "stalled_ms" plus
-//   "stacks":[{"tid":1,"frames":["cli.report","gl.atpg.comb"]}, ...].
 // `total` is clamped to at least `done` (some producers learn their totals
 // late); `eta_ms` is null until a nonzero rate is observed.
 #pragma once
@@ -120,12 +107,11 @@ const char* telemetry_phase();
 
 // -- shared stderr writer ----------------------------------------------------
 //
-// Three producers target stderr concurrently: the --progress TTY status
-// line and a heartbeat stream pointed at "-" (both from the sampler
-// thread), and the structured logger (from any worker). Interleaved
-// fwrite calls can shear one producer's line through another's, so all
-// of them funnel through this single mutex-guarded writer: one call, one
-// contiguous byte range on the stream.
+// Two producers target stderr concurrently: a heartbeat stream pointed at
+// "-" (from the sampler thread) and the structured logger (from any
+// worker). Interleaved fwrite calls can shear one producer's line through
+// the other's, so both funnel through this single mutex-guarded writer:
+// one call, one contiguous byte range on the stream.
 
 /// Writes `[data, data+len)` to stderr as one unit (single fwrite +
 /// fflush under a process-wide mutex).
@@ -136,16 +122,10 @@ inline void stderr_write(const std::string& s) {
 
 struct TelemetryOptions {
   /// Heartbeat JSONL destination: a file path, "-" for stderr, or empty
-  /// for no heartbeat stream (the thread still runs for sampler/watchdog).
+  /// for no stream (lines are still counted and kept for
+  /// telemetry_last_line()).
   std::string heartbeat_path;
-  int interval_ms = 250;   ///< heartbeat cadence
-  long watchdog_ms = 0;    ///< 0 disables the stall watchdog
-  bool tty_progress = false;  ///< live single-line progress view on stderr
-  /// Called from the sampler thread every tick (~5 ms when set); the CLI
-  /// points this at observe::Profiler::sample().
-  std::function<void()> sampler;
-  /// Called once per stall episode, after the stall record is written.
-  std::function<void()> on_stall;
+  int interval_ms = 250;  ///< heartbeat cadence
 };
 
 /// Enables progress counters and starts the sampler thread. Creates parent
@@ -159,11 +139,11 @@ bool telemetry_start(const TelemetryOptions& opts);
 void telemetry_stop();
 bool telemetry_active();
 
-/// Heartbeat lines emitted by the current/most recent session (stall
-/// records included). For tests and the overhead bench.
+/// Heartbeat lines emitted by the current/most recent session. For tests
+/// and the overhead bench.
 long telemetry_heartbeat_count();
 
-/// The most recent heartbeat/stall line emitted by the current or most
+/// The most recent heartbeat line emitted by the current or most
 /// recent session, without its trailing newline ("" before the first).
 /// Failure post-mortems attach this instead of re-deriving the live view.
 std::string telemetry_last_line();
@@ -174,7 +154,7 @@ std::string telemetry_last_line();
 // heartbeat lines carry a fleet rollup:
 //   "jobs":{"started":8,"done":5,"failed":1,"running":["a.cfg.w4.s1", ...]}
 // The section only appears once at least one job has been registered, so
-// single-job commands keep their PR-7 heartbeat shape. The running list is
+// single-job commands keep their plain heartbeat shape. The running list is
 // sorted and capped (kJobsRunningCap) to bound line size.
 
 struct JobsSnapshot {
@@ -200,7 +180,7 @@ void telemetry_jobs_reset();
 
 /// Registers `flush` to run at normal exit (std::atexit) and on fatal
 /// signals (SEGV/ABRT/FPE/ILL/BUS/INT/TERM), at most once, so --trace /
-/// --metrics / --profile artifacts survive a crash or an operator Ctrl-C
+/// --metrics artifacts survive a crash or an operator Ctrl-C
 /// instead of being silently lost. The handler then restores the default
 /// disposition and re-raises, preserving the exit status. Signal-context
 /// execution is best-effort (the flushers allocate and take locks — fine

@@ -27,26 +27,14 @@ struct SpanEvent {
 /// Owned jointly by its thread (thread_local shared_ptr) and the global
 /// registry, so spans recorded by pool workers survive until export even
 /// if a thread exits. Only the owning thread writes `events`; readers run
-/// between parallel sections (see trace.h). The live-stack fields are the
-/// exception: they are written by the owning thread and read concurrently
-/// by the telemetry sampler, so they are atomics — push stores the slot,
-/// then the depth with release order, so a reader that acquires the depth
-/// always sees fully written frames below it. `stack_gen` bumps on every
-/// push/pop so the reader can detect a race and retry.
+/// between parallel sections (see trace.h).
 struct ThreadBuffer {
   int tid;
   std::vector<SpanEvent> events;
-  std::atomic<std::int32_t> stack_depth{0};
-  std::atomic<std::uint32_t> stack_gen{0};
-  std::atomic<const char*> stack[kMaxSampledSpanDepth] = {};
 };
 
-// Bitmask over what Spans do; a fully disabled Span stays one relaxed load.
-constexpr unsigned kModeEvents = 1u;  ///< buffer (name, start, dur) tuples
-constexpr unsigned kModeStacks = 2u;  ///< maintain the live sampling stack
-
 struct TraceState {
-  std::atomic<unsigned> mode{0};
+  std::atomic<bool> enabled{false};  ///< a disabled Span is one relaxed load
   std::atomic<std::int64_t> epoch_ns{0};
   std::mutex mu;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
@@ -77,55 +65,15 @@ void trace_enable() {
   std::int64_t expected = 0;
   s.epoch_ns.compare_exchange_strong(expected, now_ns(),
                                      std::memory_order_relaxed);
-  s.mode.fetch_or(kModeEvents, std::memory_order_relaxed);
+  s.enabled.store(true, std::memory_order_relaxed);
 }
 
 void trace_disable() {
-  state().mode.fetch_and(~kModeEvents, std::memory_order_relaxed);
+  state().enabled.store(false, std::memory_order_relaxed);
 }
 
 bool trace_enabled() {
-  return (state().mode.load(std::memory_order_relaxed) & kModeEvents) != 0;
-}
-
-void trace_stacks_enable() {
-  state().mode.fetch_or(kModeStacks, std::memory_order_relaxed);
-}
-
-void trace_stacks_disable() {
-  state().mode.fetch_and(~kModeStacks, std::memory_order_relaxed);
-}
-
-bool trace_stacks_enabled() {
-  return (state().mode.load(std::memory_order_relaxed) & kModeStacks) != 0;
-}
-
-std::vector<ThreadStack> trace_sample_stacks() {
-  std::vector<ThreadStack> out;
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  for (const auto& b : s.buffers) {
-    std::vector<const char*> frames;
-    // Retry while the owner is mid push/pop; after a few attempts accept
-    // the copy — depth was acquired after the slots were released, so it
-    // is a consistent (if momentarily stale) prefix either way.
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::uint32_t gen = b->stack_gen.load(std::memory_order_acquire);
-      const std::int32_t depth = b->stack_depth.load(std::memory_order_acquire);
-      const int n = depth < kMaxSampledSpanDepth
-                        ? (depth > 0 ? depth : 0)
-                        : kMaxSampledSpanDepth;
-      frames.clear();
-      frames.reserve(n);
-      for (int i = 0; i < n; ++i) {
-        const char* f = b->stack[i].load(std::memory_order_relaxed);
-        if (f) frames.push_back(f);
-      }
-      if (b->stack_gen.load(std::memory_order_acquire) == gen) break;
-    }
-    if (!frames.empty()) out.push_back({b->tid, std::move(frames)});
-  }
-  return out;
+  return state().enabled.load(std::memory_order_relaxed);
 }
 
 void trace_reset() {
@@ -175,30 +123,12 @@ bool trace_write(const std::string& path) {
 #ifndef TSYN_TRACE_NOOP
 
 Span::Span(const char* name) {
-  const unsigned mode = state().mode.load(std::memory_order_relaxed);
-  if (mode == 0) return;
-  if (mode & kModeEvents) {
-    name_ = name;
-    start_ns_ = now_ns();
-  }
-  if (mode & kModeStacks) {
-    ThreadBuffer& b = local_buffer();
-    const std::int32_t d = b.stack_depth.load(std::memory_order_relaxed);
-    if (d < kMaxSampledSpanDepth)
-      b.stack[d].store(name, std::memory_order_relaxed);
-    b.stack_depth.store(d + 1, std::memory_order_release);
-    b.stack_gen.fetch_add(1, std::memory_order_release);
-    pushed_ = true;
-  }
+  if (!state().enabled.load(std::memory_order_relaxed)) return;
+  name_ = name;
+  start_ns_ = now_ns();
 }
 
 Span::~Span() {
-  if (pushed_) {
-    ThreadBuffer& b = local_buffer();
-    const std::int32_t d = b.stack_depth.load(std::memory_order_relaxed);
-    if (d > 0) b.stack_depth.store(d - 1, std::memory_order_release);
-    b.stack_gen.fetch_add(1, std::memory_order_release);
-  }
   if (!name_) return;
   const std::int64_t end = now_ns();
   local_buffer().events.push_back({name_, start_ns_, end - start_ns_});

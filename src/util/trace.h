@@ -49,40 +49,6 @@ bool trace_write(const std::string& path);
 /// Number of spans buffered (for tests).
 std::size_t trace_span_count();
 
-// -- live span stacks (telemetry sampling) ----------------------------------
-//
-// Orthogonal to event collection: when stack tracking is on, every Span
-// additionally pushes its name onto a thread-local live stack that the
-// telemetry sampler thread can snapshot while the span is still open —
-// the raw material for the wall-clock sampling profiler and the stall
-// watchdog's per-thread diagnostics. The writer side is mutex-free: push
-// stores the frame slot then the depth (release), pop stores the depth,
-// and a generation counter lets the reader detect that it raced a
-// push/pop and retry. A sample is therefore a consistent prefix of some
-// recent stack state, never a torn mix, and costs the traced threads
-// nothing beyond the push/pop stores themselves.
-
-/// Frames beyond this depth still trace as events; they just don't appear
-/// in samples (the depth count keeps push/pop balanced regardless).
-inline constexpr int kMaxSampledSpanDepth = 32;
-
-void trace_stacks_enable();
-void trace_stacks_disable();
-bool trace_stacks_enabled();
-
-/// One thread's live span stack, outermost frame first. Names are the
-/// span-name literals (valid for the process lifetime).
-struct ThreadStack {
-  int tid = 0;
-  std::vector<const char*> frames;
-};
-
-/// Snapshot of every registered thread's current span stack; threads with
-/// an empty stack (parked pool workers, exited threads) are skipped.
-/// Intended for the telemetry sampler thread; safe to call concurrently
-/// with spans opening and closing on any thread.
-std::vector<ThreadStack> trace_sample_stacks();
-
 #ifdef TSYN_TRACE_NOOP
 
 class Span {
@@ -103,7 +69,6 @@ class Span {
  private:
   const char* name_ = nullptr;  ///< nullptr when tracing was off at entry
   std::int64_t start_ns_ = 0;
-  bool pushed_ = false;  ///< frame is on the live stack and must be popped
 };
 
 #endif  // TSYN_TRACE_NOOP

@@ -504,21 +504,37 @@ TEST(Sweep, BenchDiffGatesIndexRegressions) {
   EXPECT_TRUE(diff(json(drop), index).ok());
 
   // An ok job that fails: run_sweep writes it with zeros beside the error.
-  SweepSummary flip = s;
-  JobResult& job = flip.jobs[1];
-  job = JobResult();
-  job.spec = s.jobs[1].spec;
-  job.status = "failed";
-  job.error = "boom";
-  flip.failed = 1;
+  const auto with_failed = [&](SweepSummary x, std::size_t i) {
+    x.jobs[i] = JobResult();
+    x.jobs[i].spec = s.jobs[i].spec;
+    x.jobs[i].status = "failed";
+    x.jobs[i].error = "boom";
+    x.failed = 1;
+    return x;
+  };
+  const SweepSummary flip = with_failed(s, 1);
   const observe::BenchDiffResult failed = diff(index, json(flip));
   EXPECT_FALSE(failed.ok());
-  EXPECT_NE(text(failed).find("FAIL jobs[" + job.spec.id + "].coverage"),
-            std::string::npos)
+  EXPECT_NE(
+      text(failed).find("FAIL jobs[" + s.jobs[1].spec.id + "].coverage"),
+      std::string::npos)
+      << text(failed);
+  EXPECT_NE(text(failed).find("FAIL summary.mean_coverage"), std::string::npos)
       << text(failed);
   // The job passing again is a recovery: its zeros were never measurements.
   const observe::BenchDiffResult recovered = diff(json(flip), index);
   EXPECT_TRUE(recovered.ok()) << text(recovered);
+
+  // So is one that passes again below the other jobs' mean coverage: the
+  // summary mean counts the failed job's zero, so a recovery only raises it.
+  double others = 0;
+  for (std::size_t i = 1; i < drop.jobs.size(); ++i)
+    others += drop.jobs[i].coverage;
+  ASSERT_LT(drop.jobs[0].coverage,
+            others / static_cast<double>(drop.jobs.size() - 1));
+  const observe::BenchDiffResult low =
+      diff(json(with_failed(drop, 0)), json(drop));
+  EXPECT_TRUE(low.ok()) << text(low);
 }
 
 TEST(Sweep, FailedJournalRecordCarriesDiagnostics) {

@@ -1,10 +1,8 @@
 // Tests for the live-telemetry layer: progress counters, heartbeat JSONL
-// streaming, the stall watchdog, the span-stack sampling profiler, and the
-// crash-flush hooks — plus the invariant that telemetry never changes
-// fault-sim results.
+// streaming and the crash-flush hooks — plus the invariant that telemetry
+// never changes fault-sim results.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -22,11 +20,9 @@
 #include "gatelevel/netlist.h"
 #include "hls/synthesis.h"
 #include "observe/ledger.h"
-#include "observe/profile.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
-#include "util/trace.h"
 
 namespace tsyn {
 namespace {
@@ -294,124 +290,39 @@ TEST(Progress, PatternsReconcileWithGradedTests) {
 }
 #endif  // TSYN_LEDGER_NOOP
 
-// -- stall watchdog ----------------------------------------------------------
+// -- sampler thread against pool workers ------------------------------------
 
-#ifndef TSYN_TRACE_NOOP
-TEST(Watchdog, FiresOnStallWithStacksAndRearms) {
-  const std::string path = testing::TempDir() + "tsyn_hb_stall.jsonl";
-  std::remove(path.c_str());
-  util::progress_reset();
-  util::trace_stacks_enable();
-  std::atomic<int> stalls{0};
-  util::TelemetryOptions opts;
-  opts.heartbeat_path = path;
-  opts.interval_ms = 1000;  // heartbeats mostly out of the way
-  opts.watchdog_ms = 40;
-  opts.on_stall = [&stalls] { ++stalls; };
-  ASSERT_TRUE(util::telemetry_start(opts));
-  util::telemetry_set_phase("test.stall");
-  util::Progress& p = util::progress("test.stall.work");
-  p.add_total(100);
-  {
-    TSYN_SPAN("test.stall.span");
-    // First episode: no progress for well over the window.
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    EXPECT_GE(stalls.load(), 1);
-    const int after_first = stalls.load();
-    // Progress re-arms the watchdog; a second silence fires again.
-    p.add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    EXPECT_GT(stalls.load(), after_first);
-  }
-  util::telemetry_stop();
-  util::trace_stacks_disable();
-
-  bool saw_stall = false;
-  for (const std::string& line : read_lines(path)) {
-    const util::Json j = util::Json::parse(line);
-    const util::Json* type = j.find("type");
-    ASSERT_NE(type, nullptr);
-    if (type->str != "stall") continue;
-    saw_stall = true;
-    EXPECT_GE(j.number_or("stalled_ms", 0), 40.0);
-    const util::Json* stacks = j.find("stacks");
-    ASSERT_NE(stacks, nullptr);
-    ASSERT_TRUE(stacks->is_array());
-    bool saw_frame = false;
-    for (const util::Json& ts : stacks->arr)
-      for (const util::Json& frame : ts.find("frames")->arr)
-        if (frame.str == "test.stall.span") saw_frame = true;
-    EXPECT_TRUE(saw_frame)
-        << "stall record must carry the stalled thread's live span stack";
-  }
-  EXPECT_TRUE(saw_stall);
-  std::remove(path.c_str());
-  util::progress_reset();
-}
-#endif  // TSYN_TRACE_NOOP
-
-// -- sampling profiler -------------------------------------------------------
-
-#ifndef TSYN_TRACE_NOOP
-TEST(Profiler, CollapsedStacksAndSelfTime) {
-  util::trace_stacks_enable();
-  observe::Profiler prof;
-  {
-    TSYN_SPAN("prof.outer");
-    prof.sample();
-    {
-      TSYN_SPAN("prof.inner");
-      prof.sample();
-      prof.sample();
-    }
-    prof.sample();
-  }
-  util::trace_stacks_disable();
-  EXPECT_EQ(prof.ticks(), 4);
-  EXPECT_GE(prof.samples(), 4);  // other registered threads may add stacks
-  const std::string folded = prof.collapsed();
-  EXPECT_NE(folded.find("prof.outer 2\n"), std::string::npos) << folded;
-  EXPECT_NE(folded.find("prof.outer;prof.inner 2\n"), std::string::npos)
-      << folded;
-  bool outer_seen = false, inner_seen = false;
-  for (const auto& f : prof.top_self(10)) {
-    if (f.name == "prof.outer") {
-      outer_seen = true;
-      EXPECT_EQ(f.self, 2);
-      EXPECT_EQ(f.total, 4);
-    }
-    if (f.name == "prof.inner") {
-      inner_seen = true;
-      EXPECT_EQ(f.self, 2);
-      EXPECT_EQ(f.total, 2);
-    }
-  }
-  EXPECT_TRUE(outer_seen);
-  EXPECT_TRUE(inner_seen);
-}
-
-TEST(Profiler, SamplerRunsDuringParallelFaultSim) {
-  // Exercises the mutex-free stack snapshot against concurrent span
-  // push/pop from pool workers — the TSAN job runs this binary.
+TEST(Heartbeat, SamplerRunsDuringParallelFaultSim) {
+  // The sampler thread snapshots progress counters and metrics while pool
+  // workers bump them — the TSAN job runs this binary.
   const Netlist n = full_scan_netlist(cdfg::ewf(), 4);
   std::vector<Fault> faults = gl::enumerate_faults(n);
   const auto blocks = random_blocks(n, 16, 0xABCDEF);
+  const std::string path = testing::TempDir() + "tsyn_hb_parallel.jsonl";
+  std::remove(path.c_str());
   util::progress_reset();
-  util::trace_stacks_enable();
-  observe::Profiler prof;
   util::TelemetryOptions opts;
+  opts.heartbeat_path = path;
   opts.interval_ms = 5;
-  opts.sampler = [&prof] { prof.sample(); };
   ASSERT_TRUE(util::telemetry_start(opts));
   gl::FaultSimOptions so;
   so.num_threads = 4;
-  for (int rep = 0; rep < 5; ++rep)
+  // Keep simulating until a few heartbeats have landed mid-run.
+  for (int rep = 0; rep < 5 || (util::telemetry_heartbeat_count() < 3 &&
+                                rep < 500);
+       ++rep)
     (void)gl::fault_coverage(n, blocks, faults, nullptr, so);
   util::telemetry_stop();
-  util::trace_stacks_disable();
-  EXPECT_GT(prof.ticks(), 0);
+  const std::vector<std::string> lines = read_lines(path);
+  EXPECT_GE(lines.size(), 3u);
+  EXPECT_EQ(static_cast<long>(lines.size()), util::telemetry_heartbeat_count());
+  for (const std::string& line : lines) {
+    const util::Json j = util::Json::parse(line);
+    EXPECT_EQ(j.find("type")->str, "heartbeat") << line;
+  }
+  std::remove(path.c_str());
+  util::progress_reset();
 }
-#endif  // TSYN_TRACE_NOOP
 
 // -- telemetry must not change results ---------------------------------------
 

@@ -56,7 +56,6 @@
 #include "testability/behavior_analysis.h"
 #include "testability/loop_avoid.h"
 #include "testability/scan_select.h"
-#include "observe/profile.h"
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -72,10 +71,6 @@ using namespace tsyn;
 /// option is given "-", so the stream a consumer pipes holds only that
 /// artifact.
 FILE* g_report = stdout;
-
-/// Set while --profile is active, so cmd_report can fold the top self-time
-/// table into the run report.
-observe::Profiler* g_profiler = nullptr;
 
 /// Prints `msg` (if any) and the usage text from the tables; exit 2.
 [[noreturn]] void usage(const std::string& msg = "");
@@ -107,9 +102,6 @@ struct Args {
   // Live telemetry.
   std::string heartbeat;
   int heartbeat_ms = 250;
-  std::string profile;
-  bool progress = false;
-  int watchdog_ms = 0;  ///< 0 = stall watchdog off
   // sweep.
   std::string out_dir = "results";
   int threads = 0;  ///< 0 = shared pool width
@@ -513,10 +505,6 @@ int cmd_report(const Args& a) {
   r.scoap = observe::attribute_scoap(n, r.ledger, /*top_k=*/10);
   r.provenance = std::move(d.ed.provenance);
   r.attribution = observe::attribute_coverage(r.provenance, r.ledger);
-  if (g_profiler) {
-    r.profile_samples = g_profiler->samples();
-    r.profile_top = g_profiler->top_self(15);
-  }
   // Metrics last, so the attribution join's gauge/histogram are included.
   r.metrics_json = util::metrics().to_json();
 
@@ -873,15 +861,6 @@ const Option kOptions[] = {
      .help = "JSONL heartbeats every MS ms (default 250; - = stderr)",
      .output = Output::kPath, .text = &Args::heartbeat,
      .parse = parse_heartbeat},
-    {.name = "--profile", .value = "FILE", .commands = kEvery,
-     .help = "sampling profile as collapsed stacks, also folded into report",
-     .output = Output::kStdout, .text = &Args::profile},
-    {.name = "--progress", .value = nullptr, .commands = kEvery,
-     .help = "live single-line progress view on stderr",
-     .flag = &Args::progress},
-    {.name = "--watchdog", .value = "MS", .commands = kEvery,
-     .help = "stall diagnostic on the heartbeat stream after MS ms idle",
-     .number = &Args::watchdog_ms, .min = 1},
     {.name = "--log-level", .value = "LEVEL", .commands = kEvery,
      .help = "error|warn|info|debug (default warn)",
      .parse = parse_log_level},
@@ -1072,43 +1051,27 @@ int main(int argc, char** argv) {
   if (!claim_outputs(a)) return 2;
   if (!a.trace.empty()) util::trace_enable();
 
-  // Live telemetry: heartbeat stream, sampling profiler, TTY progress,
-  // stall watchdog — all driven by one background sampler thread. The
-  // profiler has static storage so the crash-flush atexit pass (which runs
-  // after main's locals are gone) can still serialize it.
-  static observe::Profiler profiler;
-  const bool want_telemetry = !a.heartbeat.empty() || !a.profile.empty() ||
-                              a.progress || a.watchdog_ms > 0;
-  if (want_telemetry) {
+  // Live telemetry: the heartbeat stream, written by one background
+  // sampler thread.
+  if (!a.heartbeat.empty()) {
     util::TelemetryOptions topts;
     topts.heartbeat_path = a.heartbeat;
     topts.interval_ms = a.heartbeat_ms;
-    topts.watchdog_ms = a.watchdog_ms;
-    topts.tty_progress = a.progress;
-    if (!a.profile.empty()) {
-      util::trace_stacks_enable();
-      topts.sampler = [] { g_profiler->sample(); };
-      g_profiler = &profiler;
-    }
-    if (a.watchdog_ms > 0) util::trace_stacks_enable();  // stall stacks
     if (!util::telemetry_start(topts)) {
       std::fprintf(stderr, "error: cannot open heartbeat stream %s\n",
                    a.heartbeat.c_str());
       return 1;
     }
   }
-  // Make --trace/--metrics/--profile artifacts survive a crash, a watchdog
-  // abort, or an operator Ctrl-C: best-effort flush of whatever was
-  // collected so far. The normal shutdown path below disarms this.
-  if (!a.trace.empty() || !a.metrics.empty() || !a.profile.empty()) {
-    const std::string trace_path = a.trace, metrics_path = a.metrics,
-                      profile_path = a.profile;
-    util::install_crash_flush([trace_path, metrics_path, profile_path] {
+  // Make --trace/--metrics artifacts survive a crash or an operator
+  // Ctrl-C: best-effort flush of whatever was collected so far. The normal
+  // shutdown path below disarms this.
+  if (!a.trace.empty() || !a.metrics.empty()) {
+    const std::string trace_path = a.trace, metrics_path = a.metrics;
+    util::install_crash_flush([trace_path, metrics_path] {
       if (!trace_path.empty()) write_output(trace_path, util::trace_to_json());
       if (!metrics_path.empty())
         write_output(metrics_path, util::metrics().to_json() + "\n");
-      if (!profile_path.empty() && g_profiler)
-        write_output(profile_path, g_profiler->collapsed());
     });
   }
 
@@ -1125,10 +1088,6 @@ int main(int argc, char** argv) {
   }
 
   if (util::telemetry_active()) util::telemetry_stop();
-  if (!a.profile.empty() &&
-      !emit(a.profile, profiler.collapsed(), "profile",
-            std::to_string(profiler.samples()) + " stack samples -> "))
-    return 1;
   if (!a.trace.empty() &&
       !emit(a.trace, util::trace_to_json(), "trace",
             std::to_string(util::trace_span_count()) + " spans -> "))
