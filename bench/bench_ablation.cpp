@@ -36,12 +36,12 @@ void run_variant(util::Table& table, const cdfg::Cdfg& g,
       testability::loop_avoiding_synthesis(g, opts);
   const hls::RtlDesign rtl = hls::build_rtl(g, r.schedule, r.binding);
   const rtl::LoopStats stats = rtl::loop_stats(rtl.datapath);
-  const auto scan = graph::greedy_mfvs(rtl::build_sgraph(rtl.datapath),
-                                       {.ignore_self_loops = true});
+  const graph::MfvsResult scan = graph::exact_mfvs(
+      rtl::build_sgraph(rtl.datapath), {.ignore_self_loops = true});
   table.add_row({g.name(), v.name, std::to_string(r.binding.num_regs),
                  std::to_string(stats.assignment_loops),
                  std::to_string(stats.cdfg_loops),
-                 std::to_string(scan.size())});
+                 bench::mfvs_cell(scan)});
 }
 
 }  // namespace

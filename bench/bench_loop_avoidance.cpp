@@ -26,24 +26,25 @@ void add_row(util::Table& table, const cdfg::Cdfg& g,
   // Scan registers the flow commits to (CDFG loop breaking), plus whatever
   // the RTL still needs on top (MFVS over the scan-excluded S-graph).
   // Plain RTL MFVS on the same datapath is always available as a fallback;
-  // a designer takes whichever allocation is smaller. Both MFVS figures
-  // come from graph::greedy_mfvs, an upper bound on the minimum, not the
-  // optimum.
-  const auto plain = graph::greedy_mfvs(rtl::build_sgraph(rtl.datapath),
-                                        {.ignore_self_loops = true});
+  // a designer takes whichever allocation is smaller. The count is an
+  // upper bound ("<=N") unless both MFVS are proven minimum.
+  const graph::MfvsResult plain = graph::exact_mfvs(
+      rtl::build_sgraph(rtl.datapath), {.ignore_self_loops = true});
   const int committed =
       testability::apply_scan(g, b, scan_vars, rtl.datapath);
   const graph::Digraph sg =
       rtl::build_sgraph(rtl.datapath, /*exclude_scan=*/true);
-  const auto extra = graph::greedy_mfvs(sg, {.ignore_self_loops = true});
-  const int total = std::min(committed + static_cast<int>(extra.size()),
-                             static_cast<int>(plain.size()));
+  const graph::MfvsResult extra =
+      graph::exact_mfvs(sg, {.ignore_self_loops = true});
+  const int total = std::min(committed + static_cast<int>(extra.set.size()),
+                             static_cast<int>(plain.set.size()));
   table.add_row({g.name(), flow, std::to_string(s.num_steps),
                  std::to_string(b.num_regs),
                  std::to_string(stats.self_loops),
                  std::to_string(stats.assignment_loops),
                  std::to_string(stats.cdfg_loops),
-                 std::to_string(total)});
+                 (plain.optimal && extra.optimal ? "" : "<=") +
+                     std::to_string(total)});
 }
 
 }  // namespace

@@ -24,6 +24,7 @@ int main() {
 
   util::Table table({"benchmark", "selector", "scan vars", "scan regs",
                      "loops broken", "area overhead"});
+  bool proven = true;
   for (const cdfg::Cdfg& g : cdfg::standard_benchmarks()) {
     const auto loops = cdfg::cdfg_loops(g);
     if (loops.empty()) continue;
@@ -32,13 +33,14 @@ int main() {
     // Gate-level-style baseline: partial scan selected on the synthesized
     // RTL S-graph, where hardware-sharing loops inflate the requirement.
     {
-      const auto rtl_scan =
+      const graph::MfvsResult rtl_scan =
           testability::register_only_partial_scan(syn.rtl.datapath);
+      proven &= rtl_scan.optimal;
       rtl::Datapath dp = syn.rtl.datapath;
-      for (int reg : rtl_scan)
+      for (int reg : rtl_scan.set)
         dp.regs[reg].test_kind = rtl::TestRegKind::kScan;
       table.add_row({g.name(), "RTL MFVS (post-synth)", "-",
-                     std::to_string(rtl_scan.size()), "all RTL loops",
+                     bench::mfvs_cell(rtl_scan), "all RTL loops",
                      util::fmt_pct(rtl::test_area_overhead(dp))});
     }
 
@@ -51,6 +53,11 @@ int main() {
         {"loop-cut [33]", testability::select_scan_vars_loopcut},
         {"boundary [24]", testability::select_scan_vars_boundary},
     };
+    // select_scan_vars_mfvs returns the set alone; its proof comes from
+    // the same solver on the same graph.
+    proven &= graph::exact_mfvs(cdfg::var_dependence_graph(g),
+                                {.ignore_self_loops = false})
+                  .optimal;
     for (const Selector& sel : selectors) {
       const auto vars = sel.run(g);
       rtl::Datapath dp = syn.rtl.datapath;
@@ -66,5 +73,5 @@ int main() {
     }
   }
   bench::print_table(table);
-  return 0;
+  return bench::mfvs_exit_status(proven);
 }

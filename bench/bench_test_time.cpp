@@ -65,9 +65,10 @@ int main() {
     rtl::Datapath partial = syn.rtl.datapath;
     const auto vars = testability::select_scan_vars_loopcut(g);
     testability::apply_scan(g, syn.binding, vars, partial);
-    for (int r : graph::greedy_mfvs(
-             rtl::build_sgraph(partial, /*exclude_scan=*/true),
-             {.ignore_self_loops = true}))
+    for (int r : graph::exact_mfvs(
+                     rtl::build_sgraph(partial, /*exclude_scan=*/true),
+                     {.ignore_self_loops = true})
+                     .set)
       partial.regs[r].test_kind = rtl::TestRegKind::kScan;
     const rtl::ScanChainPlan part_chain = rtl::build_scan_chain(partial);
     const long part_cycles = part_chain.test_cycles(patterns);

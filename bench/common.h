@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cdfg/benchmarks.h"
+#include "graph/mfvs.h"
 #include "hls/synthesis.h"
 #include "util/metrics.h"
 #include "util/table.h"
@@ -37,6 +38,23 @@ inline void print_header(const std::string& exp_id,
 inline void print_table(const util::Table& t) {
   std::fputs(t.to_string().c_str(), stdout);
   std::fputs("\n", stdout);
+}
+
+/// Table cell for an MFVS size: "N" when proven minimum, "<=N" when the
+/// solver's branch budget ran out and N is only an upper bound.
+inline std::string mfvs_cell(const graph::MfvsResult& r) {
+  const std::string n = std::to_string(r.set.size());
+  return r.optimal ? n : "<=" + n;
+}
+
+/// Exit status of a bench whose claim rests on minimum FVS sizes: 1, with
+/// a note on stderr, when any of them is only an upper bound.
+inline int mfvs_exit_status(bool all_optimal) {
+  if (all_optimal) return 0;
+  std::fputs("UNPROVEN: an MFVS in the table is an upper bound (<=N), "
+             "not a proven minimum\n",
+             stderr);
+  return 1;
 }
 
 /// Per-campaign cost of one instrumentation layer, off vs on.

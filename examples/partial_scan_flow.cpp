@@ -41,9 +41,10 @@ int main() {
   const rtl::LoopStats before = rtl::loop_stats(design.datapath, false);
   int scan_regs = testability::apply_scan(
       g, r.binding, scan_vars, design.datapath);
-  for (int reg : graph::greedy_mfvs(
-           rtl::build_sgraph(design.datapath, /*exclude_scan=*/true),
-           {.ignore_self_loops = true})) {
+  for (int reg : graph::exact_mfvs(
+                     rtl::build_sgraph(design.datapath, /*exclude_scan=*/true),
+                     {.ignore_self_loops = true})
+                     .set) {
     design.datapath.regs[reg].test_kind = rtl::TestRegKind::kScan;
     ++scan_regs;
   }

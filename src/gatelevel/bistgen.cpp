@@ -1,6 +1,7 @@
 #include "gatelevel/bistgen.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "util/rng.h"
@@ -27,19 +28,25 @@ std::uint64_t default_taps(int width) {
 }  // namespace
 
 Lfsr::Lfsr(int width, std::uint64_t seed)
-    : width_(width),
-      taps_(default_taps(width)),
-      mask_(width == 64 ? ~0ULL : ((1ULL << width) - 1)) {
-  state_ = seed & mask_;
+    : width_(width), taps_(default_taps(width)) {
+  state_ = seed & (width == 64 ? ~0ULL : ((1ULL << width) - 1));
   if (state_ == 0) state_ = 1;  // the all-zero state is absorbing
 }
 
-std::uint64_t Lfsr::step() {
-  // Galois form: shift right, conditionally XOR taps.
-  const bool lsb = state_ & 1;
-  state_ >>= 1;
-  if (lsb) state_ ^= taps_ & mask_;
-  return state_;
+void Lfsr::skip(int steps) {
+  // Until a tap bit reaches bit 0, the bits shifted out are the state's own
+  // low bits, so up to `lowest tap + 1` steps XOR those bits, shifted up,
+  // in at every tap at once.
+  const int chunk = std::countr_zero(taps_) + 1;
+  while (steps > 0) {
+    const int k = std::min(steps, chunk);
+    const std::uint64_t out = k == 64 ? state_ : state_ & ((1ULL << k) - 1);
+    std::uint64_t next = k == 64 ? 0 : state_ >> k;
+    for (std::uint64_t t = taps_; t != 0; t &= t - 1)
+      next ^= out << (std::countr_zero(t) + 1 - k);
+    state_ = next;
+    steps -= k;
+  }
 }
 
 Misr::Misr(int width) : lfsr_(width, 1), state_(0) {}
@@ -52,25 +59,43 @@ void Misr::absorb(std::uint64_t response) {
   if (lsb) state_ ^= 0x80200003ULL;
 }
 
+namespace {
+
+// In-place 64x64 bit-matrix transpose, LSB-first: on return, bit r of
+// m[c] is what bit c of m[r] was. Swaps ever smaller off-diagonal blocks.
+void transpose64(std::uint64_t m[64]) {
+  std::uint64_t mask = 0x00000000FFFFFFFFULL;
+  for (int j = 32; j != 0; j >>= 1, mask ^= mask << j)
+    for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
+      m[k | j] ^= t;
+      m[k] ^= t << j;
+    }
+}
+
+}  // namespace
+
 std::vector<std::vector<Bits>> lfsr_pattern_blocks(int num_inputs,
                                                    int num_blocks,
                                                    std::uint64_t seed) {
   Lfsr lfsr(64, seed ^ 0x5DEECE66DULL);
   std::vector<std::vector<Bits>> blocks(num_blocks);
+  std::uint64_t s1[64], s2[64];
   for (auto& block : blocks) {
-    block.assign(num_inputs, Bits::all0());
     for (int lane = 0; lane < 64; ++lane) {
       // A PRPG shifts the whole chain between captures; stepping past the
       // state width leaves successive patterns effectively independent.
-      for (int s = 0; s < 66; ++s) lfsr.step();
-      const std::uint64_t s1 = lfsr.step();
-      const std::uint64_t s2 = lfsr.step();
-      for (int i = 0; i < num_inputs; ++i) {
-        const std::uint64_t word = (i / 64) % 2 == 0 ? s1 : s2;
-        const bool bit = (word >> (i % 64)) & 1;
-        if (bit) block[i].v |= 1ULL << lane;
-      }
+      lfsr.skip(66);
+      s1[lane] = lfsr.step();
+      s2[lane] = lfsr.step();
     }
+    // Input i of lane L is bit i % 64 of that lane's s1 (even 64-input
+    // groups) or s2 (odd groups): a row of the transposed state words.
+    transpose64(s1);
+    transpose64(s2);
+    block.resize(num_inputs);
+    for (int i = 0; i < num_inputs; ++i)
+      block[i] = Bits::known((i / 64) % 2 == 0 ? s1[i % 64] : s2[i % 64]);
   }
   return blocks;
 }

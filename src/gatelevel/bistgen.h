@@ -21,16 +21,21 @@ class Lfsr {
  public:
   Lfsr(int width, std::uint64_t seed);
 
-  /// Advances one clock and returns the new state.
-  std::uint64_t step();
+  /// Advances one clock and returns the new state. Galois form: shift
+  /// right and XOR the taps when the bit shifted out was 1.
+  std::uint64_t step() {
+    state_ = (state_ >> 1) ^ (taps_ & (0 - (state_ & 1)));
+    return state_;
+  }
+  /// Same as `steps` calls of step(), in word operations.
+  void skip(int steps);
   std::uint64_t state() const { return state_; }
   int width() const { return width_; }
 
  private:
   int width_;
   std::uint64_t state_;
-  std::uint64_t taps_;
-  std::uint64_t mask_;
+  std::uint64_t taps_;  ///< within `width` bits, so steps stay in range
 };
 
 /// Multiple-input signature register (software model).

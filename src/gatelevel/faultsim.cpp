@@ -339,12 +339,6 @@ std::vector<bool> sequential_fault_sim(
   m_events.add(frames_done * gates_per_frame);
   m_detected.add(hits);
   m_dropped.add(dropped_mid);
-  if (workers > 1)
-    util::metrics()
-        .gauge("faultsim.seq.shard_imbalance")
-        .set(static_cast<double>(*std::max_element(job.per_worker.begin(),
-                                                   job.per_worker.end())) *
-             workers / static_cast<double>(job.todo.size()));
   return detected;
 }
 

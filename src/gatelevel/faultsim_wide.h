@@ -438,27 +438,19 @@ class PpsfpShard {
     }
 
     // Publish the pass's work off the hot path — worker counters are
-    // stable once run_chunked() has returned. Imbalance is the largest
-    // slot's share over the ideal equal share (1.0 = perfectly balanced,
-    // `workers` = one slot did everything).
+    // stable once run_chunked() has returned.
     static util::Counter& m_events =
         util::metrics().counter("faultsim.ppsfp.events");
     static util::Counter& m_sims =
         util::metrics().counter("faultsim.ppsfp.faults_simulated");
-    long events = 0, done = 0, biggest = 0;
+    long events = 0, done = 0;
     for (WideProp<W, V>& p : props_) {
       events += p.events();
       done += p.faults();
-      biggest = std::max(biggest, p.faults());
       p.reset_work_counters();
     }
     m_events.add(events);
     m_sims.add(done);
-    if (workers > 1 && done > 0)
-      util::metrics()
-          .gauge("faultsim.ppsfp.shard_imbalance")
-          .set(static_cast<double>(biggest) * workers /
-               static_cast<double>(done));
   }
 
   /// Good-machine rows of the last grade() pass.
@@ -553,8 +545,6 @@ struct SeqJob {
   /// Per fault: frames simulated, and whether the last of them detected.
   std::vector<std::int32_t> frames_run;
   std::vector<char> hit;
-  /// Faults each worker simulated.
-  std::vector<long> per_worker;
 };
 
 /// Fault-slot-parallel sequential simulation, PROOFS' idea (Niermann,
@@ -577,12 +567,10 @@ class alignas(64) SeqSlots {
     at_site_.assign(static_cast<std::size_t>(g_.num_nodes()), 0);
   }
 
-  /// Simulates faults from the cursor until it runs dry; returns how
-  /// many this worker took.
-  long run() {
+  /// Simulates faults from the cursor until it runs dry.
+  void run() {
     for (int w = 0; w < W; ++w) claim(w);
     while (busy_ != 0) sweep();
-    return taken_;
   }
 
  private:
@@ -603,7 +591,6 @@ class alignas(64) SeqSlots {
     frame_[w] = 0;
     busy_ |= bit;
     at_site_[(*job_.faults)[fi].node] |= bit;
-    ++taken_;
     for (std::size_t i = 0; i < g_.ffs().size(); ++i) {  // state starts X
       state_[i * 2 * W + w] = 0;
       state_[i * 2 * W + W + w] = ~0ULL;
@@ -727,7 +714,6 @@ class alignas(64) SeqSlots {
   int fault_[W] = {};
   std::int32_t frame_[W] = {};
   std::uint8_t busy_ = 0;  ///< occupied slots
-  long taken_ = 0;
 };
 
 /// Runs a sequential job on `workers` threads, each with its own SeqSlots
@@ -738,8 +724,7 @@ void seq_slots(SeqJob& job, int workers) {
   std::vector<SeqSlots<W, V>> slots;
   slots.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) slots.emplace_back(job);
-  job.per_worker.assign(static_cast<std::size_t>(workers), 0);
-  auto work = [&](int i, int) { job.per_worker[i] = slots[i].run(); };
+  auto work = [&](int i, int) { slots[i].run(); };
   if (workers <= 1)
     work(0, 0);
   else

@@ -125,7 +125,7 @@ RtlScanResult rtl_partial_scan(rtl::Datapath& dp, bool apply) {
   return result;
 }
 
-std::vector<int> register_only_partial_scan(const rtl::Datapath& dp) {
+graph::MfvsResult register_only_partial_scan(const rtl::Datapath& dp) {
   const graph::Digraph s = rtl::build_sgraph(dp);
   return graph::exact_mfvs(s, {.ignore_self_loops = true});
 }

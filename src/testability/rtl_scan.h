@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "graph/mfvs.h"
 #include "rtl/datapath.h"
 
 namespace tsyn::testability {
@@ -29,7 +30,7 @@ struct RtlScanResult {
 RtlScanResult rtl_partial_scan(rtl::Datapath& dp, bool apply = true);
 
 /// Baseline: register-only selection (the gate-level-equivalent MFVS on the
-/// S-graph). Returns the registers chosen.
-std::vector<int> register_only_partial_scan(const rtl::Datapath& dp);
+/// S-graph): the registers chosen, and whether that set is proven minimum.
+graph::MfvsResult register_only_partial_scan(const rtl::Datapath& dp);
 
 }  // namespace tsyn::testability

@@ -26,7 +26,7 @@ std::vector<cdfg::VarId> select_scan_vars_mfvs(const cdfg::Cdfg& g) {
   TSYN_SPAN("scan.select.mfvs");
   const graph::Digraph d = cdfg::var_dependence_graph(g);
   std::vector<cdfg::VarId> selected =
-      graph::exact_mfvs(d, {.ignore_self_loops = false});
+      graph::exact_mfvs(d, {.ignore_self_loops = false}).set;
   publish_selection(selected.size());
   return selected;
 }

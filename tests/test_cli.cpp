@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "util/json.h"
@@ -159,6 +161,21 @@ TEST_F(Cli, StdoutOutputsStayPure) {
   ASSERT_EQ(verilog.code, 0);
   EXPECT_EQ(verilog.out.rfind("// Generated by tsyn", 0), 0u);
   EXPECT_EQ(verilog.out.find("behavior  :"), std::string::npos);
+}
+
+TEST_F(Cli, ReportIsByteIdenticalRunToRun) {
+  // The report embeds the metrics registry, so one timing-dependent value
+  // in it (a thread-balance gauge, a wall time) makes two runs differ.
+  ASSERT_EQ(code("report bench:diffeq --out a.json"), 0);
+  ASSERT_EQ(code("report bench:diffeq --out b.json"), 0);
+  auto slurp = [this](const char* name) {
+    std::ifstream in(dir_ / name, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string a = slurp("a.json");
+  ASSERT_FALSE(a.empty());
+  EXPECT_NE(tsyn::util::Json::parse(a).find("metrics"), nullptr);
+  EXPECT_EQ(a, slurp("b.json"));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 
 #include "cdfg/benchmarks.h"
 #include "cdfg/parser.h"
@@ -12,6 +13,7 @@
 #include "gatelevel/faults.h"
 #include "gatelevel/faultsim.h"
 #include "hls/synthesis.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace tsyn::gl {
@@ -320,6 +322,34 @@ TEST(FaultSim, CoverageMonotoneInPatterns) {
   const auto many = lfsr_pattern_blocks(16, 8, 7);
   EXPECT_LE(fault_coverage(rig.n, few, faults),
             fault_coverage(rig.n, many, faults) + 1e-12);
+}
+
+TEST(Lfsr, PatternBlocksAreDigestPinned) {
+  // Every bit of lfsr_pattern_blocks over shapes below, at and above one
+  // and two 64-input groups, folded into one hash. The constant was
+  // computed with the per-bit generator the transposed one replaced.
+  util::Fnv1a h;
+  const std::tuple<int, int, std::uint64_t> shapes[] = {
+      {1, 1, 0},     {37, 2, 7},          {64, 1, 3},
+      {130, 3, 11},  {300, 2, 0x5EED},    {700, 1, 42}};
+  for (const auto& [inputs, count, seed] : shapes)
+    for (const auto& block : lfsr_pattern_blocks(inputs, count, seed)) {
+      h.u64(block.size());
+      for (const Bits& b : block) h.u64(b.v).u64(b.x);
+    }
+  EXPECT_EQ(h.value(), 0x0535d2d9df0aba46ull);
+}
+
+TEST(Lfsr, SkipMatchesSteps) {
+  for (int width : {8, 16, 24, 32, 64})
+    for (int steps : {0, 1, 3, 4, 5, 59, 60, 61, 66, 200}) {
+      Lfsr stepped(width, 0x9E3779B97F4A7C15ULL);
+      Lfsr skipped = stepped;
+      for (int s = 0; s < steps; ++s) stepped.step();
+      skipped.skip(steps);
+      EXPECT_EQ(skipped.state(), stepped.state())
+          << "width " << width << " steps " << steps;
+    }
 }
 
 TEST(FaultSim, SequentialDetection) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "graph/clique_partition.h"
@@ -329,34 +331,110 @@ TEST(Mfvs, ExactNoLargerThanGreedy) {
   for (std::uint64_t seed = 20; seed < 30; ++seed) {
     const Digraph g = random_digraph(12, 0.18, seed);
     const auto greedy = greedy_mfvs(g);
-    const auto exact = exact_mfvs(g);
+    const auto exact = exact_mfvs(g).set;
     EXPECT_TRUE(is_feedback_vertex_set(g, exact));
     EXPECT_LE(exact.size(), greedy.size());
   }
 }
 
 TEST(Mfvs, RingNeedsExactlyOne) {
-  const auto fvs = exact_mfvs(ring(7));
+  const auto fvs = exact_mfvs(ring(7)).set;
   EXPECT_EQ(fvs.size(), 1u);
 }
 
 TEST(Mfvs, SelfLoopsIgnoredByDefault) {
   Digraph g(2);
   g.add_edge(0, 0);
-  EXPECT_TRUE(exact_mfvs(g).empty());
-  EXPECT_EQ(exact_mfvs(g, {.ignore_self_loops = false}).size(), 1u);
+  EXPECT_TRUE(exact_mfvs(g).set.empty());
+  EXPECT_EQ(exact_mfvs(g, {.ignore_self_loops = false}).set.size(), 1u);
 }
 
 TEST(Mfvs, TwoDisjointRings) {
   Digraph g(6);
   for (int i = 0; i < 3; ++i) g.add_edge(i, (i + 1) % 3);
   for (int i = 0; i < 3; ++i) g.add_edge(3 + i, 3 + (i + 1) % 3);
-  EXPECT_EQ(exact_mfvs(g).size(), 2u);
+  EXPECT_EQ(exact_mfvs(g).set.size(), 2u);
+}
+
+// Minimum FVS size by exhaustion over vertex subsets (n <= 16): a subset
+// is acyclic iff it is empty, or it has a source whose removal leaves it
+// acyclic (removing a source breaks no cycle, so any source will do).
+std::size_t brute_force_mfvs_size(const Digraph& g, bool ignore_self_loops) {
+  const int n = g.num_nodes();
+  std::vector<std::uint32_t> preds(n, 0);
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v : g.successors(u))
+      if (!(ignore_self_loops && u == v)) preds[v] |= 1u << u;
+  std::vector<char> acyclic(std::size_t{1} << n, 0);
+  acyclic[0] = 1;
+  int keep = 0;
+  for (std::uint32_t s = 1; s < (1u << n); ++s) {
+    for (int v = 0; v < n; ++v)
+      if ((s >> v & 1) && (preds[v] & s) == 0) {
+        acyclic[s] = acyclic[s & ~(1u << v)];
+        break;
+      }
+    if (acyclic[s]) keep = std::max(keep, std::popcount(s));
+  }
+  return static_cast<std::size_t>(n - keep);
+}
+
+TEST(Mfvs, ExactMatchesBruteForceOnRandomGraphs) {
+  util::Rng rng(0x3F5);
+  for (int trial = 0; trial < 2400; ++trial) {
+    const int n = rng.next_int(4, 15);
+    const double density = 0.08 + 0.32 * rng.next_double();
+    Digraph g(n);
+    for (NodeId u = 0; u < n; ++u)
+      for (NodeId v = 0; v < n; ++v)
+        if (u == v ? rng.next_bool(0.1) : rng.next_bool(density))
+          g.add_edge(u, v);
+    for (const bool ignore : {true, false}) {
+      const MfvsOptions opts{.ignore_self_loops = ignore};
+      const MfvsResult r = exact_mfvs(g, opts);
+      ASSERT_TRUE(r.optimal) << "trial " << trial;
+      ASSERT_TRUE(std::is_sorted(r.set.begin(), r.set.end()));
+      ASSERT_TRUE(is_feedback_vertex_set(g, r.set, opts)) << "trial " << trial;
+      ASSERT_EQ(r.set.size(), brute_force_mfvs_size(g, ignore))
+          << "trial " << trial << " ignore_self_loops " << ignore;
+    }
+  }
+}
+
+TEST(Mfvs, ExactSolvesLargeCyclicCoreWhereGreedyIsNotOptimal) {
+  // Greedy's degree products tie on 0..3, so it cuts node 0 first and
+  // then needs a second node; node 1 (or 3) alone breaks all three loops.
+  // Next to it a disjoint 40-node ring: more than 32 cyclic nodes, where
+  // the solver once returned the greedy set under the exact name.
+  Digraph g(5 + 40);
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 1}, {1, 3}, {2, 0}, {2, 1}, {3, 0}, {3, 2}, {4, 0}, {4, 1}})
+    g.add_edge(u, v);
+  for (int i = 0; i < 40; ++i) g.add_edge(5 + i, 5 + (i + 1) % 40);
+  const std::size_t minimum = 2;
+  const MfvsResult r = exact_mfvs(g);
+  EXPECT_TRUE(r.optimal);
+  EXPECT_TRUE(is_feedback_vertex_set(g, r.set));
+  EXPECT_EQ(r.set.size(), minimum);
+  EXPECT_EQ(greedy_mfvs(g).size(), minimum + 1);
+}
+
+TEST(Mfvs, CompleteDigraphLeavesAKernelToBranchOn) {
+  // Every node of K5 has in- and out-degree 4, so contraction removes
+  // nothing; only one node may stay out of the set.
+  Digraph g(5);
+  for (NodeId u = 0; u < 5; ++u)
+    for (NodeId v = 0; v < 5; ++v)
+      if (u != v) g.add_edge(u, v);
+  const MfvsResult r = exact_mfvs(g);
+  EXPECT_TRUE(r.optimal);
+  EXPECT_EQ(r.set.size(), 4u);
+  EXPECT_TRUE(is_feedback_vertex_set(g, r.set));
 }
 
 TEST(Mfvs, AcyclicNeedsNone) {
   EXPECT_TRUE(greedy_mfvs(chain(10)).empty());
-  EXPECT_TRUE(exact_mfvs(chain(10)).empty());
+  EXPECT_TRUE(exact_mfvs(chain(10)).set.empty());
 }
 
 TEST(Coloring, TriangleNeedsThree) {
@@ -581,7 +659,7 @@ TEST_P(MfvsSweep, GreedyAlwaysValid) {
         if (i != drop) smaller.push_back(fvs[i]);
       // Not required to fail for greedy, but must fail for exact:
     }
-    const auto exact = exact_mfvs(g);
+    const auto exact = exact_mfvs(g).set;
     for (std::size_t drop = 0; drop < exact.size(); ++drop) {
       std::vector<NodeId> smaller;
       for (std::size_t i = 0; i < exact.size(); ++i)
