@@ -1,25 +1,20 @@
-// EXP-SWEEP — throughput of the campaign orchestrator's stage cache.
+// EXP-SWEEP — throughput of the campaign orchestrator.
 //
-// The campaign orchestrator exists to make design x config sweeps cheap:
-// jobs that share a (design, schedule-config, scan, width) prefix should
-// share one parse, one schedule+binding, and one RTL->gate lowering. This
-// bench quantifies what that buys on a 3-design x 4-config grid (x 4 X-fill
-// seeds = 48 jobs sharing 12 pipeline prefixes):
+// A sweep runs every grid point start to finish on its own: parse,
+// schedule+binding, RTL->gate lowering, ATPG. This bench times that on a
+// 3-design x 4-config x 4-seed grid (48 jobs), run serially through
+// run_one_job so the row measures pipeline work, not scheduling.
 //
-//   cold  every job runs its own private StageCache — the cost a sweep
-//         would pay with no memoization (12 parses become 48, etc.);
-//   memo  all jobs share one StageCache — the orchestrator's actual shape.
-//
-// Reported per mode: wall time, jobs/sec, stage-compute counts, cache hit
-// rate; plus the memo/cold speedup. Results go to stdout and
+// Reported: wall time, jobs/sec and mean coverage. The row keeps the case
+// name "cold" (every job runs its whole pipeline), so bench_diff compares
+// it with earlier BENCH_sweep.json files. Results go to stdout and
 // BENCH_sweep.json (tracked per PR through the bench_diff gate, wall times
 // excluded with --no-time).
-// A second section, "telemetry", prices the fleet-observability layer
-// itself: the same grid swept through run_sweep() with everything off vs
-// with the heartbeat stream, job rollup, and timeline recording on.
-// Paired alternating trials, medians reported; the overhead budget is
-// <= 2% and the on/off index bytes must be identical (telemetry may cost
-// time, never results).
+// A second section, "telemetry", prices the heartbeat stream: the same
+// grid swept through run_sweep() with telemetry off vs with the heartbeat
+// stream on. Paired alternating trials, medians reported; the overhead
+// budget is <= 2% and the on/off index bytes must be identical (telemetry
+// may cost time, never results).
 #include "common.h"
 
 #include <algorithm>
@@ -31,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/cache.h"
 #include "campaign/manifest.h"
 #include "campaign/sweep.h"
 #include "util/table.h"
@@ -63,68 +57,33 @@ campaign::Manifest grid_manifest() {
   return m;
 }
 
-struct ModeResult {
-  std::string mode;
+struct SweepRow {
   std::int64_t jobs = 0;
   double wall_ms = 0;
   double jobs_per_sec = 0;
-  std::int64_t parse_runs = 0;   ///< stage computations actually executed
-  std::int64_t synth_runs = 0;
-  std::int64_t expand_runs = 0;
-  double hit_rate = 0;
   double mean_coverage = 0;
 };
 
-ModeResult run_mode(const campaign::Manifest& m, bool shared_cache) {
+SweepRow run_grid(const campaign::Manifest& m) {
   const std::vector<campaign::JobSpec> grid = campaign::expand_grid(m);
-  ModeResult r;
-  r.mode = shared_cache ? "memo" : "cold";
+  SweepRow r;
   r.jobs = static_cast<std::int64_t>(grid.size());
-
-  campaign::StageCache shared;
-  campaign::CacheStats cold_totals;
   double cov_sum = 0;
   const Clock::time_point t0 = Clock::now();
   for (const campaign::JobSpec& spec : grid) {
     std::string report;
-    if (shared_cache) {
-      const campaign::JobResult jr =
-          campaign::run_one_job(spec, m, shared, &report);
-      if (jr.status != "ok") {
-        std::fprintf(stderr, "job %s failed: %s\n", spec.id.c_str(),
-                     jr.error.c_str());
-        std::exit(1);
-      }
-      cov_sum += jr.coverage;
-    } else {
-      campaign::StageCache own;  // private cache: nothing is ever shared
-      const campaign::JobResult jr =
-          campaign::run_one_job(spec, m, own, &report);
-      if (jr.status != "ok") {
-        std::fprintf(stderr, "job %s failed: %s\n", spec.id.c_str(),
-                     jr.error.c_str());
-        std::exit(1);
-      }
-      cov_sum += jr.coverage;
-      const campaign::CacheStats s = own.stats();
-      cold_totals.parse_misses += s.parse_misses;
-      cold_totals.synth_misses += s.synth_misses;
-      cold_totals.expand_misses += s.expand_misses;
+    const campaign::JobResult jr = campaign::run_one_job(spec, m, &report);
+    if (jr.status != "ok") {
+      std::fprintf(stderr, "job %s failed: %s\n", spec.id.c_str(),
+                   jr.error.c_str());
+      std::exit(1);
     }
+    cov_sum += jr.coverage;
   }
   r.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   r.jobs_per_sec =
       r.wall_ms > 0 ? 1000.0 * static_cast<double>(r.jobs) / r.wall_ms : 0;
-  const campaign::CacheStats s = shared_cache ? shared.stats() : cold_totals;
-  r.parse_runs = s.parse_misses;
-  r.synth_runs = s.synth_misses;
-  r.expand_runs = s.expand_misses;
-  const std::int64_t lookups = s.hits() + s.misses();
-  r.hit_rate = lookups > 0
-                   ? static_cast<double>(s.hits()) /
-                         static_cast<double>(lookups)
-                   : 0;
   r.mean_coverage = cov_sum / static_cast<double>(r.jobs);
   return r;
 }
@@ -133,16 +92,16 @@ ModeResult run_mode(const campaign::Manifest& m, bool shared_cache) {
 
 struct TelemetryResult {
   double off_ms = 0;        ///< median sweep wall, telemetry off
-  double on_ms = 0;         ///< median sweep wall, heartbeat+timeline on
+  double on_ms = 0;         ///< median sweep wall, heartbeat stream on
   double overhead_pct = 0;  ///< (on - off) / off * 100
   bool identical = false;   ///< on/off index bytes identical (timing-free)
   long heartbeats = 0;      ///< lines emitted by the last "on" trial
 };
 
 /// One full run_sweep() over `m` into a throwaway dir; with `telemetry`,
-/// a live heartbeat session plus timeline export ride along. Returns the
-/// sweep wall time and the timing-stripped index bytes (the identity the
-/// on/off comparison checks).
+/// a live heartbeat session rides along. Returns the sweep wall time and
+/// the timing-stripped index bytes (the identity the on/off comparison
+/// checks).
 double sweep_once(const campaign::Manifest& m, bool telemetry,
                   std::string* index_bytes) {
   namespace fs = std::filesystem;
@@ -158,7 +117,6 @@ double sweep_once(const campaign::Manifest& m, bool telemetry,
     topts.heartbeat_path = (dir.string() + "_hb.jsonl");
     topts.interval_ms = 20;
     util::telemetry_start(topts);
-    opts.timeline_path = (dir / "timeline.json").string();
   }
   const Clock::time_point t0 = Clock::now();
   const campaign::SweepSummary s = campaign::run_sweep(m, opts);
@@ -213,29 +171,19 @@ TelemetryResult run_telemetry_overhead(const campaign::Manifest& m) {
   return r;
 }
 
-void write_json(const std::vector<ModeResult>& rows, double speedup,
-                const TelemetryResult& tel) {
+void write_json(const SweepRow& r, const TelemetryResult& tel) {
   FILE* f = std::fopen("BENCH_sweep.json", "w");
   if (!f) {
     std::fprintf(stderr, "cannot write BENCH_sweep.json\n");
     return;
   }
   bench::write_json_preamble(f, kSeedBase);
-  std::fprintf(f, "  \"sweep\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ModeResult& r = rows[i];
-    std::fprintf(f,
-                 "    {\"case\": \"%s\", \"jobs\": %lld, \"wall_ms\": %.1f, "
-                 "\"jobs_per_sec\": %.1f, \"parse_runs\": %lld, "
-                 "\"synth_runs\": %lld, \"expand_runs\": %lld, "
-                 "\"hit_rate\": %.4f, \"coverage\": %.4f}%s\n",
-                 r.mode.c_str(), static_cast<long long>(r.jobs), r.wall_ms,
-                 r.jobs_per_sec, static_cast<long long>(r.parse_runs),
-                 static_cast<long long>(r.synth_runs),
-                 static_cast<long long>(r.expand_runs), r.hit_rate,
-                 r.mean_coverage, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"memo_speedup\": %.2f,\n", speedup);
+  std::fprintf(f,
+               "  \"sweep\": [\n    {\"case\": \"cold\", \"jobs\": %lld, "
+               "\"wall_ms\": %.1f, \"jobs_per_sec\": %.1f, "
+               "\"coverage\": %.4f}\n  ],\n",
+               static_cast<long long>(r.jobs), r.wall_ms, r.jobs_per_sec,
+               r.mean_coverage);
   std::fprintf(f,
                "  \"telemetry\": {\"off_wall_ms\": %.1f, \"on_wall_ms\": "
                "%.1f, \"overhead_pct\": %.2f, \"identical\": %d, "
@@ -254,44 +202,24 @@ int main() {
   using namespace tsyn;
   bench::print_header(
       "EXP-SWEEP",
-      "Campaign stage cache: memoized vs cold job throughput on a\n"
-      "3-design x 4-config x 4-seed grid (48 jobs, 12 shared prefixes).");
+      "Campaign sweep throughput: every job runs its whole pipeline on a\n"
+      "3-design x 4-config x 4-seed grid (48 jobs).");
 
   const campaign::Manifest m = grid_manifest();
-  // Cold first so the memo pass cannot warm anything for it.
-  const ModeResult cold = run_mode(m, /*shared_cache=*/false);
-  const ModeResult memo = run_mode(m, /*shared_cache=*/true);
-  const double speedup = memo.wall_ms > 0 ? cold.wall_ms / memo.wall_ms : 0;
+  const SweepRow row = run_grid(m);
 
-  util::Table t({"mode", "jobs", "wall ms", "jobs/s", "parse", "synth",
-                 "expand", "hit rate", "coverage"});
-  for (const ModeResult& r : {cold, memo}) {
-    t.add_row({r.mode, std::to_string(r.jobs), fmt(r.wall_ms, 1),
-               fmt(r.jobs_per_sec, 1), std::to_string(r.parse_runs),
-               std::to_string(r.synth_runs), std::to_string(r.expand_runs),
-               fmt(r.hit_rate, 3), fmt(r.mean_coverage, 4)});
-  }
+  util::Table t({"jobs", "wall ms", "jobs/s", "coverage"});
+  t.add_row({std::to_string(row.jobs), fmt(row.wall_ms, 1),
+             fmt(row.jobs_per_sec, 1), fmt(row.mean_coverage, 4)});
   bench::print_table(t);
-  std::printf("memo speedup over cold: %.2fx\n", speedup);
   std::printf(
-      "Shape check: memo must run exactly 3/12/12 parse/synth/expand\n"
-      "stages (one per shared prefix) vs the cold 48/48/48, at identical\n"
-      "coverage — memoization changes cost, never results.\n");
-
-  if (memo.parse_runs != 3 || memo.synth_runs != 12 ||
-      memo.expand_runs != 12 || cold.parse_runs != 48) {
-    std::fprintf(stderr, "stage-count shape check FAILED\n");
-    return 1;
-  }
-  if (memo.mean_coverage != cold.mean_coverage) {
-    std::fprintf(stderr, "coverage diverged between modes\n");
-    return 1;
-  }
+      "Shape check: all 48 jobs finish ok; the heartbeat stream may cost\n"
+      "time but must leave the sweep's index bytes unchanged.\n");
 
   const TelemetryResult tel = run_telemetry_overhead(m);
   std::printf(
-      "\nTelemetry overhead (heartbeat + job rollup + timeline, paired\n"
-      "medians over 5 alternating run_sweep trials):\n"
+      "\nTelemetry overhead (heartbeat stream, paired medians over 5\n"
+      "alternating run_sweep trials):\n"
       "  off %.1f ms, on %.1f ms -> %+.2f%% (budget <= 2%%, %s)\n"
       "  heartbeats emitted: %ld; on/off index bytes identical: %s\n",
       tel.off_ms, tel.on_ms, tel.overhead_pct,
@@ -303,7 +231,7 @@ int main() {
     return 1;
   }
 
-  write_json({cold, memo}, speedup, tel);
+  write_json(row, tel);
   std::printf("Wrote BENCH_sweep.json.\n");
   return 0;
 }

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "campaign/timeline.h"
 #include "cdfg/benchmarks.h"
 #include "cdfg/parser.h"
 #include "compaction/compaction.h"
@@ -17,7 +16,6 @@
 #include "gatelevel/expand.h"
 #include "gatelevel/faults.h"
 #include "gatelevel/faultsim.h"
-#include "gatelevel/simgraph.h"
 #include "hls/synthesis.h"
 #include "observe/report.h"
 #include "testability/scan_select.h"
@@ -49,7 +47,7 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// The byte content a design spec's cache identity is built from:
+/// The byte content a design spec's journal identity is built from:
 /// benchmarks are identified by name (their construction is part of the
 /// binary), files by their bytes. An unreadable file gets a deterministic
 /// sentinel so the job runs, fails with the real error, and stays
@@ -61,22 +59,6 @@ std::string design_token(const std::string& design) {
   return content;
 }
 
-std::uint64_t parse_key(const JobSpec& spec, const std::string& token) {
-  return util::Fnv1a().str("stage.parse.v1").str(spec.design).str(token)
-      .value();
-}
-
-std::uint64_t synth_key(std::uint64_t parse, const FuConfig& c) {
-  return util::Fnv1a().str("stage.synth.v1").u64(parse).i64(c.alu).i64(c.mul)
-      .i64(c.steps).value();
-}
-
-std::uint64_t expand_key(std::uint64_t synth, const std::string& scan,
-                         int width) {
-  return util::Fnv1a().str("stage.expand.v1").u64(synth).str(scan).i64(width)
-      .value();
-}
-
 /// Everything that defines one job's result bytes — the journal's skip
 /// criterion. Folding the manifest content hash covers every campaign
 /// knob; the design token covers file edits between runs.
@@ -86,18 +68,16 @@ std::string job_spec_hash(const JobSpec& spec, const Manifest& m,
       .str(spec.design).str(token).hex();
 }
 
-std::shared_ptr<const cdfg::Cdfg> load_design(const JobSpec& spec,
-                                              const std::string& token) {
+cdfg::Cdfg load_design(const JobSpec& spec, const std::string& token) {
   if (spec.design.rfind("bench:", 0) == 0) {
     const std::string name = spec.design.substr(6);
     for (cdfg::Cdfg& g : cdfg::standard_benchmarks())
-      if (g.name() == name)
-        return std::make_shared<const cdfg::Cdfg>(std::move(g));
+      if (g.name() == name) return std::move(g);
     throw std::runtime_error("unknown benchmark: " + name);
   }
   if (token == "<unreadable>")
     throw std::runtime_error("cannot open design file: " + spec.design);
-  return std::make_shared<const cdfg::Cdfg>(cdfg::parse_cdfg(token));
+  return cdfg::parse_cdfg(token);
 }
 
 std::vector<cdfg::VarId> scan_vars_for(const cdfg::Cdfg& g,
@@ -237,81 +217,59 @@ JournalState read_journal(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 JobResult run_one_job(const JobSpec& spec, const Manifest& m,
-                      StageCache& cache, std::string* report_json,
-                      std::vector<StageSpan>* stages) {
+                      std::string* report_json) {
   JobResult r;
   r.spec = spec;
-  const Clock::time_point jt0 = Clock::now();
-  const char* outcome = "none";
-  auto record_stage = [&](const char* name, double t0_ms) {
-    if (stages) stages->push_back({name, t0_ms, ms_since(jt0), outcome});
-  };
   const std::string token = design_token(spec.design);
   r.result_spec_hash = job_spec_hash(spec, m, token);
   try {
     TSYN_SPAN("sweep.job");
-    const std::uint64_t pk = parse_key(spec, token);
-    double st0 = ms_since(jt0);
-    const auto g = cache.parse.get_or_compute(
-        pk, [&] { return load_design(spec, token); }, &outcome);
-    record_stage("parse", st0);
+    const cdfg::Cdfg g = load_design(spec, token);
 
-    const std::uint64_t sk = synth_key(pk, spec.config);
-    st0 = ms_since(jt0);
-    const auto syn = cache.synth.get_or_compute(sk, [&] {
+    hls::Synthesis syn;
+    {
       TSYN_SPAN("sweep.stage.synth");
       hls::SynthesisOptions opts;
       opts.resources =
           hls::Resources{{cdfg::FuType::kAlu, spec.config.alu},
                          {cdfg::FuType::kMultiplier, spec.config.mul}};
       opts.num_steps = spec.config.steps;
-      return std::make_shared<const hls::Synthesis>(hls::synthesize(*g, opts));
-    }, &outcome);
-    record_stage("synth", st0);
+      syn = hls::synthesize(g, opts);
+    }
 
-    const std::uint64_t ek = expand_key(sk, spec.scan, spec.width);
-    st0 = ms_since(jt0);
-    const auto ex = cache.expand.get_or_compute(ek, [&] {
+    gl::ExpandedDesign ex;
+    std::vector<gl::Fault> faults;
+    {
       TSYN_SPAN("sweep.stage.expand");
-      rtl::Datapath dp = syn->rtl.datapath;
+      rtl::Datapath& dp = syn.rtl.datapath;
       if (spec.scan == "full") {
         for (auto& reg : dp.regs) reg.test_kind = rtl::TestRegKind::kScan;
       } else if (spec.scan != "none") {
-        testability::apply_scan(*g, syn->binding, scan_vars_for(*g, spec.scan),
+        testability::apply_scan(g, syn.binding, scan_vars_for(g, spec.scan),
                                 dp);
       }
       gl::ExpandOptions eo;
       eo.width_override = spec.width;
       // A sweep churns thousands of expansions; provenance recording is
-      // the per-job explain/report flow's business, not the fleet's.
+      // the per-job explain/report flow's business, not the sweep's.
       eo.record_provenance = false;
-      auto stage = std::make_shared<ExpandStage>();
-      stage->design = gl::expand_datapath(dp, eo);
-      stage->faults = gl::enumerate_faults(stage->design.netlist);
-      // Lower the SoA sim graph now, single-threaded under the cache's
-      // miss coalescing: SimGraph::of's lower-and-cache slot on the
-      // netlist is not safe against concurrent first access, but every
-      // job that shares this netlist from here on only reads it.
-      gl::SimGraph::of(stage->design.netlist);
-      return stage;
-    }, &outcome);
-    record_stage("expand", st0);
-    outcome = "none";  // atpg has no cache in front of it
-    st0 = ms_since(jt0);
+      ex = gl::expand_datapath(dp, eo);
+      faults = gl::enumerate_faults(ex.netlist);
+    }
 
-    const gl::Netlist& n = ex->design.netlist;
+    const gl::Netlist& n = ex.netlist;
     observe::RunReport rep;
     rep.title = spec.id;
     rep.behavior = spec.design;
     rep.width = spec.width;
     rep.gates = n.gate_count();
     rep.pis = static_cast<std::int64_t>(n.primary_inputs().size());
-    rep.faults = static_cast<std::int64_t>(ex->faults.size());
+    rep.faults = static_cast<std::int64_t>(faults.size());
 
     gl::FaultSimOptions sim;
     sim.num_threads = 1;  // parallelism is job-level; keep reports invariant
 
-    if (!ex->design.sequential()) {
+    if (!ex.sequential()) {
       compaction::CompactionOptions copts;
       if (!compaction::parse_compact_mode(m.compact, &copts.mode))
         throw std::runtime_error("bad compact mode: " + m.compact);
@@ -319,7 +277,7 @@ JobResult run_one_job(const JobSpec& spec, const Manifest& m,
         throw std::runtime_error("bad xfill: " + m.xfill);
       copts.fill_seed = spec.seed;
       const compaction::CompactedCampaign c = compaction::run_compacted_atpg(
-          n, ex->faults, copts, m.backtrack_limit, sim);
+          n, faults, copts, m.backtrack_limit, sim);
       rep.compact_mode = compaction::to_string(copts.mode);
       rep.xfill = compaction::to_string(copts.xfill);
       rep.fault_coverage = c.campaign.fault_coverage;
@@ -328,7 +286,6 @@ JobResult run_one_job(const JobSpec& spec, const Manifest& m,
       rep.patterns = static_cast<std::int64_t>(c.patterns.size());
       rep.baseline_patterns = c.baseline_patterns;
     } else {
-      std::vector<gl::Fault> faults = ex->faults;
       if (m.seq_fault_cap > 0 &&
           static_cast<long>(faults.size()) > m.seq_fault_cap)
         faults.resize(static_cast<std::size_t>(m.seq_fault_cap));
@@ -343,7 +300,6 @@ JobResult run_one_job(const JobSpec& spec, const Manifest& m,
       // is a compaction concept and stays 0 rather than an approximation.
     }
 
-    record_stage("atpg", st0);
     *report_json = observe::report_to_json(rep);
     r.gates = rep.gates;
     r.faults = rep.faults;
@@ -472,30 +428,22 @@ SweepSummary run_sweep(const Manifest& m, const SweepOptions& opts) {
   }
 
   util::telemetry_set_phase("sweep");
-  util::telemetry_jobs_reset();  // heartbeat job counts are per-sweep
   static util::Progress& jobs_progress = util::progress("sweep.jobs");
   jobs_progress.add_total(static_cast<std::int64_t>(pending.size()));
   util::logf(util::LogLevel::kInfo, "sweep",
              "grid %zu jobs: %zu from journal, %zu to run",
              grid.size(), grid.size() - pending.size(), pending.size());
 
-  StageCache cache;
   std::mutex io_mu;
-  std::vector<JobSpan> timeline;
-  const bool want_timeline = !opts.timeline_path.empty();
   util::ThreadPool& pool = util::ThreadPool::shared();
   const int threads =
       opts.threads > 0 ? opts.threads : pool.max_parallelism();
-  pool.run(static_cast<int>(pending.size()), threads, [&](int k, int slot) {
+  pool.run(static_cast<int>(pending.size()), threads, [&](int k, int) {
     const int i = pending[static_cast<std::size_t>(k)];
     const JobSpec& spec = grid[static_cast<std::size_t>(i)];
-    util::telemetry_job_begin(spec.id);
-    const double sweep_t0_ms = ms_since(t0);
     const Clock::time_point jt0 = Clock::now();
     std::string report;
-    std::vector<StageSpan> stages;
-    JobResult r = run_one_job(spec, m, cache, &report,
-                              want_timeline ? &stages : nullptr);
+    JobResult r = run_one_job(spec, m, &report);
     r.wall_ms = ms_since(jt0);
     const std::string path = (dir / (spec.id + ".json")).string();
     if (!write_file(path, report)) {
@@ -504,7 +452,6 @@ SweepSummary run_sweep(const Manifest& m, const SweepOptions& opts) {
       r.status = "failed";
       r.error = "cannot write " + path;
     }
-    util::telemetry_job_end(spec.id, r.status == "failed");
     // Snapshot diagnostics outside the io lock; only failed records pay.
     const std::string diag =
         r.status == "failed" ? failure_diagnostics_json() : std::string();
@@ -513,20 +460,6 @@ SweepSummary run_sweep(const Manifest& m, const SweepOptions& opts) {
       const std::string line = journal_line(r, diag);
       std::fwrite(line.data(), 1, line.size(), jf);
       std::fflush(jf);
-      if (want_timeline) {
-        JobSpan span;
-        span.id = spec.id;
-        span.slot = slot;
-        span.t0_ms = sweep_t0_ms;
-        span.t1_ms = sweep_t0_ms + r.wall_ms;
-        span.status = r.status;
-        span.stages = std::move(stages);
-        for (StageSpan& st : span.stages) {  // job-relative -> sweep-relative
-          st.t0_ms += sweep_t0_ms;
-          st.t1_ms += sweep_t0_ms;
-        }
-        timeline.push_back(std::move(span));
-      }
       summary.jobs[static_cast<std::size_t>(i)] = std::move(r);
     }
     util::logf(util::LogLevel::kInfo, "sweep", "job %s: %s cov=%.2f%%",
@@ -538,17 +471,9 @@ SweepSummary run_sweep(const Manifest& m, const SweepOptions& opts) {
   std::fclose(jf);
 
   summary.ran = static_cast<std::int64_t>(pending.size());
-  summary.cache = cache.stats();
   for (const JobResult& r : summary.jobs)
     if (r.status == "failed") ++summary.failed;
   summary.wall_ms = ms_since(t0);
-
-  if (want_timeline) {
-    const fs::path tp(opts.timeline_path);
-    if (tp.has_parent_path()) fs::create_directories(tp.parent_path(), ec);
-    if (!write_file(opts.timeline_path, timeline_to_json(timeline)))
-      throw SweepError("cannot write timeline " + opts.timeline_path);
-  }
 
   if (summary.complete) {
     if (!write_file((dir / "index.json").string(), index_to_json(summary)))
@@ -634,30 +559,12 @@ std::string strip_timing(const std::string& index_json) {
 }
 
 std::string sweep_stats_to_json(const SweepSummary& s) {
-  const CacheStats& c = s.cache;
-  const std::int64_t memo_hits = s.journal_hits + c.hits();
-  const std::int64_t lookups = memo_hits + c.misses();
   std::ostringstream os;
   os << "{\n  \"schema\": 1,\n  \"manifest\": \"" << s.manifest_hash
      << "\",\n  \"jobs\": " << s.jobs.size() << ",\n  \"ran\": " << s.ran
      << ",\n  \"journal_hits\": " << s.journal_hits
      << ",\n  \"failed\": " << s.failed
-     << ",\n  \"wall_ms\": " << fmt_double(s.wall_ms) << ",\n  \"cache\": {"
-     << "\"parse\": {\"hits\": " << c.parse_hits
-     << ", \"misses\": " << c.parse_misses << "}, "
-     << "\"synth\": {\"hits\": " << c.synth_hits
-     << ", \"misses\": " << c.synth_misses << "}, "
-     << "\"expand\": {\"hits\": " << c.expand_hits
-     << ", \"misses\": " << c.expand_misses << "}},\n"
-     << "  \"coalesced\": {\"parse\": " << c.parse_coalesced
-     << ", \"synth\": " << c.synth_coalesced
-     << ", \"expand\": " << c.expand_coalesced << "},\n"
-     << "  \"memo_hit_rate\": "
-     << fmt_double(lookups > 0
-                       ? static_cast<double>(memo_hits) /
-                             static_cast<double>(lookups)
-                       : 1.0)
-     << "\n}\n";
+     << ",\n  \"wall_ms\": " << fmt_double(s.wall_ms) << "\n}\n";
   return os.str();
 }
 

@@ -1,13 +1,11 @@
-// The campaign orchestrator: a memoizing batch sweep service over
-// design x config grids.
+// The campaign orchestrator: a batch sweep over design x config grids.
 //
 // run_sweep() expands a manifest into its job grid and runs every job on
-// the shared util::ThreadPool work queue. Jobs are isolated — a throwing
-// job is caught, recorded as "status":"failed" with its error text, and
-// never takes the sweep down — and share their pipeline prefixes through
-// the content-addressed StageCache, so coverage of a 1000-point grid costs
-// one CDFG parse per design, one schedule+binding per (design, config),
-// and one RTL->gate lowering per (design, config, scan, width).
+// the shared util::ThreadPool work queue. Each job runs its whole
+// pipeline on its own — parse, synthesize, expand, ATPG — and frees its
+// netlist when it ends; nothing is shared between jobs. Jobs are isolated:
+// a throwing job is caught, recorded as "status":"failed" with its error
+// text, and never takes the sweep down.
 //
 // Durability: every completed job appends one flushed JSONL record to
 // <results>/journal.jsonl and streams its schema-1 report to
@@ -18,24 +16,25 @@
 // remainder. When the grid is complete the orchestrator writes
 // <results>/index.json — the deterministic grid summary (bench_diff-able
 // against a checked-in baseline) — and <results>/sweep_stats.json — run
-// mechanics (cache rates, journal hits, wall time) that legitimately vary
-// between runs and are deliberately kept out of the index.
+// mechanics (journal hits, wall time) that legitimately vary between runs
+// and are deliberately kept out of the index. Where the sweep's time went
+// is answered by --trace (one "sweep.job" span per job, one track per
+// worker) and the per-job wall_ms in index.json.
 //
 // Determinism contract: per-job reports contain no timestamps and every
 // campaign is run with a serial inner engine, so the report bytes are a
 // pure function of the job spec — re-running a manifest reproduces
-// results/ byte-for-byte, and index.json is identical across interrupted+
-// resumed and uninterrupted runs up to the per-job wall_ms field (compare
-// with strip_timing()).
+// results/ byte-for-byte at any thread count, and index.json is identical
+// across interrupted+resumed and uninterrupted runs up to the per-job
+// wall_ms field (compare with strip_timing()).
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "campaign/cache.h"
 #include "campaign/manifest.h"
-#include "campaign/timeline.h"
 
 namespace tsyn::campaign {
 
@@ -53,11 +52,6 @@ struct SweepOptions {
   /// 0 = run the whole grid. This is the kill-and-resume test hook: the
   /// index is only written when the grid actually completed.
   int max_jobs = 0;
-  /// Non-empty: export a Chrome trace_event job timeline here (one track
-  /// per pool worker slot, one span per executed job with stage
-  /// sub-spans). Run-varying, like sweep_stats.json; written even for an
-  /// incomplete (max_jobs-stopped) run so partial runs stay inspectable.
-  std::string timeline_path;
 };
 
 /// One grid point's outcome. `status` is "ok" or "failed"; failed jobs
@@ -81,7 +75,6 @@ struct JobResult {
 struct SweepSummary {
   std::vector<JobResult> jobs;  ///< sorted by job id, one per grid point
   std::string manifest_hash;
-  CacheStats cache;
   std::int64_t journal_hits = 0;  ///< jobs satisfied from the journal
   std::int64_t ran = 0;           ///< jobs actually executed this run
   std::int64_t failed = 0;        ///< jobs with status "failed"
@@ -107,7 +100,7 @@ class SweepError : public std::runtime_error {
 SweepSummary run_sweep(const Manifest& m, const SweepOptions& opts);
 
 /// The deterministic grid index ("schema": 2, bench_diff-compatible; rows
-/// keyed by "case" so fleet-wide diffs match jobs by id).
+/// keyed by "case" so diffs of two sweeps match jobs by id).
 std::string index_to_json(const SweepSummary& s);
 
 /// `index_to_json` output with every "wall_ms" value zeroed — the identity
@@ -115,18 +108,14 @@ std::string index_to_json(const SweepSummary& s);
 /// one.
 std::string strip_timing(const std::string& index_json);
 
-/// Run mechanics (cache hit/miss, journal hits, threads, wall time) — the
+/// Run mechanics (jobs run, journal hits, failures, wall time) — the
 /// legitimately run-dependent numbers, kept out of index.json.
 std::string sweep_stats_to_json(const SweepSummary& s);
 
-/// Runs one job against a caller-provided cache, no files involved.
-/// Exposed for tests and the bench; run_sweep wraps this with the journal
-/// and report plumbing. Returns the report JSON via `report_json`. When
-/// `stages` is non-null, each pipeline stage appends a StageSpan timed
-/// relative to the job start and annotated with its cache outcome
-/// ("miss"/"hit"/"coalesced"; "none" for the uncached atpg stage).
+/// Runs one job start to finish, no files involved. Exposed for tests
+/// and the bench; run_sweep wraps this with the journal and report
+/// plumbing. Returns the report JSON via `report_json`.
 JobResult run_one_job(const JobSpec& spec, const Manifest& m,
-                      StageCache& cache, std::string* report_json,
-                      std::vector<StageSpan>* stages = nullptr);
+                      std::string* report_json);
 
 }  // namespace tsyn::campaign

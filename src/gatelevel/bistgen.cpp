@@ -49,11 +49,8 @@ void Lfsr::skip(int steps) {
   }
 }
 
-Misr::Misr(int width) : lfsr_(width, 1), state_(0) {}
-
 void Misr::absorb(std::uint64_t response) {
   state_ ^= response;
-  // Advance through the LFSR feedback once per word.
   const bool lsb = state_ & 1;
   state_ >>= 1;
   if (lsb) state_ ^= 0x80200003ULL;

@@ -38,17 +38,18 @@ class Lfsr {
   std::uint64_t taps_;  ///< within `width` bits, so steps stay in range
 };
 
-/// Multiple-input signature register (software model).
+/// Multiple-input signature register (software model) with a 64-bit
+/// state, starting at 0. absorb() XORs the whole 64-bit response word into
+/// the state, then shifts the state right by one bit and, when the bit
+/// shifted out was 1, XORs in the feedback constant 0x80200003.
 class Misr {
  public:
-  explicit Misr(int width = 32);
   /// Compacts one response word.
   void absorb(std::uint64_t response);
   std::uint64_t signature() const { return state_; }
 
  private:
-  Lfsr lfsr_;
-  std::uint64_t state_;
+  std::uint64_t state_ = 0;
 };
 
 /// Pseudorandom pattern blocks for bit-level fault simulation: `blocks`

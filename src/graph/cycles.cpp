@@ -115,11 +115,4 @@ std::vector<Cycle> elementary_cycles(const Digraph& g,
   return cycles;
 }
 
-std::size_t longest_cycle_length(const Digraph& g, std::size_t max_cycles) {
-  std::size_t longest = 0;
-  for (const Cycle& c : elementary_cycles(g, max_cycles))
-    longest = std::max(longest, c.size());
-  return longest;
-}
-
 }  // namespace tsyn::graph

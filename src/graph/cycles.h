@@ -24,9 +24,4 @@ using Cycle = std::vector<NodeId>;
 std::vector<Cycle> elementary_cycles(const Digraph& g,
                                      std::size_t max_cycles = 100000);
 
-/// Length of the longest elementary cycle, 0 when acyclic. Respects the
-/// same enumeration bound.
-std::size_t longest_cycle_length(const Digraph& g,
-                                 std::size_t max_cycles = 100000);
-
 }  // namespace tsyn::graph

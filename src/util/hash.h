@@ -1,17 +1,18 @@
-// Stable structural hashing for content-addressed memoization.
+// Stable structural hashing for content identities.
 //
-// The campaign orchestrator keys its stage cache (CDFG parse, schedule +
-// binding, RTL->gate expansion) by what actually went into a stage, not by
-// when it ran. That needs a hash that is (a) stable across runs, platforms,
-// and std-library versions — std::hash guarantees none of that — and
-// (b) unambiguous over composite inputs, so ("ab","c") never collides with
-// ("a","bc") by construction. FNV-1a over a canonical serialization gives
-// both: every field is folded with an explicit length or fixed width, and
-// the 64-bit state is cheap enough to use on hot paths.
+// The campaign orchestrator identifies a manifest and each job by what
+// actually defines its result (manifest fields, job id, design content),
+// not by when it ran, and the journal verifies report files by their
+// content hash. That needs a hash that is (a) stable across runs,
+// platforms, and std-library versions — std::hash guarantees none of
+// that — and (b) unambiguous over composite inputs, so ("ab","c") never
+// collides with ("a","bc") by construction. FNV-1a over a canonical
+// serialization gives both: every field is folded with an explicit length
+// or fixed width, and the 64-bit state is cheap enough to use on hot paths.
 //
 //   util::Fnv1a h;
 //   h.str(design_spec).i64(alu).i64(mul).i64(steps);
-//   cache.lookup(h.value());
+//   journal_key = h.hex();
 #pragma once
 
 #include <cstdint>

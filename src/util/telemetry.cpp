@@ -11,7 +11,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 
 #include "util/json.h"
@@ -108,57 +107,6 @@ void stderr_write(const char* data, std::size_t len) {
 
 namespace {
 
-/// The fleet job rollup. One mutex is fine at job granularity (a sweep
-/// touches this twice per job); the sampler thread snapshots it per line.
-struct JobsRegistry {
-  std::mutex mu;
-  std::int64_t started = 0, done = 0, failed = 0;
-  std::multiset<std::string> running;
-};
-
-JobsRegistry& jobs_registry() {
-  static JobsRegistry* r = new JobsRegistry();  // never dtor'd
-  return *r;
-}
-
-}  // namespace
-
-void telemetry_job_begin(const std::string& label) {
-  JobsRegistry& r = jobs_registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  ++r.started;
-  r.running.insert(label);
-}
-
-void telemetry_job_end(const std::string& label, bool failed) {
-  JobsRegistry& r = jobs_registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  ++r.done;
-  if (failed) ++r.failed;
-  const auto it = r.running.find(label);
-  if (it != r.running.end()) r.running.erase(it);
-}
-
-JobsSnapshot telemetry_jobs_snapshot() {
-  JobsRegistry& r = jobs_registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  JobsSnapshot s;
-  s.started = r.started;
-  s.done = r.done;
-  s.failed = r.failed;
-  s.running.assign(r.running.begin(), r.running.end());  // multiset: sorted
-  return s;
-}
-
-void telemetry_jobs_reset() {
-  JobsRegistry& r = jobs_registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  r.started = r.done = r.failed = 0;
-  r.running.clear();
-}
-
-namespace {
-
 /// Per-progress-row rate tracking between heartbeats.
 struct RowState {
   std::int64_t last_done = 0;
@@ -235,28 +183,6 @@ void emit_heartbeat(TelemetrySession& s, double t_ms) {
     st.last_done = row.done;
   }
   line += ']';
-  const JobsSnapshot jobs = telemetry_jobs_snapshot();
-  if (jobs.started > 0) {
-    // Fleet rollup: only present once an orchestrator registered jobs, so
-    // single-job heartbeat streams keep their original shape.
-    line += ",\"jobs\":{\"started\":";
-    line += std::to_string(jobs.started);
-    line += ",\"done\":";
-    line += std::to_string(jobs.done);
-    line += ",\"failed\":";
-    line += std::to_string(jobs.failed);
-    line += ",\"running\":[";
-    const std::size_t shown = std::min(jobs.running.size(), kJobsRunningCap);
-    for (std::size_t i = 0; i < shown; ++i) {
-      if (i) line += ',';
-      line += '"';
-      line += json_escape(jobs.running[i]);
-      line += '"';
-    }
-    line += "],\"in_flight\":";
-    line += std::to_string(jobs.running.size());
-    line += '}';
-  }
   const MetricsSnapshot m = metrics().snapshot();
   line += ",\"counters\":{";
   first = true;

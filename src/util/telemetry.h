@@ -148,34 +148,6 @@ long telemetry_heartbeat_count();
 /// Failure post-mortems attach this instead of re-deriving the live view.
 std::string telemetry_last_line();
 
-// -- fleet job tracking ------------------------------------------------------
-//
-// A batch orchestrator (the campaign sweep) labels its in-flight work so
-// heartbeat lines carry a fleet rollup:
-//   "jobs":{"started":8,"done":5,"failed":1,"running":["a.cfg.w4.s1", ...]}
-// The section only appears once at least one job has been registered, so
-// single-job commands keep their plain heartbeat shape. The running list is
-// sorted and capped (kJobsRunningCap) to bound line size.
-
-struct JobsSnapshot {
-  std::int64_t started = 0;
-  std::int64_t done = 0;
-  std::int64_t failed = 0;
-  std::vector<std::string> running;  ///< sorted labels
-};
-
-/// Max running labels serialized per heartbeat line.
-inline constexpr std::size_t kJobsRunningCap = 16;
-
-/// Registers `label` as in flight. Cheap (one mutex + set insert) at
-/// job granularity — not for per-pattern work.
-void telemetry_job_begin(const std::string& label);
-/// Retires `label`; `failed` feeds the rollup's failed counter.
-void telemetry_job_end(const std::string& label, bool failed);
-JobsSnapshot telemetry_jobs_snapshot();
-/// Zeroes the counters and clears the running set (a fresh sweep).
-void telemetry_jobs_reset();
-
 // -- crash flush -------------------------------------------------------------
 
 /// Registers `flush` to run at normal exit (std::atexit) and on fatal

@@ -1,22 +1,18 @@
-// Campaign orchestrator tests: manifest validation, stable hashing, the
-// miss-coalescing stage cache, and the sweep's durability/determinism
-// contracts (journal resume, byte-identical reruns, failed-job isolation).
+// Campaign orchestrator tests: manifest validation, stable hashing, and
+// the sweep's durability/determinism contracts (journal resume,
+// byte-identical reruns at any thread count, failed-job isolation).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <thread>
 
-#include "campaign/cache.h"
 #include "campaign/manifest.h"
 #include "campaign/sweep.h"
 #include "observe/bench_diff.h"
 #include "util/hash.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
 
 namespace tsyn::campaign {
 namespace {
@@ -171,45 +167,11 @@ TEST(Manifest, ContentHashCoversEveryAxisAndKnob) {
 }
 
 // ---------------------------------------------------------------------------
-// MemoTable / StageCache
-// ---------------------------------------------------------------------------
-
-TEST(StageCache, CoalescesConcurrentMisses) {
-  StageCache cache;
-  std::atomic<int> computed{0};
-  util::ThreadPool::shared().run(32, 8, [&](int, int) {
-    auto v = cache.parse.get_or_compute(42, [&] {
-      ++computed;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      return std::make_shared<const cdfg::Cdfg>("x");
-    });
-    EXPECT_EQ(v->name(), "x");
-  });
-  EXPECT_EQ(computed.load(), 1);
-  const CacheStats s = cache.stats();
-  EXPECT_EQ(s.parse_misses, 1);
-  EXPECT_EQ(s.parse_hits, 31);
-}
-
-TEST(StageCache, ExceptionPoisonsTheEntry) {
-  StageCache cache;
-  int calls = 0;
-  auto boom = [&]() -> std::shared_ptr<const cdfg::Cdfg> {
-    ++calls;
-    throw std::runtime_error("unparsable");
-  };
-  EXPECT_THROW(cache.parse.get_or_compute(7, boom), std::runtime_error);
-  EXPECT_THROW(cache.parse.get_or_compute(7, boom), std::runtime_error);
-  EXPECT_EQ(calls, 1);  // deterministic failure: never recomputed
-}
-
-// ---------------------------------------------------------------------------
 // Sweep
 // ---------------------------------------------------------------------------
 
-/// 100 jobs sharing 4 (design, config) prefixes — the ISSUE's cache-economy
-/// grid, scaled to the ≤20-misses bound with room to spare.
-Manifest economy_manifest() {
+/// 2 designs x 2 configs x 25 seeds; tests cut the seed list to size.
+Manifest grid_manifest() {
   Manifest m = parse_manifest(R"({
     "schema": 1,
     "designs": ["bench:fig1", "bench:tseng"],
@@ -223,31 +185,33 @@ Manifest economy_manifest() {
   return m;
 }
 
-TEST(Sweep, StageCacheBoundsWorkByGridStructure) {
-  const Manifest m = economy_manifest();
-  SweepOptions opts;
-  opts.results_dir = scratch("economy").string();
-  const SweepSummary s = run_sweep(m, opts);
-  ASSERT_GE(s.total(), 100);
-  EXPECT_EQ(s.failed, 0);
-  // The acceptance bound: at most 20 parses / 20 lowers on a >= 100 job
-  // grid with <= 20 shared prefixes. Structurally we expect exactly
-  // 2 / 4 / 4 (designs / design x config / ... x scan x width).
-  EXPECT_LE(s.cache.parse_misses, 20);
-  EXPECT_LE(s.cache.expand_misses, 20);
-  EXPECT_EQ(s.cache.parse_misses, 2);
-  EXPECT_EQ(s.cache.synth_misses, 4);
-  EXPECT_EQ(s.cache.expand_misses, 4);
-  // Every other stage lookup was a hit; per-job ATPG still ran 100 times.
-  EXPECT_EQ(s.cache.parse_hits + s.cache.parse_misses, s.total());
-  for (const JobResult& r : s.jobs) {
-    EXPECT_EQ(r.status, "ok") << r.spec.id << ": " << r.error;
-    EXPECT_GT(r.coverage, 0.9) << r.spec.id;
+/// Every job runs its whole pipeline on its own serial engines, so the
+/// worker count can change when a job runs but never what it writes.
+TEST(Sweep, ReportsAreIdenticalAtAnyThreadCount) {
+  Manifest m = grid_manifest();
+  m.seeds.resize(3);  // 12 jobs
+  std::map<int, fs::path> dirs;
+  for (const int threads : {1, 4}) {
+    dirs[threads] = scratch("threads" + std::to_string(threads));
+    SweepOptions opts;
+    opts.results_dir = dirs[threads].string();
+    opts.threads = threads;
+    const SweepSummary s = run_sweep(m, opts);
+    ASSERT_TRUE(s.complete);
+    ASSERT_EQ(s.total(), 12);
+    ASSERT_EQ(s.failed, 0);
   }
+  for (const JobSpec& spec : expand_grid(m)) {
+    const std::string one = slurp(dirs[1] / (spec.id + ".json"));
+    EXPECT_FALSE(one.empty()) << spec.id;
+    EXPECT_EQ(one, slurp(dirs[4] / (spec.id + ".json"))) << spec.id;
+  }
+  EXPECT_EQ(strip_timing(slurp(dirs[1] / "index.json")),
+            strip_timing(slurp(dirs[4] / "index.json")));
 }
 
 TEST(Sweep, ResumedRerunIsAllJournalHitsAndByteIdentical) {
-  Manifest m = economy_manifest();
+  Manifest m = grid_manifest();
   m.seeds.resize(3);  // 12 jobs is plenty for identity checking
   const fs::path dir = scratch("rerun");
   SweepOptions opts;
@@ -264,7 +228,6 @@ TEST(Sweep, ResumedRerunIsAllJournalHitsAndByteIdentical) {
   const SweepSummary second = run_sweep(m, opts);
   EXPECT_EQ(second.ran, 0);
   EXPECT_EQ(second.journal_hits, second.total());
-  EXPECT_EQ(second.cache.misses(), 0);  // nothing was even looked up
 
   for (const auto& e : fs::directory_iterator(dir)) {
     const std::string name = e.path().filename().string();
@@ -274,7 +237,7 @@ TEST(Sweep, ResumedRerunIsAllJournalHitsAndByteIdentical) {
 }
 
 TEST(Sweep, KillAndResumeReproducesTheUninterruptedIndex) {
-  Manifest m = economy_manifest();
+  Manifest m = grid_manifest();
   m.seeds.resize(4);  // 16 jobs
   const fs::path uncut = scratch("uncut");
   SweepOptions opts;
@@ -354,9 +317,8 @@ TEST(Sweep, SequentialJobsRunUnderTheSeqBudgets) {
   m.seq_fault_cap = 8;
   m.seq_max_frames = 3;
   m.seq_backtrack_limit = 50;
-  StageCache cache;
   std::string report;
-  const JobResult r = run_one_job(expand_grid(m)[0], m, cache, &report);
+  const JobResult r = run_one_job(expand_grid(m)[0], m, &report);
   EXPECT_EQ(r.status, "ok") << r.error;
   EXPECT_EQ(r.faults, 8);  // the cap bounded the target list
   EXPECT_EQ(r.patterns, 0);  // sequential jobs report coverage only
@@ -384,91 +346,11 @@ TEST(Sweep, RefusesClobberAndForeignJournals) {
   EXPECT_THROW(run_sweep(m, fresh), SweepError);
 }
 
-TEST(Sweep, TimelineReconcilesWithTheJournal) {
-  Manifest m = economy_manifest();
-  m.seeds.resize(3);  // 12 jobs
-  const fs::path dir = scratch("timeline");
-  SweepOptions opts;
-  opts.results_dir = dir.string();
-  opts.timeline_path = (dir / "timeline.json").string();
-  opts.threads = 2;
-  const SweepSummary s = run_sweep(m, opts);
-  ASSERT_TRUE(s.complete);
-  ASSERT_EQ(s.failed, 0);
-
-  const util::Json doc = util::Json::parse(slurp(dir / "timeline.json"));
-  const util::Json* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-
-  // Every executed job has exactly one "job" span; each stage sub-span
-  // nests inside its job's [t0, t1] on the same track and carries a cache
-  // annotation; tracks never exceed the requested thread count.
-  std::map<std::string, const util::Json*> job_spans;
-  std::int64_t stage_spans = 0;
-  for (const util::Json& ev : events->arr) {
-    const util::Json* ph = ev.find("ph");
-    ASSERT_NE(ph, nullptr);
-    if (ph->str != "X") continue;
-    const util::Json* cat = ev.find("cat");
-    ASSERT_NE(cat, nullptr);
-    const int tid = static_cast<int>(ev.find("tid")->number);
-    EXPECT_GE(tid, 0);
-    EXPECT_LT(tid, 2);
-    if (cat->str == "job") {
-      const std::string& id = ev.find("name")->str;
-      EXPECT_TRUE(job_spans.emplace(id, &ev).second)
-          << "duplicate job span " << id;
-      EXPECT_EQ(ev.find("args")->find("status")->str, "ok");
-    } else {
-      ASSERT_EQ(cat->str, "stage");
-      ++stage_spans;
-      const std::string& stage = ev.find("name")->str;
-      EXPECT_TRUE(stage == "parse" || stage == "synth" ||
-                  stage == "expand" || stage == "atpg")
-          << stage;
-      const std::string& cache = ev.find("args")->find("cache")->str;
-      if (stage == "atpg")
-        EXPECT_EQ(cache, "none");
-      else
-        EXPECT_TRUE(cache == "hit" || cache == "miss" || cache == "coalesced")
-            << stage << ": " << cache;
-    }
-  }
-  EXPECT_EQ(static_cast<std::int64_t>(job_spans.size()), s.ran);
-  EXPECT_EQ(stage_spans, s.ran * 4);  // parse, synth, expand, atpg per job
-  for (const JobResult& r : s.jobs) {
-    if (r.from_journal) continue;
-    EXPECT_TRUE(job_spans.count(r.spec.id)) << r.spec.id;
-  }
-
-  // Stage spans fit inside their job span (matched by track + overlap).
-  for (const util::Json& ev : events->arr) {
-    const util::Json* cat = ev.find("cat");
-    if (!cat || cat->str != "stage") continue;
-    const double ts = ev.find("ts")->number;
-    const double dur = ev.find("dur")->number;
-    const int tid = static_cast<int>(ev.find("tid")->number);
-    bool contained = false;
-    for (const auto& [id, job] : job_spans) {
-      if (static_cast<int>(job->find("tid")->number) != tid) continue;
-      const double jts = job->find("ts")->number;
-      const double jdur = job->find("dur")->number;
-      // One-decimal µs rounding can push a boundary by 0.1.
-      if (ts >= jts - 0.1 && ts + dur <= jts + jdur + 0.2) {
-        contained = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(contained) << ev.find("name")->str << " span at ts=" << ts;
-  }
-}
-
 /// bench_diff reads a sweep's index.json as it stands: the run diffed
 /// against itself is clean, and edited copies gate exactly as a later run
 /// with those results would.
 TEST(Sweep, BenchDiffGatesIndexRegressions) {
-  Manifest m = economy_manifest();
+  Manifest m = grid_manifest();
   m.seeds.resize(1);  // 4 jobs
   const fs::path dir = scratch("benchdiff");
   SweepOptions opts;
@@ -564,17 +446,6 @@ TEST(Sweep, FailedJournalRecordCarriesDiagnostics) {
   run_sweep(tiny_manifest(), ok);
   EXPECT_EQ(slurp(ok_dir / "journal.jsonl").find("\"diag\""),
             std::string::npos);
-}
-
-TEST(StageCache, GetOrComputeReportsOutcome) {
-  StageCache cache;
-  const char* outcome = nullptr;
-  auto make = [] { return std::make_shared<const cdfg::Cdfg>(); };
-  cache.parse.get_or_compute(42, make, &outcome);
-  EXPECT_STREQ(outcome, "miss");
-  cache.parse.get_or_compute(42, make, &outcome);
-  EXPECT_STREQ(outcome, "hit");
-  EXPECT_EQ(cache.stats().parse_hits, 1);
 }
 
 TEST(Sweep, StripTimingZeroesOnlyWallMs) {

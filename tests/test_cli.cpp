@@ -68,6 +68,7 @@ TEST_F(Cli, ExitCodes) {
   EXPECT_EQ(code("list --log-level info"), 2);
   EXPECT_EQ(code("serve"), 2);
   EXPECT_EQ(code("atpg bench:diffeq --serve 0"), 2);
+  EXPECT_EQ(code("sweep m.json --timeline t.json"), 2);
   EXPECT_EQ(code("history store"), 2);
   EXPECT_EQ(code("sweep m.json --history store"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --profile x"), 2);
@@ -113,7 +114,7 @@ TEST_F(Cli, CollidingOutputsAreRejectedBeforeAnythingRuns) {
             2);
   EXPECT_EQ(code("analyze bench:diffeq --heartbeat - --trace -"), 2);
   EXPECT_EQ(code("report bench:fir8 --width 2 --html report.json"), 2);
-  EXPECT_EQ(code("sweep m.json --timeline same.out --heartbeat same.out"), 2);
+  EXPECT_EQ(code("sweep m.json --trace same.out --heartbeat same.out"), 2);
   EXPECT_FALSE(fs::exists(dir_ / "same.json"));
   EXPECT_FALSE(fs::exists(dir_ / "report.json"));
   EXPECT_FALSE(fs::exists(dir_ / "same.out"));
@@ -140,13 +141,13 @@ TEST_F(Cli, UsageNamesEveryCommandAndOption) {
         "--compact", "--xfill", "--width", "--out", "--html", "--dot-rtl",
         "--dot-cdfg", "--fault", "--undetected", "--heartbeat",
         "--log-level", "--out-dir",
-        "--threads", "--resume", "--max-jobs", "--baseline", "--timeline"})
+        "--threads", "--resume", "--max-jobs", "--baseline"})
     EXPECT_NE(r.out.find(std::string(" ") + word + " "), std::string::npos)
         << word;
   // A usage error prints the same text after the error line.
   const Outcome bad = run("analyze bench:diffeq --bogus", "2>&1");
   EXPECT_EQ(bad.out.rfind("error: unknown option: --bogus", 0), 0u);
-  EXPECT_NE(bad.out.find("--timeline"), std::string::npos);
+  EXPECT_NE(bad.out.find("--baseline"), std::string::npos);
 }
 
 TEST_F(Cli, StdoutOutputsStayPure) {

@@ -454,6 +454,15 @@ TEST(Bistgen, MisrDistinguishesStreams) {
   EXPECT_NE(m1.signature(), m2.signature());
 }
 
+TEST(Bistgen, MisrSignatureIsPinnedOnWideWords) {
+  // Response words with bits far above 31 set: the state is 64 bits wide
+  // and absorbs every one of them.
+  Misr m;
+  for (std::uint64_t i = 1; i <= 20; ++i)
+    m.absorb(0x9E3779B97F4A7C15ULL * i);
+  EXPECT_EQ(m.signature(), 0x0d0fcb4cc06a9e80ULL);
+}
+
 TEST(Bistgen, AccumulatorSequenceWraps) {
   const auto seq = accumulator_sequence(8, 0x9d, 0, 300);
   EXPECT_EQ(seq.size(), 300u);

@@ -175,6 +175,9 @@ TEST(Heartbeat, JsonlSchemaAndMonotonicTimestamps) {
   for (const util::Json& row : last.find("progress")->arr)
     if (row.find("name")->str == "test.hb.work")
       EXPECT_EQ(row.number_or("done", -1), 200);
+  // The last-line accessor hands failure post-mortems (a failed sweep
+  // job's journal "diag") exactly the final emitted heartbeat.
+  EXPECT_EQ(util::telemetry_last_line(), lines.back());
   std::remove(path.c_str());
   util::progress_reset();
 }
@@ -192,59 +195,6 @@ TEST(Heartbeat, StartRejectsUnopenablePathAndSecondSession) {
   EXPECT_FALSE(util::telemetry_start(ok));  // one session at a time
   util::telemetry_stop();
   EXPECT_FALSE(util::telemetry_active());
-}
-
-TEST(Heartbeat, JobsRollupAppearsOnlyWhenJobsAreTracked) {
-  const std::string path = testing::TempDir() + "tsyn_hb_jobs.jsonl";
-  std::remove(path.c_str());
-  util::progress_reset();
-  util::telemetry_jobs_reset();
-  util::TelemetryOptions opts;
-  opts.heartbeat_path = path;
-  opts.interval_ms = 5;
-  ASSERT_TRUE(util::telemetry_start(opts));
-  // Wait for a heartbeat written before any job registers; a fixed sleep
-  // races the sampler thread on a loaded host.
-  for (int i = 0; i < 2000 && read_lines(path).empty(); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-
-  util::telemetry_job_begin("grid.a");
-  util::telemetry_job_begin("grid.b");
-  util::telemetry_job_end("grid.a", /*failed=*/false);
-  util::telemetry_job_begin("grid.c");
-  util::telemetry_job_end("grid.c", /*failed=*/true);
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  util::telemetry_stop();
-
-  const util::JobsSnapshot snap = util::telemetry_jobs_snapshot();
-  EXPECT_EQ(snap.started, 3);
-  EXPECT_EQ(snap.done, 2);
-  EXPECT_EQ(snap.failed, 1);
-  ASSERT_EQ(snap.running.size(), 1u);
-  EXPECT_EQ(snap.running[0], "grid.b");
-
-  const std::vector<std::string> lines = read_lines(path);
-  ASSERT_GE(lines.size(), 2u);
-  // Pre-sweep heartbeats keep the single-job shape; once jobs register,
-  // the rollup appears with counts and the sorted running list.
-  EXPECT_EQ(util::Json::parse(lines.front()).find("jobs"), nullptr);
-  const util::Json last = util::Json::parse(lines.back());
-  const util::Json* jobs = last.find("jobs");
-  ASSERT_NE(jobs, nullptr);
-  EXPECT_EQ(jobs->number_or("started", -1), 3);
-  EXPECT_EQ(jobs->number_or("done", -1), 2);
-  EXPECT_EQ(jobs->number_or("failed", -1), 1);
-  const util::Json* running = jobs->find("running");
-  ASSERT_NE(running, nullptr);
-  ASSERT_EQ(running->arr.size(), 1u);
-  EXPECT_EQ(running->arr[0].str, "grid.b");
-  // The last-line accessor hands failure post-mortems exactly the final
-  // emitted heartbeat.
-  EXPECT_EQ(util::telemetry_last_line(), lines.back());
-
-  std::remove(path.c_str());
-  util::telemetry_jobs_reset();
-  util::progress_reset();
 }
 
 // -- ledger reconciliation ---------------------------------------------------

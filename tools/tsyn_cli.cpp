@@ -108,7 +108,6 @@ struct Args {
   bool resume = false;
   int max_jobs = 0;  ///< 0 = whole grid
   std::string baseline;
-  std::string timeline;
 };
 
 /// Best-effort creation of `path`'s missing parent directories, shared by
@@ -673,8 +672,6 @@ int cmd_sweep(const Args& a) {
   opts.threads = a.threads;
   opts.resume = a.resume;
   opts.max_jobs = a.max_jobs;
-  opts.timeline_path = a.timeline;
-  if (!a.timeline.empty()) ensure_parent_dirs(a.timeline);
   const campaign::SweepSummary s = campaign::run_sweep(m, opts);
 
   std::fprintf(g_report,
@@ -684,15 +681,6 @@ int cmd_sweep(const Args& a) {
                static_cast<long long>(s.ran),
                static_cast<long long>(s.journal_hits),
                static_cast<long long>(s.failed), s.wall_ms);
-  std::fprintf(g_report,
-               "cache     : parse %lld/%lld, synth %lld/%lld, expand "
-               "%lld/%lld (hit/miss)\n",
-               static_cast<long long>(s.cache.parse_hits),
-               static_cast<long long>(s.cache.parse_misses),
-               static_cast<long long>(s.cache.synth_hits),
-               static_cast<long long>(s.cache.synth_misses),
-               static_cast<long long>(s.cache.expand_hits),
-               static_cast<long long>(s.cache.expand_misses));
   int shown = 0;
   for (const campaign::JobResult& r : s.jobs) {
     if (r.status != "failed") continue;
@@ -704,8 +692,6 @@ int cmd_sweep(const Args& a) {
     std::fprintf(g_report, "  failed  : %s: %s\n", r.spec.id.c_str(),
                  r.error.c_str());
   }
-  if (!a.timeline.empty())
-    std::fprintf(g_report, "timeline  : %s\n", a.timeline.c_str());
   if (!s.complete) {
     std::fprintf(g_report,
                  "index     : not written (--max-jobs stopped the run; "
@@ -924,9 +910,6 @@ const Option kOptions[] = {
     {.name = "--baseline", .value = "FILE", .commands = "sweep",
      .help = "exit 1 unless index.json matches FILE, timing stripped",
      .text = &Args::baseline},
-    {.name = "--timeline", .value = "FILE", .commands = "sweep",
-     .help = "Chrome trace_event job timeline, one track per worker",
-     .output = Output::kPath, .text = &Args::timeline},
 };
 
 /// True if `word` is one of the `delims`-separated items of `list`.
