@@ -22,7 +22,8 @@ struct Variant {
   bool scan_reuse;
 };
 
-void run_variant(util::Table& table, const cdfg::Cdfg& g,
+/// Adds the row; returns whether its scan-register count is proven minimum.
+bool run_variant(util::Table& table, const cdfg::Cdfg& g,
                  const Variant& v) {
   testability::LoopAvoidOptions opts;
   opts.resources = bench::standard_resources();
@@ -35,13 +36,18 @@ void run_variant(util::Table& table, const cdfg::Cdfg& g,
   const testability::LoopAvoidResult r =
       testability::loop_avoiding_synthesis(g, opts);
   const hls::RtlDesign rtl = hls::build_rtl(g, r.schedule, r.binding);
+  const auto loops = rtl::analyze_loops(rtl.datapath, false, bench::kMaxLoops);
   const rtl::LoopStats stats = rtl::loop_stats(rtl.datapath);
   const graph::MfvsResult scan = graph::exact_mfvs(
       rtl::build_sgraph(rtl.datapath), {.ignore_self_loops = true});
   table.add_row({g.name(), v.name, std::to_string(r.binding.num_regs),
+                 bench::loop_count_cell(loops,
+                                        rtl::LoopClass::kAssignmentLoop),
+                 bench::loop_count_cell(loops, rtl::LoopClass::kCdfgLoop),
                  std::to_string(stats.assignment_loops),
                  std::to_string(stats.cdfg_loops),
                  bench::mfvs_cell(scan)});
+  return scan.optimal;
 }
 
 }  // namespace
@@ -62,14 +68,16 @@ int main() {
       {"none (blind greedy)", false, false, false},
   };
   util::Table table({"benchmark", "variant", "regs", "assignment loops",
-                     "cdfg loops", "scan regs (MFVS)"});
+                     "cdfg loops", "assignment-loop regs", "cdfg-loop regs",
+                     "scan regs (MFVS)"});
+  bool proven = true;
   std::vector<cdfg::Cdfg> graphs;
   graphs.push_back(cdfg::tseng());
   graphs.push_back(cdfg::dct4());
   graphs.push_back(cdfg::diffeq());
   graphs.push_back(cdfg::iir_biquad());
   for (const cdfg::Cdfg& g : graphs)
-    for (const Variant& v : variants) run_variant(table, g, v);
+    for (const Variant& v : variants) proven &= run_variant(table, g, v);
   bench::print_table(table);
-  return 0;
+  return bench::mfvs_exit_status(proven);
 }

@@ -25,6 +25,8 @@ struct Row {
 /// Adds the row; returns whether its scan-register count is proven minimum.
 bool report(util::Table& table, const cdfg::Cdfg& g, const Row& row) {
   const hls::RtlDesign rtl = hls::build_rtl(g, row.schedule, row.binding);
+  const auto loops =
+      rtl::analyze_loops(rtl.datapath, false, bench::kMaxLoops);
   const rtl::LoopStats stats = rtl::loop_stats(rtl.datapath);
   // Scan registers needed to break all non-self loops: exact MFVS on the
   // S-graph.
@@ -33,6 +35,9 @@ bool report(util::Table& table, const cdfg::Cdfg& g, const Row& row) {
   table.add_row({row.label, std::to_string(row.schedule.num_steps),
                  std::to_string(row.binding.num_fus()),
                  std::to_string(row.binding.num_regs),
+                 bench::loop_count_cell(loops, rtl::LoopClass::kSelfLoop),
+                 bench::loop_count_cell(loops,
+                                        rtl::LoopClass::kAssignmentLoop),
                  std::to_string(stats.self_loops),
                  std::to_string(stats.assignment_loops),
                  bench::mfvs_cell(scan)});
@@ -53,7 +58,8 @@ int main() {
   const cdfg::Cdfg g = cdfg::fig1_example();
   bool proven = true;
   util::Table table({"flow", "csteps", "adders", "regs", "self-loops",
-                     "assignment-loops", "scan regs needed"});
+                     "assignment-loops", "self-loop regs",
+                     "assignment-loop regs", "scan regs needed"});
 
   // (b): the paper's loop-forming schedule.
   {

@@ -12,6 +12,7 @@
 #include "cdfg/benchmarks.h"
 #include "graph/mfvs.h"
 #include "hls/synthesis.h"
+#include "rtl/sgraph.h"
 #include "util/metrics.h"
 #include "util/table.h"
 
@@ -45,6 +46,20 @@ inline void print_table(const util::Table& t) {
 inline std::string mfvs_cell(const graph::MfvsResult& r) {
   const std::string n = std::to_string(r.set.size());
   return r.optimal ? n : "<=" + n;
+}
+
+/// Cap on the loops a bench enumerates with `rtl::analyze_loops`.
+inline constexpr std::size_t kMaxLoops = 10000;
+
+/// Table cell for the number of enumerated loops of class `kind`: "N", or
+/// ">=N" when the enumeration stopped at `kMaxLoops` loops and N is only a
+/// lower bound.
+inline std::string loop_count_cell(const std::vector<rtl::DatapathLoop>& loops,
+                                   rtl::LoopClass kind) {
+  const auto n = std::count_if(
+      loops.begin(), loops.end(),
+      [kind](const rtl::DatapathLoop& l) { return l.kind == kind; });
+  return (loops.size() >= kMaxLoops ? ">=" : "") + std::to_string(n);
 }
 
 /// Exit status of a bench whose claim rests on minimum FVS sizes: 1, with

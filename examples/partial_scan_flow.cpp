@@ -51,10 +51,12 @@ int main() {
   const rtl::LoopStats after = rtl::loop_stats(design.datapath, true);
   std::printf(
       "scan registers: %d of %d (%.1f%% area overhead)\n"
-      "breakable loops: %d before scan -> %d in scan mode\n",
+      "registers on breakable loops: %d CDFG (state) + %d assignment "
+      "before scan -> %d + %d in scan mode\n",
       scan_regs, design.datapath.num_regs(),
       100.0 * rtl::test_area_overhead(design.datapath),
-      before.breakable(), after.breakable());
+      before.cdfg_loops, before.assignment_loops, after.cdfg_loops,
+      after.assignment_loops);
   std::printf("sequential depth in test mode: %d\n",
               rtl::datapath_sequential_depth(design.datapath, true));
 

@@ -27,10 +27,12 @@ int main() {
   std::printf("schedule: %d control steps\n%s\n", syn.schedule.num_steps,
               syn.rtl.datapath.to_string().c_str());
 
-  // 3. Testability snapshot: the S-graph loop taxonomy of the survey.
+  // 3. Testability snapshot: the S-graph loop taxonomy of the survey, as
+  //    the number of registers on each class of loop.
   const rtl::LoopStats loops = rtl::loop_stats(syn.rtl.datapath);
   std::printf(
-      "S-graph loops: %d self (tolerable), %d assignment, %d CDFG\n",
+      "registers on S-graph loops: %d self (tolerable), %d assignment, "
+      "%d CDFG (state)\n",
       loops.self_loops, loops.assignment_loops, loops.cdfg_loops);
   std::printf("area: %.0f gate equivalents\n",
               rtl::datapath_area(syn.rtl.datapath));

@@ -59,15 +59,35 @@ std::vector<DatapathLoop> analyze_loops(const Datapath& dp, bool exclude_scan,
   return out;
 }
 
+namespace {
+
+/// Number of nodes in strongly connected components of at least two nodes
+/// of `g` for which `counts(node)` holds: a node lies on a cycle of length
+/// >= 2 exactly when its component has another member.
+template <typename Pred>
+int nodes_on_long_cycles(const graph::Digraph& g, Pred counts) {
+  int n = 0;
+  for (const auto& members : graph::strongly_connected_components(g).members)
+    if (members.size() >= 2)
+      for (graph::NodeId u : members) n += counts(u);
+  return n;
+}
+
+}  // namespace
+
 LoopStats loop_stats(const Datapath& dp, bool exclude_scan) {
+  const graph::Digraph g = build_sgraph(dp, exclude_scan);
+  const int n = g.num_nodes();
   LoopStats stats;
-  for (const DatapathLoop& l : analyze_loops(dp, exclude_scan)) {
-    switch (l.kind) {
-      case LoopClass::kSelfLoop: ++stats.self_loops; break;
-      case LoopClass::kCdfgLoop: ++stats.cdfg_loops; break;
-      case LoopClass::kAssignmentLoop: ++stats.assignment_loops; break;
-    }
-  }
+  for (int r = 0; r < n; ++r) stats.self_loops += g.has_self_loop(r);
+  stats.cdfg_loops = nodes_on_long_cycles(
+      g, [&](graph::NodeId r) { return dp.regs[r].holds_state; });
+  // Assignment loops run through stateless registers only: the cycles of
+  // the subgraph those registers induce.
+  std::vector<bool> stateless(n);
+  for (int r = 0; r < n; ++r) stateless[r] = !dp.regs[r].holds_state;
+  stats.assignment_loops = nodes_on_long_cycles(
+      g.induced_subgraph(stateless), [](graph::NodeId) { return true; });
   return stats;
 }
 

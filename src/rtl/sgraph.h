@@ -5,6 +5,10 @@
 // effort grows empirically ~exponentially with the length of S-graph cycles
 // and ~linearly with sequential depth, so every testability-driven synthesis
 // technique in the survey reasons about this graph.
+//
+// `loop_stats` gives exact per-class register counts in linear time;
+// `analyze_loops` lists the loops themselves, up to a cap, for callers that
+// need their members.
 #pragma once
 
 #include <string>
@@ -33,23 +37,34 @@ struct DatapathLoop {
   LoopClass kind = LoopClass::kSelfLoop;
 };
 
-/// Enumerates and classifies all S-graph loops (after scan exclusion when
+/// Enumerates and classifies S-graph loops (after scan exclusion when
 /// requested). A loop touching any state-holding register is a CDFG loop;
 /// a length-1 loop is a self-loop; everything else is an assignment loop.
+/// The enumeration is capped: it stops after `max_loops` loops, so a result
+/// of exactly `max_loops` loops is a lower bound, not a count, and need not
+/// even contain every self-loop. Use `loop_stats` for exact figures.
 std::vector<DatapathLoop> analyze_loops(const Datapath& dp,
                                         bool exclude_scan = false,
                                         std::size_t max_loops = 10000);
 
-/// Summary counters used across the benches.
+/// Exact loop figures of the taxonomy, one per class. Each counts
+/// registers, not loops: the number of loops can grow exponentially with
+/// the register count, the number of registers on them cannot.
 struct LoopStats {
+  /// Registers with an S-graph self-edge.
   int self_loops = 0;
+  /// State-holding registers on a loop of two or more registers.
   int cdfg_loops = 0;
+  /// Registers on a loop of two or more registers none of which holds
+  /// state, i.e. on an assignment loop.
   int assignment_loops = 0;
-  int total() const { return self_loops + cdfg_loops + assignment_loops; }
-  /// Loops other than self-loops, i.e. the ones sequential ATPG cares about.
+  /// Nonzero exactly when a loop other than a self-loop exists, i.e. one
+  /// that sequential ATPG cares about.
   int breakable() const { return cdfg_loops + assignment_loops; }
 };
 
+/// Computes `LoopStats` from strongly connected components of the S-graph
+/// and of its stateless-register subgraph, in time linear in its size.
 LoopStats loop_stats(const Datapath& dp, bool exclude_scan = false);
 
 /// Sequential depth of the datapath's S-graph ignoring self-loops;

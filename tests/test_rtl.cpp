@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cdfg/benchmarks.h"
+#include "cdfg/generator.h"
+#include "hls/fds.h"
 #include "hls/synthesis.h"
 #include "rtl/area.h"
 #include "rtl/controller.h"
 #include "rtl/sgraph.h"
+#include "testability/loop_avoid.h"
+#include "testability/scan_select.h"
 
 namespace tsyn::rtl {
 namespace {
@@ -87,6 +97,103 @@ TEST(Sgraph, CdfgLoopClassOnStateCycle) {
     if (l.kind == LoopClass::kCdfgLoop && l.registers.size() > 1)
       found = true;
   EXPECT_TRUE(found);
+}
+
+/// The `LoopStats` of a datapath recomputed from its enumerated loops, or
+/// nothing when the enumeration reached its cap and so may miss loops.
+std::optional<LoopStats> enumerated_stats(const Datapath& dp,
+                                          bool exclude_scan) {
+  constexpr std::size_t kCap = 10000;
+  const std::vector<DatapathLoop> loops = analyze_loops(dp, exclude_scan, kCap);
+  if (loops.size() >= kCap) return std::nullopt;
+  LoopStats stats;
+  std::set<graph::NodeId> state_regs, assignment_regs;
+  for (const DatapathLoop& l : loops) {
+    if (l.kind == LoopClass::kSelfLoop) {
+      ++stats.self_loops;
+      continue;
+    }
+    for (graph::NodeId r : l.registers) {
+      if (dp.regs[r].holds_state) state_regs.insert(r);
+      if (l.kind == LoopClass::kAssignmentLoop) assignment_regs.insert(r);
+    }
+  }
+  stats.cdfg_loops = static_cast<int>(state_regs.size());
+  stats.assignment_loops = static_cast<int>(assignment_regs.size());
+  return stats;
+}
+
+/// The conventional (force-directed, testability-blind) and the [33]
+/// loop-avoiding datapath of `g` at the standard allocation and a deadline
+/// one step past the list schedule.
+std::vector<Datapath> both_flows(const cdfg::Cdfg& g) {
+  const hls::Resources res{{cdfg::FuType::kAlu, 2},
+                           {cdfg::FuType::kMultiplier, 2}};
+  const int deadline = hls::list_schedule(g, res).num_steps + 1;
+  const hls::Schedule cs = hls::force_directed_schedule(g, deadline);
+  const hls::Binding cb = hls::make_binding(g, cs);
+  testability::LoopAvoidOptions opts;
+  opts.resources = res;
+  opts.num_steps = deadline;
+  opts.scan_vars = testability::select_scan_vars_loopcut(g);
+  const testability::LoopAvoidResult la =
+      testability::loop_avoiding_synthesis(g, opts);
+  return {hls::build_rtl(g, cs, cb).datapath,
+          hls::build_rtl(g, la.schedule, la.binding).datapath};
+}
+
+TEST(Sgraph, LoopStatsMatchUnsaturatedEnumeration) {
+  // Differential oracle: wherever Johnson's enumeration finishes below its
+  // cap, the registers on its loops are exactly what the SCC-based
+  // loop_stats counts. Random datapaths also run with every third register
+  // scanned, to cover scan exclusion.
+  std::vector<std::pair<std::string, Datapath>> designs;
+  for (const cdfg::Cdfg& g : cdfg::standard_benchmarks())
+    for (Datapath& dp : both_flows(g)) designs.emplace_back(g.name(), dp);
+  for (int ops : {12, 20, 28}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      cdfg::GeneratorParams p;
+      p.num_ops = ops;
+      p.num_states = ops / 8;
+      p.seed = seed;
+      const cdfg::Cdfg g = cdfg::random_cdfg(p);
+      for (Datapath& dp : both_flows(g))
+        designs.emplace_back(g.name() + "/" + std::to_string(seed), dp);
+    }
+  }
+  int checked = 0, with_assignment = 0, with_cdfg = 0;
+  for (auto& [name, dp] : designs) {
+    for (const bool exclude_scan : {false, true}) {
+      if (exclude_scan)
+        for (int r = 0; r < dp.num_regs(); r += 3)
+          dp.regs[r].test_kind = TestRegKind::kScan;
+      const std::optional<LoopStats> want = enumerated_stats(dp, exclude_scan);
+      if (!want) continue;
+      const LoopStats got = loop_stats(dp, exclude_scan);
+      EXPECT_EQ(got.self_loops, want->self_loops) << name;
+      EXPECT_EQ(got.cdfg_loops, want->cdfg_loops) << name;
+      EXPECT_EQ(got.assignment_loops, want->assignment_loops) << name;
+      ++checked;
+      with_assignment += want->assignment_loops > 0;
+      with_cdfg += want->cdfg_loops > 0;
+    }
+  }
+  // The comparison must have covered enough datapaths with both loop
+  // classes to mean something.
+  EXPECT_GE(checked, 50);
+  EXPECT_GE(with_assignment, 30);
+  EXPECT_GE(with_cdfg, 20);
+}
+
+TEST(Sgraph, LoopStatsCountSelfLoopsOnSaturatedGraph) {
+  // fir8 through the conventional flow has more S-graph cycles than the
+  // enumeration's cap, and the capped enumeration finds none of its
+  // self-loops; the edge scan finds all 8.
+  const Datapath dp = both_flows(cdfg::fir(8)).front();
+  EXPECT_EQ(analyze_loops(dp).size(), 10000u);
+  const LoopStats stats = loop_stats(dp);
+  EXPECT_EQ(stats.self_loops, 8);
+  EXPECT_EQ(stats.assignment_loops, 2);
 }
 
 TEST(Sgraph, DepthAfterScan) {

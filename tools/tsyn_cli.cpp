@@ -190,8 +190,8 @@ void report_design(const cdfg::Cdfg& g, const hls::Schedule& s,
               b.num_regs, dp.mux2_count());
   std::fprintf(g_report, "area      : %.0f GE (test overhead %.1f%%)\n",
               rtl::datapath_area(dp), 100 * rtl::test_area_overhead(dp));
-  std::fprintf(g_report, "S-graph   : %d self-loops, %d assignment loops, %d CDFG "
-              "loops\n",
+  std::fprintf(g_report, "S-graph   : registers on loops: %d self, %d assignment, "
+              "%d CDFG (state)\n",
               loops.self_loops, loops.assignment_loops, loops.cdfg_loops);
   std::fprintf(g_report, "scan      : %zu scan registers\n",
               dp.scan_registers().size());
