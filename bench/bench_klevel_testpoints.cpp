@@ -61,6 +61,7 @@ int main() {
   util::Table table({"benchmark", "method", "insertions",
                      "k-level violations", "coverage (random, non-scan)"});
   bool proven = true;
+  int left = 0;  // violations insertion failed to remove, over all rows
   std::vector<cdfg::Cdfg> graphs;
   graphs.push_back(cdfg::iir_biquad());
   graphs.push_back(cdfg::diffeq());
@@ -92,6 +93,7 @@ int main() {
           testability::insert_klevel_test_points(dp, k, true);
       const int violations = testability::klevel_violations(
           dp, k, r.control_point_regs, r.observe_point_regs);
+      left += violations;
       const double cov = nonscan_coverage(dp, 40, 400);
       table.add_row({g.name(), "k=" + std::to_string(k) + " test points",
                      std::to_string(r.total()),
@@ -104,5 +106,11 @@ int main() {
     }
   }
   bench::print_table(table);
+  if (left != 0) {
+    std::fputs("VIOLATION: test-point insertion left registers on loops "
+               "that are not k-level controllable and observable\n",
+               stderr);
+    return 1;
+  }
   return bench::mfvs_exit_status(proven);
 }

@@ -47,6 +47,21 @@ std::size_t num_blocks(std::size_t num_patterns) {
   return (num_patterns + 63) / 64;
 }
 
+/// Block count from which a no-drop matrix grades at 512 lanes. Every
+/// fault stays live through every block, so one wide propagation replaces
+/// up to eight narrow ones once there are blocks to fill it. On the
+/// fullscan designs 64 lanes win at one block and 512 lanes win on every
+/// design from two (docs/faultsim.md, "Economics").
+constexpr std::size_t kWideMatrixBlocks = 2;
+
+/// `options` at the lane width a no-drop matrix over `blocks` blocks
+/// grades fastest at. Only ever widens: a caller's 512 stays. The masks
+/// are bit-identical at both widths (gl::detection_masks).
+FaultSimOptions matrix_options(FaultSimOptions options, std::size_t blocks) {
+  if (blocks >= kWideMatrixBlocks) options.lanes = 512;
+  return options;
+}
+
 /// Dynamic-compaction generation: the serial PODEM campaign loop of
 /// run_combinational_atpg, except that every detected primary cube is
 /// re-entered (generate_multi_from_base) to fold secondary faults into its
@@ -177,7 +192,8 @@ std::vector<std::uint64_t> detection_matrix(
   TSYN_SPAN("compaction.detection_matrix");
   const std::vector<std::vector<Bits>> blocks = patterns_to_blocks(patterns);
   std::vector<std::uint64_t> matrix;
-  gl::detection_masks(n, blocks, faults, matrix, sim_options);
+  gl::detection_masks(n, blocks, faults, matrix,
+                      matrix_options(sim_options, blocks.size()));
   if (blocks.empty() || faults.empty()) return matrix;
   const std::size_t nb = blocks.size();
 
@@ -390,7 +406,8 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
     std::vector<std::uint64_t> masks;
     for (const AtpgCampaign* src : sources) {
       const std::size_t src_blocks = src->graded_fill.size();
-      gl::detection_masks(n, src->graded_fill, subset, masks, sim_options);
+      gl::detection_masks(n, src->graded_fill, subset, masks,
+                          matrix_options(sim_options, src_blocks));
       for (std::size_t b = 0; b < src_blocks; ++b) {
         std::uint64_t lanes = 0;
         for (std::size_t s = 0; s < missing.size(); ++s)

@@ -114,8 +114,11 @@ struct CompactedCampaign {
 /// `backtrack_limit` bounds each primary PODEM run exactly as in
 /// run_combinational_atpg; `sim_options` is passed to every grading pass
 /// (gl::fault_coverage and gl::detection_masks, which shard the fault list
-/// over util::ThreadPool and honour its lane width). Deterministic for
-/// fixed options regardless of thread count and lane width.
+/// over util::ThreadPool). Drop-mode grading runs at its lane width; the
+/// no-drop matrices (pruning, top-up, detection_matrix) widen it to 512
+/// lanes from two 64-pattern blocks up, where the wide engine is faster.
+/// Deterministic for fixed options regardless of thread count and lane
+/// width; only the ledger's per-fault sim_events depend on the width.
 CompactedCampaign run_compacted_atpg(
     const gl::Netlist& n, const std::vector<gl::Fault>& faults,
     const CompactionOptions& copts = {}, long backtrack_limit = 10000,
@@ -134,7 +137,8 @@ std::vector<std::vector<gl::Bits>> patterns_to_blocks(
 /// fault-major layout: with B = ceil(patterns / 64) blocks, bit (p % 64)
 /// of result[f * B + p / 64] is set iff pattern p detects fault f. No
 /// fault dropping; lanes past the last pattern are clear. Identical for
-/// every thread count and lane width.
+/// every thread count and lane width (grades at 512 lanes from two blocks
+/// up, see run_compacted_atpg).
 std::vector<std::uint64_t> detection_matrix(
     const gl::Netlist& n, const std::vector<TestCube>& patterns,
     const std::vector<gl::Fault>& faults,

@@ -18,13 +18,23 @@
 // record without synchronization. The merge aggregates with
 // order-insensitive operations only — sums for effort, lexicographic
 // (phase, index) minima for first detections, per-phase maxima for
-// n-detect — and sorts journeys by fault key, so ledger_to_json() is
-// byte-identical at any thread count for a deterministic workload. Collect
-// only between parallel sections (ThreadPool::run's completion handshake
-// orders worker writes before the caller's read), the same rule the trace
-// layer has.
+// n-detect — so ledger_to_json() is byte-identical at any thread count
+// for a deterministic workload. Collect only between parallel sections
+// (ThreadPool::run's completion handshake orders worker writes before the
+// caller's read), the same rule the trace layer has.
 //
 // Cost model: a disabled record is one relaxed atomic load and a branch.
+// An enabled one is a push_back of a 40-byte event. ledger_snapshot()
+// reads the thread buffers in place, three times, with no copy and no
+// sort of the events: once for the box of fault keys seen, once to mark
+// each key in a dense int32 table indexed row-major by (node, pin, sa1)
+// over that box — index order is FaultKey order, so numbering the marks
+// in index order hands out journey slots already sorted — and once to
+// aggregate into the journeys and into per-phase first-detect slots for
+// the waterfalls. Time is linear in the event count plus the box size;
+// extra memory is 4 bytes per box cell (keys are netlist node ids, so the
+// box is about nodes x (widest fanin + 2) x 2) plus 16 bytes per journey
+// and phase. ledger_to_json() appends to one reserved string.
 // Compile with -DTSYN_LEDGER_NOOP (CMake option of the same name) to
 // compile recording out entirely — the baseline the ledger-overhead
 // acceptance bound in BENCH_faultsim.json is measured against.
@@ -201,21 +211,30 @@ void record_universe(long num_faults);
 
 // -- reading ----------------------------------------------------------------
 
+/// Where a fault's journey ended, first matching rule wins.
+enum class FaultStatus : std::uint8_t {
+  kDetected,    ///< a targeted run returned kDetected
+  kDropped,     ///< never successfully targeted, but a grading pass
+                ///< detected it (fault dropping / secondary credit)
+  kRedundant,   ///< proven untestable, never detected
+  kAborted,     ///< targeting hit the backtrack limit, never detected
+  kUndetected,  ///< simulated (or merely enumerated) without detection
+};
+
+/// "detected", "dropped", "redundant", "aborted" or "undetected": the
+/// spelling of the ledger JSON's "status" field.
+const char* to_string(FaultStatus status);
+
 /// One fault's merged journey.
 struct FaultJourney {
   FaultKey key;
-  /// "detected"   — a targeted run returned kDetected;
-  /// "dropped"    — never successfully targeted, but a grading pass
-  ///                detected it (fault dropping / secondary credit);
-  /// "redundant"  — proven untestable, never detected;
-  /// "aborted"    — targeting hit the backtrack limit, never detected;
-  /// "undetected" — simulated (or merely enumerated) without detection.
-  std::string status;
+  FaultStatus status = FaultStatus::kUndetected;
   int targets = 0;  ///< PODEM attempts (probes included)
   int outcome_detected = 0, outcome_untestable = 0, outcome_aborted = 0;
   std::int64_t decisions = 0, backtracks = 0;  ///< summed over attempts
   /// First combinational detection, as (phase, pattern) lexicographic
   /// minimum over detect events; -1 when never detected in pattern domain.
+  /// Pattern and frame indices are >= 0.
   std::int64_t first_detect_pattern = -1;
   int first_detect_phase = -1;
   /// First sequential detection frame (1-based); -1 when none.
@@ -266,5 +285,10 @@ LedgerSnapshot ledger_snapshot();
 /// Byte-identical across thread counts for deterministic workloads.
 std::string ledger_to_json();
 std::string ledger_to_json(const LedgerSnapshot& snap);
+/// Appends ledger_to_json(snap) to `out` (how report_to_json embeds it
+/// without a copy).
+void append_ledger_json(std::string& out, const LedgerSnapshot& snap);
+/// An upper estimate of that JSON's length, for reserving.
+std::size_t ledger_json_size_hint(const LedgerSnapshot& snap);
 
 }  // namespace tsyn::observe

@@ -201,7 +201,8 @@ ProvenanceAttribution attribute_coverage(const ProvenanceMap& map,
 
   for (const FaultJourney& j : ledger.journeys) {
     ++attr.total_faults;
-    const bool covered = j.status == "detected" || j.status == "dropped";
+    const bool covered = j.status == FaultStatus::kDetected ||
+                         j.status == FaultStatus::kDropped;
     attr.total_covered += covered;
     const int comp = map.component_of(j.key.node);
     if (comp < 0) {
@@ -210,11 +211,13 @@ ProvenanceAttribution attribute_coverage(const ProvenanceMap& map,
     }
     ComponentCoverage& c = attr.components[static_cast<std::size_t>(comp)];
     ++c.faults;
-    if (j.status == "detected") ++c.detected;
-    else if (j.status == "dropped") ++c.dropped;
-    else if (j.status == "redundant") ++c.redundant;
-    else if (j.status == "aborted") ++c.aborted;
-    else ++c.undetected;
+    switch (j.status) {
+      case FaultStatus::kDetected: ++c.detected; break;
+      case FaultStatus::kDropped: ++c.dropped; break;
+      case FaultStatus::kRedundant: ++c.redundant; break;
+      case FaultStatus::kAborted: ++c.aborted; break;
+      case FaultStatus::kUndetected: ++c.undetected; break;
+    }
     c.decisions += j.decisions;
     c.backtracks += j.backtracks;
     c.sim_events += j.sim_events;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "util/json.h"
@@ -12,49 +13,55 @@ namespace tsyn::observe {
 
 namespace {
 
-void append_scoap_row_json(std::ostream& os, const ScoapFaultRow& row) {
-  os << "{\"fault\": \"" << util::json_escape(row.label) << '"';
-  os << ", \"status\": \"" << util::json_escape(row.status) << '"';
-  os << ", \"cc\": " << row.cc << ", \"co\": " << row.co
-     << ", \"predicted\": " << row.predicted << ", \"effort\": " << row.effort
-     << ", \"predicted_rank\": " << util::fmt_double(row.predicted_rank)
-     << ", \"effort_rank\": " << util::fmt_double(row.effort_rank) << "}";
+void append_scoap_row_json(std::string& out, const ScoapFaultRow& row) {
+  util::append(out, "{\"fault\": \"", util::json_escape(row.label),
+               "\", \"status\": \"", to_string(row.status),
+               "\", \"cc\": ", row.cc, ", \"co\": ", row.co,
+               ", \"predicted\": ", row.predicted, ", \"effort\": ", row.effort,
+               ", \"predicted_rank\": ", util::fmt_double(row.predicted_rank),
+               ", \"effort_rank\": ", util::fmt_double(row.effort_rank), '}');
 }
 
 }  // namespace
 
 std::string report_to_json(const RunReport& r) {
-  std::ostringstream os;
-  os << "{\n  \"schema\": 1,\n  \"tool\": \"tsyn\",\n  \"title\": \""
-     << util::json_escape(r.title) << '"';
-  os << ",\n  \"design\": {\"behavior\": \""
-     << util::json_escape(r.behavior) << '"';
-  os << ", \"width\": " << r.width << ", \"gates\": " << r.gates
-     << ", \"pis\": " << r.pis << ", \"faults\": " << r.faults << "},\n";
-  os << "  \"atpg\": {\"compact\": \""
-     << util::json_escape(r.compact_mode) << '"';
-  os << ", \"xfill\": \"" << util::json_escape(r.xfill) << '"';
-  os << ", \"fault_coverage\": " << util::fmt_double(r.fault_coverage)
-     << ", \"fault_efficiency\": " << util::fmt_double(r.fault_efficiency)
-     << ", \"cubes\": " << r.cubes << ", \"patterns\": " << r.patterns
-     << ", \"baseline_patterns\": " << r.baseline_patterns << "},\n";
-  os << "  \"ledger\": " << ledger_to_json(r.ledger) << ",\n";
-  os << "  \"scoap\": {\"spearman\": " << util::fmt_double(r.scoap.spearman)
-     << ", \"rows\": " << r.scoap.rows.size() << ", \"top_mispredicted\": [";
+  using util::append;
+  std::string out;
+  out.reserve(ledger_json_size_hint(r.ledger) + r.metrics_json.size() +
+              4096);
+  append(out, "{\n  \"schema\": 1,\n  \"tool\": \"tsyn\",\n  \"title\": \"",
+         util::json_escape(r.title), '"');
+  append(out, ",\n  \"design\": {\"behavior\": \"",
+         util::json_escape(r.behavior), '"');
+  append(out, ", \"width\": ", r.width, ", \"gates\": ", r.gates,
+         ", \"pis\": ", r.pis, ", \"faults\": ", r.faults, "},\n");
+  append(out, "  \"atpg\": {\"compact\": \"", util::json_escape(r.compact_mode),
+         '"');
+  append(out, ", \"xfill\": \"", util::json_escape(r.xfill), '"');
+  append(out, ", \"fault_coverage\": ", util::fmt_double(r.fault_coverage),
+         ", \"fault_efficiency\": ", util::fmt_double(r.fault_efficiency),
+         ", \"cubes\": ", r.cubes, ", \"patterns\": ", r.patterns,
+         ", \"baseline_patterns\": ", r.baseline_patterns, "},\n");
+  out += "  \"ledger\": ";
+  append_ledger_json(out, r.ledger);
+  append(out, ",\n  \"scoap\": {\"spearman\": ",
+         util::fmt_double(r.scoap.spearman), ", \"rows\": ",
+         r.scoap.rows.size(), ", \"top_mispredicted\": [");
   bool first = true;
   for (int idx : r.scoap.top_mispredicted) {
-    if (!first) os << ", ";
+    if (!first) out += ", ";
     first = false;
-    append_scoap_row_json(os, r.scoap.rows[static_cast<std::size_t>(idx)]);
+    append_scoap_row_json(out, r.scoap.rows[static_cast<std::size_t>(idx)]);
   }
-  os << "]},\n";
+  out += "]},\n";
   if (!r.provenance.empty())
-    os << "  \"provenance\": "
-       << provenance_to_json(r.provenance, r.attribution) << ",\n";
-  os << "  \"metrics\": "
-     << (r.metrics_json.empty() ? std::string("{}") : r.metrics_json);
-  os << "\n}\n";
-  return os.str();
+    append(out, "  \"provenance\": ",
+           provenance_to_json(r.provenance, r.attribution), ",\n");
+  append(out, "  \"metrics\": ",
+         r.metrics_json.empty() ? std::string_view("{}")
+                                : std::string_view(r.metrics_json),
+         "\n}\n");
+  return out;
 }
 
 namespace {
@@ -261,7 +268,7 @@ std::string report_to_html(const RunReport& r) {
           "</tr>\n";
     for (const FaultJourney* j : by_effort) {
       os << "<tr><td>" << j->key.node << '/' << j->key.pin << "/sa"
-         << j->key.sa1 << "</td><td>" << html_escape(j->status)
+         << j->key.sa1 << "</td><td>" << to_string(j->status)
          << "</td><td class=\"num\">" << j->decisions
          << "</td><td class=\"num\">" << j->backtracks
          << "</td><td class=\"num\">" << j->first_detect_pattern
@@ -284,7 +291,7 @@ std::string report_to_html(const RunReport& r) {
     for (int idx : r.scoap.top_mispredicted) {
       const ScoapFaultRow& row = r.scoap.rows[static_cast<std::size_t>(idx)];
       os << "<tr><td>" << html_escape(row.label) << "</td><td>"
-         << html_escape(row.status) << "</td><td class=\"num\">" << row.cc
+         << to_string(row.status) << "</td><td class=\"num\">" << row.cc
          << "</td><td class=\"num\">" << row.co << "</td><td class=\"num\">"
          << row.predicted_rank << "</td><td class=\"num\">" << row.effort_rank
          << "</td><td class=\"num\">" << row.effort << "</td></tr>\n";

@@ -42,7 +42,7 @@ std::vector<double> average_ranks(const std::vector<double>& v);
 struct ScoapFaultRow {
   FaultKey key;
   std::string label;  ///< gl::describe() of the fault
-  std::string status;
+  FaultStatus status = FaultStatus::kUndetected;
   int cc = 0;  ///< controllability of the activation value at the line
   int co = 0;  ///< observability of the line
   std::int64_t predicted = 0;  ///< cc + co

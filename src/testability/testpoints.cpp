@@ -3,68 +3,104 @@
 #include <algorithm>
 
 #include "graph/paths.h"
+#include "graph/scc.h"
 #include "rtl/sgraph.h"
 
 namespace tsyn::testability {
 
-CoDistances co_distances(const rtl::Datapath& dp,
-                         const std::vector<int>& control_points,
-                         const std::vector<int>& observe_points) {
-  const graph::Digraph s = rtl::build_sgraph(dp);
-  std::vector<graph::NodeId> c_sources;
-  std::vector<graph::NodeId> o_sources;
+namespace {
+
+/// The S-graph and its reverse, built once per datapath: every distance
+/// and violation query below runs on them.
+struct SGraphs {
+  graph::Digraph fwd;
+  graph::Digraph rev;
+  explicit SGraphs(const rtl::Datapath& dp)
+      : fwd(rtl::build_sgraph(dp)), rev(fwd.reversed()) {}
+};
+
+CoDistances distances(const rtl::Datapath& dp, const SGraphs& s,
+                      const std::vector<int>& control_points,
+                      const std::vector<int>& observe_points) {
+  std::vector<graph::NodeId> c_sources(control_points);
+  std::vector<graph::NodeId> o_sources(observe_points);
   for (int r = 0; r < dp.num_regs(); ++r) {
     if (dp.regs[r].is_input) c_sources.push_back(r);
     if (dp.regs[r].is_output) o_sources.push_back(r);
   }
-  for (int r : control_points) c_sources.push_back(r);
-  for (int r : observe_points) o_sources.push_back(r);
-
   CoDistances d;
-  d.control = graph::bfs_distances(s, c_sources);
-  d.observe = graph::bfs_distances(s.reversed(), o_sources);
+  d.control = graph::bfs_distances(s.fwd, c_sources);
+  d.observe = graph::bfs_distances(s.rev, o_sources);
   return d;
 }
 
-namespace {
+/// Registers on a loop of >= 2 registers none of which is within k of
+/// control (`uncontrollable`) or of observation (`unobservable`).
+struct Violations {
+  std::vector<bool> uncontrollable;
+  std::vector<bool> unobservable;
+  int count = 0;  ///< registers in either set
+};
 
-int count_violations(const rtl::Datapath& dp, int k, const CoDistances& d) {
-  int violations = 0;
-  for (const rtl::DatapathLoop& loop : rtl::analyze_loops(dp)) {
-    if (loop.kind == rtl::LoopClass::kSelfLoop) continue;
-    bool controllable = false;
-    bool observable = false;
-    for (graph::NodeId r : loop.registers) {
-      if (d.control[r] >= 0 && d.control[r] <= k) controllable = true;
-      if (d.observe[r] >= 0 && d.observe[r] <= k) observable = true;
-    }
-    if (!controllable || !observable) ++violations;
-  }
-  return violations;
+/// The registers on a loop of >= 2 registers all farther than k by
+/// `dist`: a loop lies in the subgraph the far registers induce exactly
+/// when its registers sit in one of that subgraph's strongly connected
+/// components of >= 2 registers.
+std::vector<bool> on_far_loop(const graph::Digraph& s,
+                              const std::vector<int>& dist, int k) {
+  std::vector<bool> far(dist.size());
+  for (std::size_t r = 0; r < far.size(); ++r)
+    far[r] = dist[r] < 0 || dist[r] > k;
+  std::vector<graph::NodeId> old_to_new;
+  const graph::Digraph sub = s.induced_subgraph(far, &old_to_new);
+  const graph::SccResult scc = graph::strongly_connected_components(sub);
+  std::vector<bool> on(dist.size(), false);
+  for (std::size_t r = 0; r < on.size(); ++r)
+    on[r] = old_to_new[r] >= 0 &&
+            scc.members[scc.component[old_to_new[r]]].size() >= 2;
+  return on;
+}
+
+Violations violations(const SGraphs& s, int k, const CoDistances& d) {
+  Violations v;
+  v.uncontrollable = on_far_loop(s.fwd, d.control, k);
+  v.unobservable = on_far_loop(s.fwd, d.observe, k);
+  for (std::size_t r = 0; r < v.uncontrollable.size(); ++r)
+    v.count += v.uncontrollable[r] || v.unobservable[r];
+  return v;
 }
 
 }  // namespace
 
+CoDistances co_distances(const rtl::Datapath& dp,
+                         const std::vector<int>& control_points,
+                         const std::vector<int>& observe_points) {
+  return distances(dp, SGraphs(dp), control_points, observe_points);
+}
+
 int klevel_violations(const rtl::Datapath& dp, int k,
                       const std::vector<int>& control_points,
                       const std::vector<int>& observe_points) {
-  return count_violations(dp, k,
-                          co_distances(dp, control_points, observe_points));
+  const SGraphs s(dp);
+  return violations(s, k, distances(dp, s, control_points, observe_points))
+      .count;
 }
 
 TestPointResult insert_klevel_test_points(rtl::Datapath& dp, int k,
                                           bool apply) {
+  const SGraphs s(dp);
   TestPointResult result;
   for (;;) {
-    const CoDistances d = co_distances(dp, result.control_point_regs,
-                                       result.observe_point_regs);
-    const int before = count_violations(dp, k, d);
-    if (before == 0) break;
+    const Violations before = violations(
+        s, k,
+        distances(dp, s, result.control_point_regs,
+                  result.observe_point_regs));
+    if (before.count == 0) break;
 
     // Try every candidate insertion; keep the one fixing most violations.
     int best_reg = -1;
     bool best_is_control = true;
-    int best_after = before;
+    int best_after = before.count;
     for (int r = 0; r < dp.num_regs(); ++r) {
       for (const bool is_control : {true, false}) {
         auto cps = result.control_point_regs;
@@ -72,7 +108,7 @@ TestPointResult insert_klevel_test_points(rtl::Datapath& dp, int k,
         auto& list = is_control ? cps : ops;
         if (std::find(list.begin(), list.end(), r) != list.end()) continue;
         list.push_back(r);
-        const int after = count_violations(dp, k, co_distances(dp, cps, ops));
+        const int after = violations(s, k, distances(dp, s, cps, ops)).count;
         if (after < best_after) {
           best_after = after;
           best_reg = r;
@@ -81,20 +117,13 @@ TestPointResult insert_klevel_test_points(rtl::Datapath& dp, int k,
       }
     }
     if (best_reg < 0) {
-      // No single insertion helps (disconnected loop): force a control and
-      // an observe point on the first violating loop.
-      for (const rtl::DatapathLoop& loop : rtl::analyze_loops(dp)) {
-        if (loop.kind == rtl::LoopClass::kSelfLoop) continue;
-        bool c = false;
-        bool o = false;
-        for (graph::NodeId r : loop.registers) {
-          if (d.control[r] >= 0 && d.control[r] <= k) c = true;
-          if (d.observe[r] >= 0 && d.observe[r] <= k) o = true;
-        }
-        if (!c) result.control_point_regs.push_back(loop.registers.front());
-        if (!o) result.observe_point_regs.push_back(loop.registers.front());
-        if (!c || !o) break;
-      }
+      // No single point lowers the count: give the first violating
+      // register the points it lacks. Points only shrink the far sets, so
+      // every round shrinks a far set or the count and the loop ends.
+      int r = 0;
+      while (!before.uncontrollable[r] && !before.unobservable[r]) ++r;
+      if (before.uncontrollable[r]) result.control_point_regs.push_back(r);
+      if (before.unobservable[r]) result.observe_point_regs.push_back(r);
       continue;
     }
     if (best_is_control)

@@ -27,7 +27,12 @@ CoDistances co_distances(const rtl::Datapath& dp,
                          const std::vector<int>& control_points,
                          const std::vector<int>& observe_points);
 
-/// Number of S-graph loops that are NOT k-level controllable+observable.
+/// Number of registers on an S-graph loop of two or more registers that
+/// is not k-level controllable or not k-level observable: registers
+/// farther than k from control (or from observation) that lie in a
+/// strongly connected component of >= 2 such registers. Zero exactly when
+/// every such loop is k-level controllable and observable. Linear in the
+/// S-graph's size; no loop is enumerated.
 int klevel_violations(const rtl::Datapath& dp, int k,
                       const std::vector<int>& control_points = {},
                       const std::vector<int>& observe_points = {});
@@ -41,9 +46,11 @@ struct TestPointResult {
   }
 };
 
-/// Greedy insertion until every loop is k-level C/O. With apply=true the
-/// datapath is mutated: control points gain a primary-input driver, observe
-/// points a primary output, so gate-level coverage can be measured.
+/// Greedy insertion until every loop is k-level C/O: each round adds the
+/// one control or observe point that lowers klevel_violations most. With
+/// apply=true the datapath is mutated: control points gain a primary-input
+/// driver, observe points a primary output, so gate-level coverage can be
+/// measured.
 TestPointResult insert_klevel_test_points(rtl::Datapath& dp, int k,
                                           bool apply = true);
 

@@ -2,6 +2,8 @@
 // writers and the command-line tools.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,5 +36,23 @@ std::string fmt_exact(double v);
 /// `v` as "%.6g", with ".0" appended when that prints no '.', 'e' or 'E',
 /// so a JSON consumer always sees a float: the report emitters' format.
 std::string fmt_double(double v);
+
+namespace text_detail {
+inline void put(std::string& out, std::string_view s) { out += s; }
+inline void put(std::string& out, char c) { out += c; }
+template <std::integral T>
+void put(std::string& out, T v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+}  // namespace text_detail
+
+/// Appends each part in order: strings and chars as they are, integers in
+/// decimal via std::to_chars (the digits `std::ostream <<` prints), so a
+/// writer builds its output in one string without a stream.
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (text_detail::put(out, parts), ...);
+}
 
 }  // namespace tsyn::util

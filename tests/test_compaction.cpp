@@ -423,7 +423,8 @@ TEST(Pipeline, CompactedCampaignIsDigestPinned) {
   // Every shipped pattern (top-up picks included), every stage count and
   // the shipped coverage of both compacting modes, then the fault ledger
   // of the report flow. Grading may change how it computes detections,
-  // never which, so these constants must not move.
+  // never which, so the first constant must not move. The ledger also
+  // records simulation effort, which moves with the engine's lane width.
   const Netlist n = full_scan_netlist(cdfg::diffeq(), 4);
   const auto faults = gl::enumerate_faults(n);
   util::Fnv1a h;
@@ -449,7 +450,10 @@ TEST(Pipeline, CompactedCampaignIsDigestPinned) {
   observe::ledger_disable();
   const std::string json = observe::ledger_to_json();
   observe::ledger_reset();
-  EXPECT_EQ(util::fnv1a(json), 0x7885235c848e6915ULL);
+  // The no-drop matrices grade at 512 lanes from two blocks up, so the
+  // top-up's per-fault sim_events differ from a 64-lane run; every other
+  // ledger field is width-independent.
+  EXPECT_EQ(util::fnv1a(json), 0xcad0e7c509495be5ULL);
 #endif
 }
 

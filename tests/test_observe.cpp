@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cdfg/benchmarks.h"
@@ -19,6 +23,7 @@
 #include "observe/report.h"
 #include "observe/scoap_attr.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace tsyn::observe {
 namespace {
@@ -134,17 +139,19 @@ TEST(Ledger, JourneyStatusesAgreeWithTheCampaign) {
       case gl::AtpgStatus::kDetected:
         // Either its own PODEM run detected it or it was dropped by an
         // earlier test's grading.
-        EXPECT_TRUE(it->status == "detected" || it->status == "dropped")
-            << i << " " << it->status;
+        EXPECT_TRUE(it->status == FaultStatus::kDetected ||
+                    it->status == FaultStatus::kDropped)
+            << i << " " << to_string(it->status);
         EXPECT_GE(it->first_detect_pattern, 0);
         break;
       case gl::AtpgStatus::kUntestable:
-        EXPECT_EQ(it->status, "redundant");
+        EXPECT_EQ(it->status, FaultStatus::kRedundant);
         EXPECT_EQ(it->first_detect_pattern, -1);
         break;
       case gl::AtpgStatus::kAborted:
         // An aborted target can still fall to another fault's pattern.
-        EXPECT_TRUE(it->status == "aborted" || it->status == "dropped");
+        EXPECT_TRUE(it->status == FaultStatus::kAborted ||
+                    it->status == FaultStatus::kDropped);
         break;
     }
   }
@@ -225,7 +232,8 @@ TEST(Ledger, DetectionMatrixRecordsFirstDetectAndNdetect) {
   EXPECT_EQ(sa0.key.sa1, 0);
   EXPECT_EQ(sa0.first_detect_pattern, 0);
   EXPECT_EQ(sa0.n_detect, 1);
-  EXPECT_EQ(sa0.status, "dropped");  // detected by grading, never targeted
+  // Detected by grading, never targeted.
+  EXPECT_EQ(sa0.status, FaultStatus::kDropped);
   EXPECT_EQ(sa1.first_detect_pattern, 1);
   EXPECT_EQ(sa1.n_detect, 3);
 
@@ -270,6 +278,342 @@ TEST(Ledger, SequentialDetectionRecordsFrames) {
   ASSERT_EQ(snap.waterfalls[0].curve.size(), 1u);
   EXPECT_EQ(snap.waterfalls[0].curve[0].index, 2);
   EXPECT_EQ(snap.waterfalls[0].curve[0].detected, 1);
+}
+
+// ---- the merge against a reference ----
+
+/// One recorded event, as the reference merge below reads it.
+struct RefEvent {
+  FaultKey key;
+  int kind = 0;  ///< 0 targeted, 1 detected, 2 seq detected, 3 effort, 4 n-detect
+  TargetOutcome outcome = TargetOutcome::kDetected;
+  int phase = 0;
+  std::int64_t a = 0, b = 0;
+};
+
+struct RefJourney {
+  FaultJourney j;  ///< every field but status
+  std::string status;
+};
+
+struct RefSnapshot {
+  std::vector<RefJourney> journeys;
+  std::vector<Waterfall> waterfalls;
+  std::int64_t detected = 0, dropped = 0, redundant = 0, aborted = 0,
+               undetected = 0;
+};
+
+/// The map-based merge ledger_snapshot() used before the dense table: one
+/// std::map per fault and per (phase, fault) first detection, waterfalls
+/// sorted at the end. Kept as the reference the dense merge must match.
+RefSnapshot reference_merge(const std::vector<RefEvent>& events,
+                            const std::vector<std::string>& phases,
+                            const std::vector<std::int64_t>& universe) {
+  struct Agg {
+    RefJourney r;
+    int ndetect_phase = -1;
+    int seq_phase = -1;
+  };
+  std::map<FaultKey, Agg> by_fault;
+  std::map<std::pair<int, FaultKey>, std::int64_t> first_pattern;
+  std::map<std::pair<int, FaultKey>, std::int64_t> first_frame;
+  for (const RefEvent& e : events) {
+    Agg& a = by_fault[e.key];
+    FaultJourney& j = a.r.j;
+    j.key = e.key;
+    switch (e.kind) {
+      case 0:
+        ++j.targets;
+        j.decisions += e.a;
+        j.backtracks += e.b;
+        if (e.outcome == TargetOutcome::kDetected) ++j.outcome_detected;
+        else if (e.outcome == TargetOutcome::kUntestable)
+          ++j.outcome_untestable;
+        else ++j.outcome_aborted;
+        break;
+      case 1: {
+        if (j.first_detect_phase < 0 || e.phase < j.first_detect_phase ||
+            (e.phase == j.first_detect_phase &&
+             e.a < j.first_detect_pattern)) {
+          j.first_detect_phase = e.phase;
+          j.first_detect_pattern = e.a;
+        }
+        auto [it, fresh] = first_pattern.try_emplace({e.phase, e.key}, e.a);
+        if (!fresh) it->second = std::min(it->second, e.a);
+        break;
+      }
+      case 2: {
+        if (a.seq_phase < 0 || e.phase < a.seq_phase ||
+            (e.phase == a.seq_phase && e.a < j.first_detect_frame)) {
+          a.seq_phase = e.phase;
+          j.first_detect_frame = e.a;
+        }
+        auto [it, fresh] = first_frame.try_emplace({e.phase, e.key}, e.a);
+        if (!fresh) it->second = std::min(it->second, e.a);
+        break;
+      }
+      case 3:
+        j.sim_events += e.a;
+        break;
+      case 4:
+        if (e.phase > a.ndetect_phase) {
+          a.ndetect_phase = e.phase;
+          j.n_detect = e.a;
+        } else if (e.phase == a.ndetect_phase) {
+          j.n_detect = std::max(j.n_detect, e.a);
+        }
+        break;
+    }
+  }
+  RefSnapshot out;
+  for (auto& [key, agg] : by_fault) {
+    const FaultJourney& j = agg.r.j;
+    std::string& st = agg.r.status;
+    if (j.outcome_detected > 0) st = "detected";
+    else if (j.first_detect_pattern >= 0 || j.first_detect_frame >= 0)
+      st = "dropped";
+    else if (j.outcome_untestable > 0) st = "redundant";
+    else if (j.outcome_aborted > 0) st = "aborted";
+    else st = "undetected";
+    if (st == "detected") ++out.detected;
+    else if (st == "dropped") ++out.dropped;
+    else if (st == "redundant") ++out.redundant;
+    else if (st == "aborted") ++out.aborted;
+    else ++out.undetected;
+    out.journeys.push_back(agg.r);
+  }
+  const auto build = [&](const auto& firsts, const char* domain) {
+    std::map<int, std::vector<std::int64_t>> per_phase;
+    for (const auto& [pk, index] : firsts) per_phase[pk.first].push_back(index);
+    for (auto& [phase, indices] : per_phase) {
+      std::sort(indices.begin(), indices.end());
+      Waterfall w;
+      w.phase = phase;
+      w.phase_name = phases[static_cast<std::size_t>(phase)];
+      w.domain = domain;
+      w.universe = universe[static_cast<std::size_t>(phase)];
+      if (w.universe == 0)
+        w.universe = static_cast<std::int64_t>(indices.size());
+      std::int64_t cum = 0;
+      for (std::size_t i = 0; i < indices.size(); ++i) {
+        ++cum;
+        if (i + 1 < indices.size() && indices[i + 1] == indices[i]) continue;
+        w.curve.push_back({indices[i], cum});
+      }
+      out.waterfalls.push_back(std::move(w));
+    }
+  };
+  build(first_pattern, "pattern");
+  build(first_frame, "frame");
+  std::sort(out.waterfalls.begin(), out.waterfalls.end(),
+            [](const Waterfall& a, const Waterfall& b) {
+              return a.phase != b.phase ? a.phase < b.phase
+                                        : a.domain < b.domain;
+            });
+  return out;
+}
+
+TEST(Ledger, SnapshotMatchesReferenceMerge) {
+  // Seeded random events of all five kinds from four threads per phase,
+  // in four phases (the default "run" included), pins -1..3, both
+  // detection domains, n-detect counts in several phases per fault, and
+  // effort values past 32 bits. Phase 2 records no universe, so its
+  // waterfalls fall back to their detected count.
+  constexpr int kThreads = 4;
+  constexpr int kEventsPerThread = 600;
+  const std::vector<std::string> phases{"run", "p.one", "p.two", "p.three"};
+  const std::vector<std::int64_t> universe{0, 180, 0, 7};
+  ledger_reset();
+  ledger_enable();
+  std::vector<RefEvent> events;
+  for (int phase = 0; phase < 4; ++phase) {
+    std::optional<LedgerPhase> scope;
+    if (phase > 0) scope.emplace(phases[static_cast<std::size_t>(phase)].c_str());
+    if (universe[static_cast<std::size_t>(phase)] > 0)
+      record_universe(static_cast<long>(universe[static_cast<std::size_t>(phase)]));
+    std::vector<std::vector<RefEvent>> per_thread(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        util::Rng rng(0x1ed6e7 + static_cast<std::uint64_t>(16 * phase + t));
+        for (int i = 0; i < kEventsPerThread; ++i) {
+          // Kinds reach node ranges that make every status occur:
+          // 0-9 detected by PODEM, 10-19 dropped (15-19 in the frame
+          // domain only), 20-24 redundant, 25-29 aborted, 30-39
+          // undetected.
+          RefEvent e;
+          e.kind = rng.next_int(0, 4);
+          e.outcome = static_cast<TargetOutcome>(rng.next_int(0, 2));
+          const int last_node =
+              e.kind == 0 ? (e.outcome == TargetOutcome::kDetected     ? 9
+                             : e.outcome == TargetOutcome::kUntestable ? 24
+                                                                        : 29)
+              : e.kind == 1 ? 14
+              : e.kind == 2 ? 19
+                            : 39;
+          e.key = {rng.next_int(0, last_node), rng.next_int(-1, 3),
+                   rng.next_int(0, 1)};
+          e.phase = phase;
+          switch (e.kind) {
+            case 0:
+              e.a = rng.next_int(0, 5000);
+              e.b = rng.next_int(0, 5000);
+              record_targeted(e.key, e.outcome, e.a, e.b);
+              break;
+            case 1:
+              e.a = rng.next_int(0, 300);
+              record_detected(e.key, e.a);
+              break;
+            case 2:
+              e.a = rng.next_int(1, 256);
+              record_seq_detected(e.key, e.a);
+              break;
+            case 3:
+              e.a = static_cast<std::int64_t>(rng.next_below(1ULL << 40));
+              record_sim_effort(e.key, e.a);
+              break;
+            case 4:
+              e.a = rng.next_int(0, 64);
+              record_ndetect(e.key, e.a);
+              break;
+          }
+          per_thread[static_cast<std::size_t>(t)].push_back(e);
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    for (const auto& v : per_thread) events.insert(events.end(), v.begin(), v.end());
+  }
+  ledger_disable();
+  const LedgerSnapshot snap = ledger_snapshot();
+  ledger_reset();
+  const RefSnapshot ref = reference_merge(events, phases, universe);
+
+  EXPECT_EQ(snap.phases, phases);
+  ASSERT_EQ(snap.journeys.size(), ref.journeys.size());
+  EXPECT_GT(snap.journeys.size(), 300u);  // 40 nodes x 5 pins x 2 polarities
+  std::int64_t decisions = 0, backtracks = 0, sim_events = 0;
+  for (std::size_t i = 0; i < ref.journeys.size(); ++i) {
+    const FaultJourney& got = snap.journeys[i];
+    const FaultJourney& want = ref.journeys[i].j;
+    SCOPED_TRACE(testing::Message() << "journey " << i << " " << want.key.node
+                                    << "/" << want.key.pin << "/"
+                                    << want.key.sa1);
+    EXPECT_EQ(got.key, want.key);
+    EXPECT_STREQ(to_string(got.status), ref.journeys[i].status.c_str());
+    EXPECT_EQ(got.targets, want.targets);
+    EXPECT_EQ(got.outcome_detected, want.outcome_detected);
+    EXPECT_EQ(got.outcome_untestable, want.outcome_untestable);
+    EXPECT_EQ(got.outcome_aborted, want.outcome_aborted);
+    EXPECT_EQ(got.decisions, want.decisions);
+    EXPECT_EQ(got.backtracks, want.backtracks);
+    EXPECT_EQ(got.first_detect_pattern, want.first_detect_pattern);
+    EXPECT_EQ(got.first_detect_phase, want.first_detect_phase);
+    EXPECT_EQ(got.first_detect_frame, want.first_detect_frame);
+    EXPECT_EQ(got.n_detect, want.n_detect);
+    EXPECT_EQ(got.sim_events, want.sim_events);
+    decisions += want.decisions;
+    backtracks += want.backtracks;
+    sim_events += want.sim_events;
+  }
+  EXPECT_EQ(snap.detected, ref.detected);
+  EXPECT_EQ(snap.dropped, ref.dropped);
+  EXPECT_EQ(snap.redundant, ref.redundant);
+  EXPECT_EQ(snap.aborted, ref.aborted);
+  EXPECT_EQ(snap.undetected, ref.undetected);
+  EXPECT_EQ(snap.total_decisions, decisions);
+  EXPECT_EQ(snap.total_backtracks, backtracks);
+  EXPECT_EQ(snap.total_sim_events, sim_events);
+  EXPECT_GT(sim_events, std::int64_t{1} << 40);
+  // Every status occurs, so each classification rule is exercised.
+  for (std::int64_t count : {ref.detected, ref.dropped, ref.redundant,
+                             ref.aborted, ref.undetected})
+    EXPECT_GT(count, 0);
+
+  ASSERT_EQ(snap.waterfalls.size(), ref.waterfalls.size());
+  EXPECT_EQ(snap.waterfalls.size(), 8u);  // 4 phases x 2 domains
+  for (std::size_t i = 0; i < ref.waterfalls.size(); ++i) {
+    const Waterfall& got = snap.waterfalls[i];
+    const Waterfall& want = ref.waterfalls[i];
+    SCOPED_TRACE(testing::Message() << "waterfall " << i);
+    EXPECT_EQ(got.phase, want.phase);
+    EXPECT_EQ(got.phase_name, want.phase_name);
+    EXPECT_EQ(got.domain, want.domain);
+    EXPECT_EQ(got.universe, want.universe);
+    ASSERT_EQ(got.curve.size(), want.curve.size());
+    for (std::size_t p = 0; p < want.curve.size(); ++p) {
+      EXPECT_EQ(got.curve[p].index, want.curve[p].index);
+      EXPECT_EQ(got.curve[p].detected, want.curve[p].detected);
+    }
+  }
+}
+
+TEST(Ledger, JsonOfHandBuiltSnapshotIsPinned) {
+  LedgerSnapshot snap;
+  snap.phases = {"run", "a\"b"};
+  FaultJourney j0;
+  j0.key = {0, -1, 0};
+  j0.status = FaultStatus::kUndetected;
+  FaultJourney j1;
+  j1.key = {2147483647, 15, 1};
+  j1.status = FaultStatus::kDetected;
+  j1.targets = 3;
+  j1.decisions = 9223372036854775807;
+  j1.backtracks = -9223372036854775807 - 1;
+  j1.first_detect_pattern = 4294967296;
+  j1.first_detect_frame = 1;
+  j1.n_detect = 0;
+  j1.sim_events = 1234567890123;
+  snap.journeys = {j0, j1};
+  Waterfall w;
+  w.phase = 1;
+  w.phase_name = "a\"b";
+  w.domain = "pattern";
+  w.universe = 2;
+  w.curve = {{0, 1}, {4294967296, 2}};
+  snap.waterfalls = {w};
+  snap.detected = 1;
+  snap.undetected = 1;
+  snap.total_decisions = 9223372036854775807;
+  snap.total_backtracks = -9223372036854775807 - 1;
+  snap.total_sim_events = 1234567890123;
+  EXPECT_EQ(
+      ledger_to_json(snap),
+      "{\n"
+      "  \"schema\": 1,\n"
+      "  \"phases\": [\"run\", \"a\\\"b\"],\n"
+      "  \"summary\": {\"faults\": 2, \"detected\": 1, \"dropped\": 0, "
+      "\"redundant\": 0, \"aborted\": 0, \"undetected\": 1, "
+      "\"decisions\": 9223372036854775807, "
+      "\"backtracks\": -9223372036854775808, "
+      "\"sim_events\": 1234567890123},\n"
+      "  \"waterfalls\": [\n"
+      "    {\"phase\": \"a\\\"b\", \"domain\": \"pattern\", \"universe\": 2, "
+      "\"curve\": [{\"i\": 0, \"detected\": 1}, "
+      "{\"i\": 4294967296, \"detected\": 2}]}\n"
+      "  ],\n"
+      "  \"faults\": [\n"
+      "    {\"node\": 0, \"pin\": -1, \"sa\": 0, \"status\": \"undetected\", "
+      "\"targets\": 0, \"decisions\": 0, \"backtracks\": 0, "
+      "\"first_detect_pattern\": -1, \"first_detect_frame\": -1, "
+      "\"n_detect\": -1, \"sim_events\": 0},\n"
+      "    {\"node\": 2147483647, \"pin\": 15, \"sa\": 1, "
+      "\"status\": \"detected\", \"targets\": 3, "
+      "\"decisions\": 9223372036854775807, "
+      "\"backtracks\": -9223372036854775808, "
+      "\"first_detect_pattern\": 4294967296, \"first_detect_frame\": 1, "
+      "\"n_detect\": 0, \"sim_events\": 1234567890123}\n"
+      "  ]\n"
+      "}\n");
+  // The empty snapshot closes its arrays on the same line.
+  LedgerSnapshot empty;
+  empty.phases = {"run"};
+  EXPECT_EQ(ledger_to_json(empty),
+            "{\n  \"schema\": 1,\n  \"phases\": [\"run\"],\n"
+            "  \"summary\": {\"faults\": 0, \"detected\": 0, \"dropped\": 0, "
+            "\"redundant\": 0, \"aborted\": 0, \"undetected\": 0, "
+            "\"decisions\": 0, \"backtracks\": 0, \"sim_events\": 0},\n"
+            "  \"waterfalls\": [],\n  \"faults\": []\n}\n");
 }
 
 // ---- SCOAP attribution ----

@@ -381,9 +381,11 @@ TEST(TestPoints, LargerKNeedsFewerPoints) {
 /// when one of its registers is at control (observe) distance <= k, so a
 /// violating loop exists exactly when the registers farther than k on
 /// either side induce a strongly connected component of >= 2 registers.
-bool klevel_violation_exists(const rtl::Datapath& dp, int k) {
+bool klevel_violation_exists(const rtl::Datapath& dp, int k,
+                             const std::vector<int>& control_points = {},
+                             const std::vector<int>& observe_points = {}) {
   const graph::Digraph s = rtl::build_sgraph(dp);
-  const CoDistances d = co_distances(dp, {}, {});
+  const CoDistances d = co_distances(dp, control_points, observe_points);
   for (const std::vector<int>* dist : {&d.control, &d.observe}) {
     std::vector<bool> far(dist->size());
     for (std::size_t r = 0; r < far.size(); ++r)
@@ -396,10 +398,33 @@ bool klevel_violation_exists(const rtl::Datapath& dp, int k) {
   return false;
 }
 
+/// Registers on an enumerated loop of >= 2 registers that is not k-level
+/// controllable or not k-level observable; exact only when the
+/// enumeration did not stop at its cap.
+int enumerated_violating_registers(const rtl::Datapath& dp, int k) {
+  const CoDistances d = co_distances(dp, {}, {});
+  const auto near = [k](int dist) { return dist >= 0 && dist <= k; };
+  std::vector<bool> on(static_cast<std::size_t>(dp.num_regs()), false);
+  for (const rtl::DatapathLoop& loop : rtl::analyze_loops(dp)) {
+    if (loop.kind == rtl::LoopClass::kSelfLoop) continue;
+    bool controllable = false;
+    bool observable = false;
+    for (graph::NodeId r : loop.registers) {
+      controllable |= near(d.control[r]);
+      observable |= near(d.observe[r]);
+    }
+    if (controllable && observable) continue;
+    for (graph::NodeId r : loop.registers) on[r] = true;
+  }
+  return static_cast<int>(std::count(on.begin(), on.end(), true));
+}
+
 TEST(TestPoints, KLevelViolationsMatchSccOracle) {
   // The EXP-KLEVEL designs at 1 ALU + 1 multiplier. ar6 and wave8 have
-  // more loops than the enumeration behind klevel_violations visits; the
-  // SCC oracle sees all of them. Every design violates at k = 0.
+  // more loops than the capped enumeration visits; the SCC oracle sees all
+  // of them. Every design violates at k = 0. Where the enumeration
+  // finishes, it gives the exact register count too. After insertion at
+  // k, with the test points as extra BFS sources, no violation is left.
   std::vector<Cdfg> graphs;
   graphs.push_back(cdfg::iir_biquad());
   graphs.push_back(cdfg::diffeq());
@@ -411,13 +436,74 @@ TEST(TestPoints, KLevelViolationsMatchSccOracle) {
     so.resources = hls::Resources{{cdfg::FuType::kAlu, 1},
                                   {cdfg::FuType::kMultiplier, 1}};
     const rtl::Datapath dp = hls::synthesize(g, so).rtl.datapath;
-    saturated += rtl::analyze_loops(dp).size() == 10000;
-    for (int k = 0; k <= 3; ++k)
+    const bool capped = rtl::analyze_loops(dp).size() == 10000;
+    saturated += capped;
+    EXPECT_GT(klevel_violations(dp, 0), 0) << g.name();
+    for (int k = 0; k <= 3; ++k) {
       EXPECT_EQ(klevel_violation_exists(dp, k),
                 klevel_violations(dp, k) != 0)
           << g.name() << " k=" << k;
+      if (!capped) {
+        EXPECT_EQ(enumerated_violating_registers(dp, k),
+                  klevel_violations(dp, k))
+            << g.name() << " k=" << k;
+      }
+      rtl::Datapath tp_dp = dp;
+      const TestPointResult tp = insert_klevel_test_points(tp_dp, k, false);
+      EXPECT_EQ(klevel_violations(dp, k, tp.control_point_regs,
+                                  tp.observe_point_regs),
+                0)
+          << g.name() << " k=" << k;
+      EXPECT_FALSE(klevel_violation_exists(dp, k, tp.control_point_regs,
+                                           tp.observe_point_regs))
+          << g.name() << " k=" << k;
+    }
   }
   EXPECT_GE(saturated, 2);
+}
+
+TEST(TestPoints, LoopCutOffFromInputsAndOutputsIsCountedAndFixed) {
+  // R1 -> ALU0 -> R2 -> ALU1 -> R1 reaches no I/O register (R0), so both
+  // registers are at distance -1 on both sides: violating at every k. No
+  // single point clears a register on both sides, so insertion falls back
+  // to giving R1 a control and an observe point.
+  using rtl::Source;
+  rtl::Datapath dp;
+  dp.name = "island";
+  dp.primary_inputs.push_back({"x", 8});
+  dp.regs.resize(3);
+  dp.fus.resize(2);
+  for (int f = 0; f < 2; ++f) {
+    rtl::FuInfo& fu = dp.fus[f];
+    fu.name = "ALU" + std::to_string(f);
+    fu.width = 8;
+    fu.op_kinds = {cdfg::OpKind::kAdd};
+    const Source in{Source::Kind::kRegister, f + 1};
+    fu.port_drivers = {{in}, {in}};
+  }
+  for (int r = 0; r < 3; ++r) {
+    dp.regs[r].name = "R" + std::to_string(r);
+    dp.regs[r].width = 8;
+  }
+  dp.regs[0].is_input = true;
+  dp.regs[0].is_output = true;
+  dp.regs[0].drivers = {{Source::Kind::kPrimaryInput, 0}};
+  dp.regs[1].drivers = {{Source::Kind::kFu, 1}};
+  dp.regs[2].drivers = {{Source::Kind::kFu, 0}};
+  dp.primary_outputs.push_back({"y", {Source::Kind::kRegister, 0}});
+  dp.validate();
+  for (int k = 0; k <= 2; ++k) {
+    EXPECT_EQ(klevel_violations(dp, k), 2) << "k=" << k;
+    EXPECT_TRUE(klevel_violation_exists(dp, k)) << "k=" << k;
+    rtl::Datapath tp_dp = dp;
+    const TestPointResult tp = insert_klevel_test_points(tp_dp, k, false);
+    EXPECT_EQ(tp.control_point_regs, std::vector<int>{1}) << "k=" << k;
+    EXPECT_EQ(tp.observe_point_regs, std::vector<int>{1}) << "k=" << k;
+    EXPECT_EQ(klevel_violations(dp, k, tp.control_point_regs,
+                                tp.observe_point_regs),
+              0)
+        << "k=" << k;
+  }
 }
 
 TEST(TestPoints, ApplyAddsIoStructure) {

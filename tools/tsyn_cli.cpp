@@ -566,7 +566,7 @@ void explain_fault(const FullScanDesign& d, const gl::Scoap& scoap,
   std::fprintf(g_report,
                "  journey : %s (targeted %d times, %ld decisions, %ld "
                "backtracks, n-detect %ld)\n",
-               j.status.c_str(), j.targets,
+               observe::to_string(j.status), j.targets,
                static_cast<long>(j.decisions), static_cast<long>(j.backtracks),
                static_cast<long>(j.n_detect));
   if (j.key.node >= 0 && j.key.node < static_cast<int>(scoap.cc0.size()))
@@ -644,7 +644,8 @@ int cmd_explain(const Args& a) {
     }
   } else {
     for (const observe::FaultJourney& j : led.journeys)
-      if (j.status == "undetected" || j.status == "aborted")
+      if (j.status == observe::FaultStatus::kUndetected ||
+          j.status == observe::FaultStatus::kAborted)
         picks.push_back(&j);
     if (picks.empty()) {
       std::fprintf(g_report,
