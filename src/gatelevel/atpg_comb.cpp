@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <climits>
 #include <stdexcept>
 
 #include "gatelevel/faultsim.h"
-#include "gatelevel/scoap.h"
 #include "observe/scoap_attr.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
@@ -115,17 +113,6 @@ Podem::Podem(const Netlist& n) : n_(n), g_(SimGraph::of(n)) {
 void Podem::freeze_inputs(const std::vector<int>& pi_positions) {
   for (int pos : pi_positions) frozen_[g_.pis()[pos]] = 1;
   rebuild_assignable_cones();
-}
-
-void Podem::use_scoap_guidance(bool enable) {
-  if (enable) {
-    const Scoap s = compute_scoap(n_);
-    cc0_ = s.cc0;
-    cc1_ = s.cc1;
-  } else {
-    cc0_.clear();
-    cc1_.clear();
-  }
 }
 
 void Podem::rebuild_assignable_cones() {
@@ -393,31 +380,16 @@ bool Podem::backtrace(int node, V value, int* pi_node, V* pi_value) const {
     const int num = g_.num_fanins(cur);
     if (num == 0) return false;  // constant: cannot justify
     if (inverts(type)) v = !v;
-    // Choose an X-valued fanin whose cone contains an assignable PI —
-    // under SCOAP guidance, the one cheapest to drive to the target value.
+    // Choose the first X-valued fanin whose cone contains an assignable PI.
     auto eligible = [&](int f) {
       return vals_[f].good == V::kX && assignable_cone_[f];
     };
     int chosen = -1;
-    if (cc0_.empty()) {
-      for (int i = 0; i < num; ++i)
-        if (eligible(fanin[i])) {
-          chosen = fanin[i];
-          break;
-        }
-    } else {
-      int best_cost = INT_MAX;
-      for (int i = 0; i < num; ++i) {
-        const int f = fanin[i];
-        if (!eligible(f)) continue;
-        const int cost = v == V::k1 ? cc1_[f] : v == V::k0 ? cc0_[f]
-                                              : std::min(cc0_[f], cc1_[f]);
-        if (cost < best_cost) {
-          best_cost = cost;
-          chosen = f;
-        }
+    for (int i = 0; i < num; ++i)
+      if (eligible(fanin[i])) {
+        chosen = fanin[i];
+        break;
       }
-    }
     if (chosen < 0) return false;
     // For MUX pursue the select when it is X, else the selected leg.
     if (type == GateType::kMux) {

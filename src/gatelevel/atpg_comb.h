@@ -76,11 +76,6 @@ class Podem {
   /// time-frame-0 pseudo input). Indices into primary_inputs().
   void freeze_inputs(const std::vector<int>& pi_positions);
 
-  /// Enables SCOAP-guided backtrace: at each gate the cheapest
-  /// controllable input (by CC0/CC1) is pursued instead of the first X
-  /// input. Usually cuts backtracks on arithmetic logic.
-  void use_scoap_guidance(bool enable);
-
  private:
   struct NodeVal {
     V good = V::kX;
@@ -147,9 +142,6 @@ class Podem {
   std::vector<int> effects_;
   std::vector<int> work_;
   std::vector<int> frontier_;
-  /// SCOAP guidance (optional): cc0_/cc1_ empty when disabled.
-  std::vector<int> cc0_;
-  std::vector<int> cc1_;
   AtpgStats stats_;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-
-#include "util/rng.h"
 #include <stdexcept>
 
 namespace tsyn::gl {
@@ -111,34 +109,6 @@ std::vector<std::uint64_t> accumulator_sequence(int width,
     acc = (acc + increment) & mask;
   }
   return out;
-}
-
-std::vector<std::vector<Bits>> weighted_pattern_blocks(
-    const std::vector<double>& weights, int num_blocks, std::uint64_t seed) {
-  util::Rng rng(seed ^ 0x5EEDULL);
-  std::vector<std::vector<Bits>> blocks(num_blocks);
-  for (auto& block : blocks) {
-    block.assign(weights.size(), Bits::all0());
-    for (std::size_t i = 0; i < weights.size(); ++i)
-      for (int lane = 0; lane < 64; ++lane)
-        if (rng.next_bool(weights[i])) block[i].v |= 1ULL << lane;
-  }
-  return blocks;
-}
-
-std::vector<double> weights_from_tests(
-    const std::vector<std::vector<V>>& tests, int num_inputs) {
-  std::vector<double> weights(num_inputs, 0.5);
-  if (tests.empty()) return weights;
-  for (int i = 0; i < num_inputs; ++i) {
-    double ones = 0;
-    for (const auto& t : tests) {
-      const V v = i < static_cast<int>(t.size()) ? t[i] : V::kX;
-      ones += v == V::k1 ? 1.0 : v == V::k0 ? 0.0 : 0.5;
-    }
-    weights[i] = std::min(0.9, std::max(0.1, ones / tests.size()));
-  }
-  return weights;
 }
 
 std::vector<std::vector<Bits>> pack_word_patterns(

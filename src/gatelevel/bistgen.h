@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "gatelevel/atpg_comb.h"
 #include "gatelevel/netlist.h"
 
 namespace tsyn::gl {
@@ -66,18 +65,6 @@ std::vector<std::uint64_t> accumulator_sequence(int width,
                                                 std::uint64_t increment,
                                                 std::uint64_t seed,
                                                 int count);
-
-/// Weighted pseudorandom pattern blocks: input i is 1 with probability
-/// weights[i]. The classic remedy for random-pattern-resistant logic
-/// (deep AND trees, comparators) without inserting test points.
-std::vector<std::vector<Bits>> weighted_pattern_blocks(
-    const std::vector<double>& weights, int num_blocks, std::uint64_t seed);
-
-/// Derives input weights from deterministic tests (e.g. a PODEM campaign):
-/// the fraction of tests asserting each input 1, with X treated as 0.5 and
-/// the result clamped to [0.1, 0.9] so no input is pinned.
-std::vector<double> weights_from_tests(
-    const std::vector<std::vector<V>>& tests, int num_inputs);
 
 /// Packs word sequences (one per input port, each `count` words of
 /// `width` bits) into 64-lane Bits blocks for fault simulation. Port i's

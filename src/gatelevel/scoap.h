@@ -1,9 +1,9 @@
 // SCOAP testability measures (Goldstein's controllability/observability).
 //
 // CC0/CC1(n): number of line assignments needed to force node n to 0/1;
-// CO(n): assignments to propagate n to a primary output. Used as analysis
-// output and as backtrace guidance for PODEM (pick the cheapest input to
-// justify a non-controlling value, the hardest for a controlling one).
+// CO(n): assignments to propagate n to a primary output. The run report's
+// effort attribution (observe/scoap_attr) ranks them against PODEM's
+// measured effort.
 #pragma once
 
 #include <vector>

@@ -169,11 +169,6 @@ struct Differ {
     return nullptr;
   }
 
-  static bool failed(const Json& row) {
-    const Json* status = row.find("status");
-    return status && status->is_string() && status->str == "failed";
-  }
-
   void diff_array(const std::string& path, const Json& b, const Json& f) {
     const bool named = !b.arr.empty() && row_name(b.arr.front()) != nullptr;
     if (!named) {
@@ -204,12 +199,6 @@ struct Differ {
           note(rpath, "missing from new run");
         else
           fail(rpath, "missing from new run");
-        continue;
-      }
-      // A failed row (a sweep index job) carries zeros, not measurements,
-      // so a job that passes again is a recovery, not a changed workload.
-      if (failed(brow) && !failed(*frow)) {
-        note(rpath, "failed in baseline, passes in new run");
         continue;
       }
       diff_object(rpath, brow, *frow);

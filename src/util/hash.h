@@ -1,18 +1,17 @@
 // Stable structural hashing for content identities.
 //
-// The campaign orchestrator identifies a manifest and each job by what
-// actually defines its result (manifest fields, job id, design content),
-// not by when it ran, and the journal verifies report files by their
-// content hash. That needs a hash that is (a) stable across runs,
-// platforms, and std-library versions — std::hash guarantees none of
-// that — and (b) unambiguous over composite inputs, so ("ab","c") never
-// collides with ("a","bc") by construction. FNV-1a over a canonical
-// serialization gives both: every field is folded with an explicit length
-// or fixed width, and the 64-bit state is cheap enough to use on hot paths.
+// Digest pins (an engine's every decision folded into one constant) and
+// the pipeline bench's run digests identify a result by its content. That
+// needs a hash that is (a) stable across runs, platforms, and std-library
+// versions — std::hash guarantees none of that — and (b) unambiguous over
+// composite inputs, so ("ab","c") never collides with ("a","bc") by
+// construction. FNV-1a over a canonical serialization gives both: every
+// field is folded with an explicit length or fixed width, and the 64-bit
+// state is cheap enough to use on hot paths.
 //
 //   util::Fnv1a h;
 //   h.str(design_spec).i64(alu).i64(mul).i64(steps);
-//   journal_key = h.hex();
+//   const std::string digest = h.hex();
 #pragma once
 
 #include <cstdint>
@@ -61,7 +60,7 @@ class Fnv1a {
 
   std::uint64_t value() const { return h_; }
 
-  /// 16 lowercase hex digits — the spelling journals and index files use.
+  /// 16 lowercase hex digits — the spelling the digest pins use.
   std::string hex() const { return hash_hex(h_); }
 
   static std::string hash_hex(std::uint64_t v) {
@@ -79,7 +78,7 @@ class Fnv1a {
 };
 
 /// One-shot convenience: FNV-1a of a byte string (unframed — fine when the
-/// whole input is a single blob, e.g. a result file's content).
+/// whole input is a single blob, e.g. a serialized ledger).
 inline std::uint64_t fnv1a(std::string_view s) {
   return Fnv1a().bytes(s.data(), s.size()).value();
 }

@@ -20,7 +20,7 @@ namespace tsyn::util {
 
 /// Thrown by Json::parse on malformed input. what() carries everything a
 /// human needs to fix the file — 1-based line and column plus a snippet of
-/// the offending line with a caret — so a typo in a hand-written manifest
+/// the offending line with a caret — so a typo in a hand-written file
 /// reads like a compiler diagnostic, not a bare byte offset:
 ///
 ///   expected ':' in object at line 4, column 12 (offset 61)

@@ -132,10 +132,6 @@ TelemetrySession* g_session = nullptr;  // guarded by g_session_mu
 std::mutex g_session_mu;
 std::atomic<long> g_heartbeats{0};
 
-/// Most recent emitted line (newline stripped), for telemetry_last_line().
-std::string* g_last_line = new std::string();  // leaked: crash-flush safe
-std::mutex g_last_line_mu;
-
 /// One heartbeat line.
 void emit_heartbeat(TelemetrySession& s, double t_ms) {
   // dt for rate estimation: time since the previous heartbeat.
@@ -209,12 +205,8 @@ void emit_heartbeat(TelemetrySession& s, double t_ms) {
   s.last_t_ms = t_ms;
   ++s.seq;
   ++g_heartbeats;
-  {
-    std::lock_guard<std::mutex> lk(g_last_line_mu);
-    g_last_line->assign(line.data(), line.size() - 1);  // strip the '\n'
-  }
   if (s.stream == stderr) {
-    stderr_write(line);  // shared writer: never shears a log line
+    stderr_write(line);  // one contiguous write: never sheared
   } else if (s.stream) {
     std::fwrite(line.data(), 1, line.size(), s.stream);
     std::fflush(s.stream);  // each line must survive a crash
@@ -256,10 +248,6 @@ bool telemetry_start(const TelemetryOptions& opts) {
     }
   }
   g_heartbeats.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> llk(g_last_line_mu);
-    g_last_line->clear();  // lines are per-session, like the counter
-  }
   progress_enable();
   s->start_ms = now_ms();
   TelemetrySession& ref = *s;
@@ -294,11 +282,6 @@ bool telemetry_active() {
 
 long telemetry_heartbeat_count() {
   return g_heartbeats.load(std::memory_order_relaxed);
-}
-
-std::string telemetry_last_line() {
-  std::lock_guard<std::mutex> lk(g_last_line_mu);
-  return *g_last_line;
 }
 
 // -- crash flush -------------------------------------------------------------

@@ -4,8 +4,7 @@
 // Everything else in the observability stack (metrics, trace spans, the
 // fault ledger, run reports) is post-mortem — nothing is visible until
 // the process exits. Heartbeats answer the one live question "what is the
-// run doing now, and how far along is it?", and their last line is what a
-// failed sweep job's post-mortem attaches:
+// run doing now, and how far along is it?":
 //
 //  * Progress counters — phase-scoped (done, total) pairs such as
 //    "sim.patterns" or "atpg.targets". add() is one relaxed load plus (when
@@ -107,11 +106,10 @@ const char* telemetry_phase();
 
 // -- shared stderr writer ----------------------------------------------------
 //
-// Two producers target stderr concurrently: a heartbeat stream pointed at
-// "-" (from the sampler thread) and the structured logger (from any
-// worker). Interleaved fwrite calls can shear one producer's line through
-// the other's, so both funnel through this single mutex-guarded writer:
-// one call, one contiguous byte range on the stream.
+// A heartbeat stream pointed at "-" writes from the sampler thread while
+// the command's own report and errors may reach stderr from the main
+// thread. Each heartbeat line goes through this mutex-guarded writer as
+// one fwrite + fflush: one call, one contiguous byte range on the stream.
 
 /// Writes `[data, data+len)` to stderr as one unit (single fwrite +
 /// fflush under a process-wide mutex).
@@ -122,8 +120,7 @@ inline void stderr_write(const std::string& s) {
 
 struct TelemetryOptions {
   /// Heartbeat JSONL destination: a file path, "-" for stderr, or empty
-  /// for no stream (lines are still counted and kept for
-  /// telemetry_last_line()).
+  /// for no stream (lines are still counted).
   std::string heartbeat_path;
   int interval_ms = 250;  ///< heartbeat cadence
 };
@@ -142,11 +139,6 @@ bool telemetry_active();
 /// Heartbeat lines emitted by the current/most recent session. For tests
 /// and the overhead bench.
 long telemetry_heartbeat_count();
-
-/// The most recent heartbeat line emitted by the current or most
-/// recent session, without its trailing newline ("" before the first).
-/// Failure post-mortems attach this instead of re-deriving the live view.
-std::string telemetry_last_line();
 
 // -- crash flush -------------------------------------------------------------
 

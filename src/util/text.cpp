@@ -57,12 +57,6 @@ bool write_file(const std::string& path, const std::string& text) {
   return static_cast<bool>(out);
 }
 
-std::string fmt_exact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);

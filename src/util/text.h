@@ -29,10 +29,6 @@ bool read_file(const std::string& path, std::string* out);
 /// Replaces the file at `path` with `text`. Returns false on any failure.
 bool write_file(const std::string& path, const std::string& text);
 
-/// `v` as "%.17g": enough digits to read back the same double, for stores
-/// and journals that must round-trip.
-std::string fmt_exact(double v);
-
 /// `v` as "%.6g", with ".0" appended when that prints no '.', 'e' or 'E',
 /// so a JSON consumer always sees a float: the report emitters' format.
 std::string fmt_double(double v);

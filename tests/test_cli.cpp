@@ -56,10 +56,10 @@ TEST_F(Cli, ExitCodes) {
   EXPECT_EQ(code("list"), 0);
   EXPECT_EQ(code("analyze bench:diffeq"), 0);
   EXPECT_EQ(code("analyze missing.cdfg"), 1);
-  EXPECT_EQ(code("sweep missing.json"), 1);
 
   EXPECT_EQ(code(""), 2);
   EXPECT_EQ(code("bogus bench:diffeq"), 2);
+  EXPECT_EQ(code("sweep m.json"), 2);
   EXPECT_EQ(code("analyze"), 2);
   EXPECT_EQ(code("analyze bench:nope"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --bogus"), 2);
@@ -68,13 +68,13 @@ TEST_F(Cli, ExitCodes) {
   EXPECT_EQ(code("list --log-level info"), 2);
   EXPECT_EQ(code("serve"), 2);
   EXPECT_EQ(code("atpg bench:diffeq --serve 0"), 2);
-  EXPECT_EQ(code("sweep m.json --timeline t.json"), 2);
+  EXPECT_EQ(code("analyze bench:diffeq --timeline t.json"), 2);
   EXPECT_EQ(code("history store"), 2);
-  EXPECT_EQ(code("sweep m.json --history store"), 2);
+  EXPECT_EQ(code("analyze bench:diffeq --history store"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --profile x"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --watchdog 5"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --progress"), 2);
-  EXPECT_EQ(code("analyze bench:diffeq --log-level loud"), 2);
+  EXPECT_EQ(code("analyze bench:diffeq --log-level info"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --heartbeat hb.jsonl:0"), 2);
   EXPECT_EQ(code("synth bench:diffeq --loop-avoid=yes"), 2);
   EXPECT_EQ(code("analyze bench:diffeq --trace"), 2);
@@ -89,8 +89,6 @@ TEST_F(Cli, BadValuesAreUsageErrors) {
   EXPECT_EQ(code("synth bench:diffeq --mul 0"), 2);
   EXPECT_EQ(code("synth bench:diffeq --steps -3"), 2);
   EXPECT_EQ(code("atpg bench:diffeq --width 0"), 2);
-  EXPECT_EQ(code("sweep m.json --threads -1"), 2);
-  EXPECT_EQ(code("sweep m.json --max-jobs -1"), 2);
   // Enum values.
   EXPECT_EQ(code("synth bench:diffeq --scan nope"), 2);
   EXPECT_EQ(code("bist bench:diffeq --arch bogus"), 2);
@@ -106,7 +104,6 @@ TEST_F(Cli, OptionsACommandDoesNotReadAreRejected) {
   EXPECT_EQ(code("bist bench:diffeq --steps 6"), 2);
   EXPECT_EQ(code("atpg bench:diffeq --out r.json"), 2);
   EXPECT_EQ(code("explain bench:diffeq --html r.html"), 2);
-  EXPECT_EQ(code("sweep m.json --html r.html"), 2);
 }
 
 TEST_F(Cli, CollidingOutputsAreRejectedBeforeAnythingRuns) {
@@ -114,7 +111,8 @@ TEST_F(Cli, CollidingOutputsAreRejectedBeforeAnythingRuns) {
             2);
   EXPECT_EQ(code("analyze bench:diffeq --heartbeat - --trace -"), 2);
   EXPECT_EQ(code("report bench:fir8 --width 2 --html report.json"), 2);
-  EXPECT_EQ(code("sweep m.json --trace same.out --heartbeat same.out"), 2);
+  EXPECT_EQ(code("atpg bench:diffeq --trace same.out --heartbeat same.out"),
+            2);
   EXPECT_FALSE(fs::exists(dir_ / "same.json"));
   EXPECT_FALSE(fs::exists(dir_ / "report.json"));
   EXPECT_FALSE(fs::exists(dir_ / "same.out"));
@@ -135,19 +133,17 @@ TEST_F(Cli, UsageNamesEveryCommandAndOption) {
   const Outcome r = run("", "2>&1");
   EXPECT_EQ(r.code, 2);
   for (const char* word :
-       {"synth", "analyze", "bist", "atpg", "report", "explain", "sweep",
-        "list", "--alu", "--mul", "--steps", "--scan",
-        "--loop-avoid", "--verilog", "--arch", "--trace", "--metrics",
-        "--compact", "--xfill", "--width", "--out", "--html", "--dot-rtl",
-        "--dot-cdfg", "--fault", "--undetected", "--heartbeat",
-        "--log-level", "--out-dir",
-        "--threads", "--resume", "--max-jobs", "--baseline"})
+       {"synth", "analyze", "bist", "atpg", "report", "explain", "list",
+        "--alu", "--mul", "--steps", "--scan", "--loop-avoid", "--verilog",
+        "--arch", "--trace", "--metrics", "--compact", "--xfill", "--width",
+        "--out", "--html", "--dot-rtl", "--dot-cdfg", "--fault",
+        "--undetected", "--heartbeat"})
     EXPECT_NE(r.out.find(std::string(" ") + word + " "), std::string::npos)
         << word;
   // A usage error prints the same text after the error line.
   const Outcome bad = run("analyze bench:diffeq --bogus", "2>&1");
   EXPECT_EQ(bad.out.rfind("error: unknown option: --bogus", 0), 0u);
-  EXPECT_NE(bad.out.find("--baseline"), std::string::npos);
+  EXPECT_NE(bad.out.find("--undetected"), std::string::npos);
 }
 
 TEST_F(Cli, StdoutOutputsStayPure) {

@@ -1,5 +1,5 @@
 // Tests for the extension layer: Verilog emission, scan chains + test
-// time, transition/IDDQ grading (§7b future work), SCOAP, DOT/VCD export.
+// time, transition/IDDQ grading (§7b future work), SCOAP, DOT export.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -9,20 +9,16 @@
 #include "cdfg/dot.h"
 #include "cdfg/parser.h"
 #include "cdfg/interp.h"
-#include "gatelevel/atpg_comb.h"
 #include "gatelevel/bistgen.h"
 #include "gatelevel/delay_iddq.h"
 #include "gatelevel/expand.h"
 #include "gatelevel/faults.h"
 #include "gatelevel/faultsim.h"
 #include "gatelevel/scoap.h"
-#include "gatelevel/vcd.h"
 #include "hls/synthesis.h"
 #include "rtl/dot.h"
 #include "rtl/scan_chain.h"
 #include "rtl/verilog.h"
-#include "bist/test_plan.h"
-#include "testability/boundary_scan.h"
 #include "testability/scan_select.h"
 
 namespace tsyn {
@@ -204,23 +200,6 @@ TEST(Dot, DatapathAndSgraphExport) {
   EXPECT_NE(d2.find("->"), std::string::npos);
 }
 
-TEST(Vcd, DumpsTransitions) {
-  gl::Netlist n;
-  const int a = n.add_input("a");
-  const int q = n.add_dff(-1, "q");
-  n.set_dff_input(q, a);
-  n.mark_output(q);
-  std::vector<std::vector<gl::Bits>> frames{
-      {gl::Bits::all1()}, {gl::Bits::all0()}, {gl::Bits::all1()}};
-  std::vector<gl::Bits> init{gl::Bits::all0()};
-  const auto trace = gl::simulate_sequence(n, frames, &init);
-  const std::string vcd = gl::trace_to_vcd(n, trace);
-  EXPECT_NE(vcd.find("$enddefinitions"), std::string::npos);
-  EXPECT_NE(vcd.find("$var wire 1"), std::string::npos);
-  EXPECT_NE(vcd.find("#0"), std::string::npos);
-  EXPECT_NE(vcd.find("#2"), std::string::npos);
-}
-
 TEST(ControlFlow, GuardedOpsShareAnAluInTheSameStep) {
   // §7a: control-flow behaviors. The two guarded updates are mutually
   // exclusive, so binding may (and does) put them on one ALU even when
@@ -269,125 +248,6 @@ TEST(ControlFlow, UnguardedSameStepOpsStillConflict) {
   (void)t2;
 }
 
-TEST(ScoapGuidance, SameVerdictsFewerOrEqualBacktracks) {
-  gl::Netlist n;
-  const gl::Word a = gl::make_input_word(n, "a", 6);
-  const gl::Word b = gl::make_input_word(n, "b", 6);
-  const gl::Word p = gl::array_multiply(n, a, b);
-  for (int bit : p) n.mark_output(bit);
-  const auto faults = gl::enumerate_faults(n);
-
-  gl::Podem plain(n);
-  gl::Podem guided(n);
-  guided.use_scoap_guidance(true);
-  long plain_bt = 0;
-  long guided_bt = 0;
-  int disagreements = 0;
-  for (std::size_t i = 0; i < faults.size(); i += 4) {
-    const gl::AtpgResult r1 = plain.generate(faults[i], 3000);
-    const gl::AtpgResult r2 = guided.generate(faults[i], 3000);
-    plain_bt += r1.stats.backtracks;
-    guided_bt += r2.stats.backtracks;
-    if (r1.status != r2.status) ++disagreements;
-  }
-  EXPECT_EQ(disagreements, 0);  // guidance must not change testability
-  EXPECT_LE(guided_bt, plain_bt + 16);  // and never blow up the search
-}
-
-TEST(BoundaryScan, RingCoversAllIo) {
-  hls::Synthesis s = synth(cdfg::diffeq());
-  const int regs_before = s.rtl.datapath.num_regs();
-  const testability::BoundaryScanResult bs =
-      testability::insert_boundary_scan(s.rtl.datapath);
-  EXPECT_EQ(bs.input_cells,
-            static_cast<int>(s.rtl.datapath.primary_inputs.size()));
-  EXPECT_EQ(bs.output_cells,
-            static_cast<int>(s.rtl.datapath.primary_outputs.size()));
-  EXPECT_EQ(s.rtl.datapath.num_regs(),
-            regs_before + bs.input_cells + bs.output_cells);
-  EXPECT_GT(bs.area_overhead, 0.0);
-  EXPECT_LT(bs.area_overhead, 0.6);
-  // No FU port reads a pad directly any more.
-  for (const auto& fu : s.rtl.datapath.fus)
-    for (const auto& port : fu.port_drivers)
-      for (const auto& src : port)
-        EXPECT_NE(src.kind, rtl::Source::Kind::kPrimaryInput);
-}
-
-TEST(BoundaryScan, CellsAreScannable) {
-  hls::Synthesis s = synth(cdfg::tseng());
-  const testability::BoundaryScanResult bs =
-      testability::insert_boundary_scan(s.rtl.datapath);
-  for (int r : bs.ring)
-    EXPECT_EQ(s.rtl.datapath.regs[r].test_kind, rtl::TestRegKind::kScan);
-}
-
-TEST(TestPlan, CoversEveryModuleOnce) {
-  const cdfg::Cdfg g = cdfg::diffeq();
-  const hls::Schedule s = hls::list_schedule(
-      g, hls::Resources{{cdfg::FuType::kAlu, 2},
-                        {cdfg::FuType::kMultiplier, 2}});
-  const hls::Binding b = hls::make_binding(g, s);
-  const bist::SessionAnalysis sessions = bist::schedule_test_sessions(g, b);
-  const bist::TestPlan plan = bist::build_test_plan(g, b, sessions);
-  ASSERT_EQ(static_cast<int>(plan.sessions.size()), sessions.num_sessions);
-  int modules = 0;
-  for (const auto& sp : plan.sessions) {
-    modules += static_cast<int>(sp.modules.size());
-    EXPECT_FALSE(sp.tpgr_regs.empty());
-    EXPECT_FALSE(sp.sr_regs.empty());
-  }
-  EXPECT_EQ(modules, b.num_fus());
-}
-
-TEST(TestPlan, ConflictFreeScheduleHasNoCbilbos) {
-  const cdfg::Cdfg g = cdfg::iir_biquad();
-  const hls::Schedule s = hls::list_schedule(
-      g, hls::Resources{{cdfg::FuType::kAlu, 2},
-                        {cdfg::FuType::kMultiplier, 2}});
-  const hls::Binding b = bist::conflict_aware_binding(g, s);
-  const bist::SessionAnalysis sessions = bist::schedule_test_sessions(g, b);
-  const bist::TestPlan plan = bist::build_test_plan(g, b, sessions);
-  const hls::RtlDesign rtl = hls::build_rtl(g, s, b);
-  // Renders without crashing and names every section.
-  const std::string text = plan.to_string(rtl.datapath);
-  EXPECT_NE(text.find("session 0"), std::string::npos);
-}
-
-TEST(WeightedBist, LiftsRandomPatternResistantCoverage) {
-  // A deep AND tree: output sa0 activates with probability 2^-12 under
-  // unbiased patterns; weights derived from deterministic tests raise it.
-  gl::Netlist n;
-  std::vector<int> ins;
-  for (int i = 0; i < 12; ++i)
-    ins.push_back(n.add_input("i" + std::to_string(i)));
-  const int g = n.add_gate(gl::GateType::kAnd, ins);
-  n.mark_output(g);
-  const auto faults = gl::enumerate_faults(n);
-
-  const auto plain = gl::lfsr_pattern_blocks(12, 2, 5);  // 128 patterns
-  const double plain_cov = gl::fault_coverage(n, plain, faults);
-
-  const gl::AtpgCampaign campaign = gl::run_combinational_atpg(n, faults);
-  const auto weights = gl::weights_from_tests(campaign.tests, 12);
-  for (double w : weights) EXPECT_GT(w, 0.5);  // tests skew toward 1s
-  const auto weighted = gl::weighted_pattern_blocks(weights, 2, 5);
-  const double weighted_cov = gl::fault_coverage(n, weighted, faults);
-  EXPECT_GT(weighted_cov, plain_cov);
-  EXPECT_GT(weighted_cov, 0.9);
-}
-
-TEST(WeightedBist, WeightsClampedAndDefaulted) {
-  const auto none = gl::weights_from_tests({}, 4);
-  for (double w : none) EXPECT_DOUBLE_EQ(w, 0.5);
-  // All-ones tests clamp to 0.9.
-  std::vector<std::vector<gl::V>> tests{{gl::V::k1, gl::V::k0, gl::V::kX}};
-  const auto w = gl::weights_from_tests(tests, 3);
-  EXPECT_DOUBLE_EQ(w[0], 0.9);
-  EXPECT_DOUBLE_EQ(w[1], 0.1);
-  EXPECT_DOUBLE_EQ(w[2], 0.5);
-}
-
 TEST(DataFiles, ShipExamplesParseAndSynthesize) {
   for (const char* path :
        {"../data/correlator.cdfg", "../data/gradient_step.cdfg",
@@ -412,15 +272,6 @@ TEST(Verilog, AllBenchmarksEmit) {
     EXPECT_NE(v.find("module " + g.name()), std::string::npos) << g.name();
     EXPECT_NE(v.find("endmodule"), std::string::npos) << g.name();
   }
-}
-
-TEST(Verilog, BoundaryScanDesignEmits) {
-  hls::Synthesis s = synth(cdfg::tseng());
-  testability::insert_boundary_scan(s.rtl.datapath);
-  const std::string v =
-      rtl::emit_verilog(s.rtl.datapath, s.rtl.controller);
-  EXPECT_NE(v.find("BS_"), std::string::npos);
-  EXPECT_NE(v.find("scan_out"), std::string::npos);
 }
 
 }  // namespace

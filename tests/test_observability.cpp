@@ -1,12 +1,11 @@
-// Tests for the observability subsystem: metrics registry, scoped-span
-// tracing, and the structured logger.
+// Tests for the observability subsystem: metrics registry and scoped-span
+// tracing.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "util/log.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -249,28 +248,6 @@ TEST_F(TraceTest, ResetDropsSpans) {
 }
 
 #endif  // TSYN_TRACE_NOOP
-
-TEST(Log, ParseLevels) {
-  LogLevel l = LogLevel::kError;
-  EXPECT_TRUE(parse_log_level("debug", &l));
-  EXPECT_EQ(l, LogLevel::kDebug);
-  EXPECT_TRUE(parse_log_level("warn", &l));
-  EXPECT_EQ(l, LogLevel::kWarn);
-  EXPECT_TRUE(parse_log_level("info", &l));
-  EXPECT_EQ(l, LogLevel::kInfo);
-  EXPECT_TRUE(parse_log_level("error", &l));
-  EXPECT_EQ(l, LogLevel::kError);
-  EXPECT_FALSE(parse_log_level("loud", &l));
-  EXPECT_EQ(l, LogLevel::kError);  // untouched on failure
-}
-
-TEST(Log, LevelGateRoundTrips) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kDebug);
-  EXPECT_EQ(log_level(), LogLevel::kDebug);
-  EXPECT_STREQ(log_level_name(LogLevel::kDebug), "debug");
-  set_log_level(before);
-}
 
 }  // namespace
 }  // namespace tsyn::util

@@ -175,9 +175,6 @@ TEST(Heartbeat, JsonlSchemaAndMonotonicTimestamps) {
   for (const util::Json& row : last.find("progress")->arr)
     if (row.find("name")->str == "test.hb.work")
       EXPECT_EQ(row.number_or("done", -1), 200);
-  // The last-line accessor hands failure post-mortems (a failed sweep
-  // job's journal "diag") exactly the final emitted heartbeat.
-  EXPECT_EQ(util::telemetry_last_line(), lines.back());
   std::remove(path.c_str());
   util::progress_reset();
 }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -131,6 +132,28 @@ TEST(Text, Join) {
   EXPECT_EQ(join({}, ","), "");
 }
 
+TEST(Fnv1a, MatchesReferenceVectors) {
+  // Standard FNV-1a 64-bit vectors.
+  EXPECT_EQ(fnv1a(""), 14695981039346656037ull);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(Fnv1a, LengthFramingSeparatesAdjacentStrings) {
+  const auto ab_c = Fnv1a().str("ab").str("c").value();
+  const auto a_bc = Fnv1a().str("a").str("bc").value();
+  EXPECT_NE(ab_c, a_bc);
+}
+
+TEST(Fnv1a, HexIsSixteenLowercaseDigits) {
+  const std::string h = Fnv1a().str("x").hex();
+  EXPECT_EQ(h.size(), 16u);
+  for (char c : h)
+    EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << h;
+  EXPECT_EQ(Fnv1a::hash_hex(0), "0000000000000000");
+  EXPECT_EQ(Fnv1a::hash_hex(0xdeadbeefull), "00000000deadbeef");
+}
+
 TEST(ThreadPool, ZeroTasksReturnsImmediately) {
   ThreadPool pool(4);
   int calls = 0;
@@ -180,10 +203,10 @@ TEST(ThreadPool, ThrowOnCallerThreadAlsoRecovers) {
 }
 
 TEST(ThreadPool, ReentrantRunDoesNotDeadlock) {
-  // A pool task that submits follow-on work to the same pool (the campaign
-  // orchestrator's shape: a sweep job runs engines that themselves call
-  // ThreadPool::shared().run). The caller always participates in its own
-  // batch, so the nested run completes even with every worker busy.
+  // A pool task that submits follow-on work to the same pool (an engine
+  // run from a pool task that itself calls ThreadPool::shared().run). The
+  // caller always participates in its own batch, so the nested run
+  // completes even with every worker busy.
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
   pool.run(4, 2, [&](int, int) {

@@ -2,8 +2,7 @@
 // benchmark (bench:NAME) or a .cdfg file — synthesis with scan selection
 // and loop avoidance (synth), behavioral analysis (analyze), self-testable
 // architectures (bist), full-scan ATPG with test-set compaction (atpg),
-// the consolidated run report (report, explain) and manifest sweeps
-// (sweep).
+// and the consolidated run report (report, explain).
 //
 // Every command and every option is declared once, in kCommands and
 // kOptions below. Parsing, range and enum checks, the usage text (run
@@ -13,8 +12,7 @@
 // a usage error.
 //
 // Exit codes (uniform across commands): 0 success, 1 runtime failure
-// (unreadable input, engine error, failed sweep jobs, baseline mismatch),
-// 2 usage error.
+// (unreadable input, engine error), 2 usage error.
 #include <algorithm>
 #include <cctype>
 #include <climits>
@@ -22,13 +20,10 @@
 #include <cstring>
 #include <filesystem>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bist/bist_assign.h"
-#include "campaign/manifest.h"
-#include "campaign/sweep.h"
 #include "bist/sessions.h"
 #include "bist/share.h"
 #include "bist/test_registers.h"
@@ -56,7 +51,6 @@
 #include "testability/behavior_analysis.h"
 #include "testability/loop_avoid.h"
 #include "testability/scan_select.h"
-#include "util/log.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
@@ -79,7 +73,7 @@ struct Command;
 
 struct Args {
   const Command* cmd = nullptr;
-  std::string behavior;  ///< the positional: behavior or manifest
+  std::string behavior;  ///< the positional: file.cdfg or bench:NAME
   int alu = 2;
   int mul = 2;
   int steps = 0;
@@ -102,12 +96,6 @@ struct Args {
   // Live telemetry.
   std::string heartbeat;
   int heartbeat_ms = 250;
-  // sweep.
-  std::string out_dir = "results";
-  int threads = 0;  ///< 0 = shared pool width
-  bool resume = false;
-  int max_jobs = 0;  ///< 0 = whole grid
-  std::string baseline;
 };
 
 /// Best-effort creation of `path`'s missing parent directories, shared by
@@ -664,65 +652,6 @@ int cmd_explain(const Args& a) {
   return 0;
 }
 
-int cmd_sweep(const Args& a) {
-  const campaign::Manifest m =
-      campaign::parse_manifest(read_input(a.behavior));
-
-  campaign::SweepOptions opts;
-  opts.results_dir = a.out_dir;
-  opts.threads = a.threads;
-  opts.resume = a.resume;
-  opts.max_jobs = a.max_jobs;
-  const campaign::SweepSummary s = campaign::run_sweep(m, opts);
-
-  std::fprintf(g_report,
-               "sweep     : %lld jobs (%lld ran, %lld from journal, "
-               "%lld failed) in %.1f ms\n",
-               static_cast<long long>(s.total()),
-               static_cast<long long>(s.ran),
-               static_cast<long long>(s.journal_hits),
-               static_cast<long long>(s.failed), s.wall_ms);
-  int shown = 0;
-  for (const campaign::JobResult& r : s.jobs) {
-    if (r.status != "failed") continue;
-    if (++shown > 5) {
-      std::fprintf(g_report, "  ... and %lld more failed jobs\n",
-                   static_cast<long long>(s.failed - 5));
-      break;
-    }
-    std::fprintf(g_report, "  failed  : %s: %s\n", r.spec.id.c_str(),
-                 r.error.c_str());
-  }
-  if (!s.complete) {
-    std::fprintf(g_report,
-                 "index     : not written (--max-jobs stopped the run; "
-                 "finish with --resume)\n");
-    return 0;  // an early stop was requested, not a failure
-  }
-  std::fprintf(g_report, "index     : %s/index.json\n", a.out_dir.c_str());
-
-  if (!a.baseline.empty()) {
-    const std::string got = campaign::strip_timing(campaign::index_to_json(s));
-    const std::string want = campaign::strip_timing(read_input(a.baseline));
-    if (got != want) {
-      // Point at the first diverging line: with deterministic reports any
-      // divergence is a real behavior change, not noise.
-      std::istringstream ga(got), wa(want);
-      std::string gl, wl;
-      int line = 1;
-      while (std::getline(ga, gl) && std::getline(wa, wl) && gl == wl) ++line;
-      std::fprintf(stderr,
-                   "error: index.json diverges from baseline %s at line %d\n"
-                   "  baseline: %s\n  got     : %s\n",
-                   a.baseline.c_str(), line, wl.c_str(), gl.c_str());
-      return 1;
-    }
-    std::fprintf(g_report, "baseline  : match (%s, timing stripped)\n",
-                 a.baseline.c_str());
-  }
-  return s.failed > 0 ? 1 : 0;
-}
-
 int cmd_list(const Args&) {
   for (const cdfg::Cdfg& g : cdfg::standard_benchmarks())
     std::fprintf(g_report, "bench:%-8s %3d ops, %2zu states, %zu CDFG loops\n",
@@ -738,7 +667,7 @@ int cmd_list(const Args&) {
 /// The positional arguments a command takes.
 enum class Positional {
   kNone,
-  kOne,  ///< one: behavior or manifest
+  kOne,  ///< one: the behavior
 };
 
 /// One command; its telemetry phase is its name.
@@ -764,15 +693,13 @@ const Command kCommands[] = {
      "atpg with the fault ledger on: JSON/HTML run report", cmd_report},
     {"explain", Positional::kOne, "<file.cdfg|bench:NAME>",
      "trace faults back: gate -> RTL component -> CDFG op", cmd_explain},
-    {"sweep", Positional::kOne, "<manifest.json>",
-     "run a manifest's design x config grid (docs/sweep.md)", cmd_sweep},
     {"list", Positional::kNone, "", "list the built-in benchmarks", cmd_list},
 };
 
 /// Where an option's value goes, if it names an output artifact.
 enum class Output {
   kNone,
-  kPath,    ///< a file or directory, checked for collisions
+  kPath,    ///< a file, checked for collisions
   kStdout,  ///< as kPath, and "-" writes the artifact to stdout
 };
 
@@ -824,15 +751,7 @@ void parse_heartbeat(const std::string& v, Args* a) {
   a->heartbeat_ms = int_arg("--heartbeat :MS", ms, 1);
 }
 
-void parse_log_level(const std::string& v, Args*) {
-  util::LogLevel level;
-  if (!util::parse_log_level(v, &level))
-    usage("--log-level expects error|warn|info|debug");
-  util::set_log_level(level);
-}
-
-constexpr const char* kEvery =
-    "synth analyze bist atpg report explain sweep";
+constexpr const char* kEvery = "synth analyze bist atpg report explain";
 constexpr const char* kSynthesizes = "synth bist atpg report explain";
 constexpr const char* kFullScan = "atpg report explain";
 
@@ -848,9 +767,6 @@ const Option kOptions[] = {
      .help = "JSONL heartbeats every MS ms (default 250; - = stderr)",
      .output = Output::kPath, .text = &Args::heartbeat,
      .parse = parse_heartbeat},
-    {.name = "--log-level", .value = "LEVEL", .commands = kEvery,
-     .help = "error|warn|info|debug (default warn)",
-     .parse = parse_log_level},
     {.name = "--alu", .value = "N", .commands = kSynthesizes,
      .help = "ALUs to allocate (default 2)", .number = &Args::alu, .min = 1},
     {.name = "--mul", .value = "N", .commands = kSynthesizes,
@@ -897,20 +813,6 @@ const Option kOptions[] = {
      .text = &Args::fault},
     {.name = "--undetected", .value = nullptr, .commands = "explain",
      .help = "every undetected and aborted fault (the default)"},
-    {.name = "--out-dir", .value = "DIR", .commands = "sweep",
-     .help = "results directory (default results)", .text = &Args::out_dir},
-    {.name = "--threads", .value = "N", .commands = "sweep",
-     .help = "job-level worker threads (default 0 = pool width)",
-     .number = &Args::threads},
-    {.name = "--resume", .value = nullptr, .commands = "sweep",
-     .help = "skip the jobs the journal verifies as complete",
-     .flag = &Args::resume},
-    {.name = "--max-jobs", .value = "N", .commands = "sweep",
-     .help = "stop cleanly after N jobs (default 0 = whole grid)",
-     .number = &Args::max_jobs},
-    {.name = "--baseline", .value = "FILE", .commands = "sweep",
-     .help = "exit 1 unless index.json matches FILE, timing stripped",
-     .text = &Args::baseline},
 };
 
 /// True if `word` is one of the `delims`-separated items of `list`.
@@ -1060,8 +962,8 @@ int main(int argc, char** argv) {
   }
 
   // Uniform exit codes: every runtime failure — unreadable input, engine
-  // error, bad manifest — surfaces as one stderr line and exit 1. Usage
-  // errors exited 2 in parse_args; telemetry artifacts below still flush.
+  // error — surfaces as one stderr line and exit 1. Usage errors exited 2
+  // in parse_args; telemetry artifacts below still flush.
   int rc = 0;
   try {
     util::telemetry_set_phase(a.cmd->name);
