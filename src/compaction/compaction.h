@@ -82,9 +82,12 @@ struct CompactedCampaign {
   std::vector<TestCube> cubes;
   /// The shipped test set: fully-specified, post-fill/prune/top-up.
   std::vector<TestCube> patterns;
-  /// Coverage of `patterns` on the fault list, graded from scratch with
-  /// the PPSFP engine. >= the campaign's fault_coverage and the measured
-  /// baseline's by construction.
+  /// Coverage of `patterns` on the fault list, bit-equal to a from-scratch
+  /// gl::fault_coverage grade of them. Compacting modes derive it from the
+  /// pruning matrix and the top-up cover, and grade only the residual
+  /// faults (neither campaign detected them) against the top-ups; kOff
+  /// grades the filled cubes. >= the campaign's fault_coverage and the
+  /// measured baseline's by construction.
   double pattern_coverage = 0;
   /// The uncompacted campaign's shipped pattern count at its claimed
   /// coverage: 64 fully-specified patterns per cube (the graded_fill

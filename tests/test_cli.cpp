@@ -11,6 +11,8 @@
 #include <iterator>
 #include <string>
 
+#include "cdfg/generator.h"
+#include "cdfg/parser.h"
 #include "util/json.h"
 
 namespace {
@@ -158,6 +160,25 @@ TEST_F(Cli, StdoutOutputsStayPure) {
   ASSERT_EQ(verilog.code, 0);
   EXPECT_EQ(verilog.out.rfind("// Generated by tsyn", 0), 0u);
   EXPECT_EQ(verilog.out.find("behavior  :"), std::string::npos);
+}
+
+TEST_F(Cli, SaturatedLoopCountIsALowerBound) {
+  // 128 ops with 8 states at seed 3 has more than 10,000 elementary CDFG
+  // loops, so the enumeration stops at its cap: the count is a lower
+  // bound and must read as one.
+  tsyn::cdfg::GeneratorParams params;
+  params.num_ops = 128;
+  params.num_states = 8;
+  params.seed = 3;
+  std::ofstream(dir_ / "saturated.cdfg")
+      << tsyn::cdfg::serialize_cdfg(tsyn::cdfg::random_cdfg(params));
+  const Outcome r = run("analyze saturated.cdfg");
+  EXPECT_EQ(r.code, 0);
+  EXPECT_NE(r.out.find("CDFG loops: >=10000\n"), std::string::npos) << r.out;
+  // An unsaturated count prints bare.
+  const Outcome list = run("list");
+  EXPECT_NE(list.out.find("bench:diffeq"), std::string::npos);
+  EXPECT_EQ(list.out.find(">="), std::string::npos) << list.out;
 }
 
 TEST_F(Cli, ReportIsByteIdenticalRunToRun) {

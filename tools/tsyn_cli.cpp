@@ -293,12 +293,21 @@ int cmd_synth(const Args& a) {
              : 1;
 }
 
+/// Cap on the CDFG loops the CLI enumerates.
+constexpr std::size_t kMaxCdfgLoops = 10000;
+
+/// The behavior's CDFG loop count: "N", or ">=N" when the enumeration
+/// stopped at kMaxCdfgLoops loops and N is only a lower bound.
+std::string cdfg_loop_count(const cdfg::Cdfg& g) {
+  const std::size_t n = cdfg::cdfg_loops(g, kMaxCdfgLoops).size();
+  return (n >= kMaxCdfgLoops ? ">=" : "") + std::to_string(n);
+}
+
 int cmd_analyze(const Args& a) {
   TSYN_SPAN("cli.analyze");
   const cdfg::Cdfg g = load_behavior(a.behavior);
   std::fprintf(g_report, "%s\n", g.to_string().c_str());
-  const auto loops = cdfg::cdfg_loops(g);
-  std::fprintf(g_report, "CDFG loops: %zu\n", loops.size());
+  std::fprintf(g_report, "CDFG loops: %s\n", cdfg_loop_count(g).c_str());
   const testability::BehaviorTestability t =
       testability::analyze_behavior(g);
   std::fprintf(g_report, 
@@ -654,9 +663,9 @@ int cmd_explain(const Args& a) {
 
 int cmd_list(const Args&) {
   for (const cdfg::Cdfg& g : cdfg::standard_benchmarks())
-    std::fprintf(g_report, "bench:%-8s %3d ops, %2zu states, %zu CDFG loops\n",
+    std::fprintf(g_report, "bench:%-8s %3d ops, %2zu states, %s CDFG loops\n",
                  g.name().c_str(), g.num_ops(), g.states().size(),
-                 cdfg::cdfg_loops(g).size());
+                 cdfg_loop_count(g).c_str());
   return 0;
 }
 
