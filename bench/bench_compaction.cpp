@@ -6,10 +6,10 @@
 // (src/compaction/) buys over the raw ATPG campaign on full-scan
 // expansions of the benchmark behaviors:
 //   - pattern count: uncompacted vs static (cube merging + reverse-order
-//     pruning) vs dynamic (secondary-fault targeting during generation);
+//     pruning + top-up);
 //   - test data volume (patterns x PI bits);
 //   - coverage, which by the subsystem's contract never drops (the bench
-//     exits 1, with a COVERAGE: line on stderr, when a mode's does);
+//     exits 1, with a COVERAGE: line on stderr, when it does);
 //   - X-fill quality: N-detect profiles of the fill strategies on the
 //     static-compacted diffeq test set.
 //
@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cdfg/benchmarks.h"
@@ -51,24 +50,14 @@ struct Row {
   double coverage_uncompacted = 0;
   long patterns_static = 0;
   double coverage_static = 0;
-  long patterns_dynamic = 0;
-  double coverage_dynamic = 0;
-  long secondary_merged = 0;
   long pruned = 0;
   long topup = 0;
   long tdv_bits_uncompacted = 0;
-  long tdv_bits_dynamic = 0;
+  long tdv_bits_static = 0;
   double static_ms = 0;
-  double dynamic_ms = 0;
   double reduction_static() const {
     return patterns_uncompacted > 0
                ? 1.0 - static_cast<double>(patterns_static) /
-                           static_cast<double>(patterns_uncompacted)
-               : 0.0;
-  }
-  double reduction_dynamic() const {
-    return patterns_uncompacted > 0
-               ? 1.0 - static_cast<double>(patterns_dynamic) /
                            static_cast<double>(patterns_uncompacted)
                : 0.0;
   }
@@ -100,7 +89,7 @@ Row run_case(const std::string& name, const cdfg::Cdfg& g, int width) {
   copts.xfill = compaction::XFill::kAdjacent;
 
   copts.mode = compaction::CompactMode::kStatic;
-  auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   const compaction::CompactedCampaign st =
       compaction::run_compacted_atpg(n, faults, copts, kBacktrackLimit);
   row.static_ms = ms_since(t0);
@@ -108,42 +97,26 @@ Row run_case(const std::string& name, const cdfg::Cdfg& g, int width) {
   row.coverage_uncompacted = st.campaign.fault_coverage;
   row.patterns_static = static_cast<long>(st.patterns.size());
   row.coverage_static = st.pattern_coverage;
+  row.pruned = st.stats.patterns_pruned;
+  row.topup = st.stats.topup_patterns;
   row.tdv_bits_uncompacted =
       row.patterns_uncompacted *
       static_cast<long>(n.primary_inputs().size());
-
-  // Dynamic mode also runs the plain campaign: its detected set is the
-  // coverage floor the top-up restores, so dynamic coverage never dips
-  // below uncompacted even where secondary targeting loses lucky fills.
-  copts.mode = compaction::CompactMode::kDynamic;
-  t0 = std::chrono::steady_clock::now();
-  const compaction::CompactedCampaign dy =
-      compaction::run_compacted_atpg(n, faults, copts, kBacktrackLimit);
-  row.dynamic_ms = ms_since(t0);
-  row.patterns_dynamic = static_cast<long>(dy.patterns.size());
-  row.coverage_dynamic = dy.pattern_coverage;
-  row.secondary_merged = dy.stats.secondary_merged;
-  row.pruned = dy.stats.patterns_pruned;
-  row.topup = dy.stats.topup_patterns;
-  row.tdv_bits_dynamic = dy.test_data_bits();
+  row.tdv_bits_static = st.test_data_bits();
   return row;
 }
 
-/// The subsystem's contract: neither compacting mode ships a set covering
-/// less than the uncompacted campaign. Prints a COVERAGE: line on stderr
-/// per violation and returns whether there was none.
+/// The subsystem's contract: the compacted set covers no less than the
+/// uncompacted campaign. Prints a COVERAGE: line on stderr per violation
+/// and returns whether there was none.
 bool coverage_never_drops(const std::vector<Row>& rows) {
   bool ok = true;
   for (const Row& r : rows) {
-    const std::pair<const char*, double> shipped[] = {
-        {"static", r.coverage_static}, {"dynamic", r.coverage_dynamic}};
-    for (const auto& [mode, coverage] : shipped) {
-      if (coverage + 1e-12 >= r.coverage_uncompacted) continue;
-      std::fprintf(stderr,
-                   "COVERAGE: %s %s coverage %.4f below uncompacted %.4f\n",
-                   r.circuit.c_str(), mode, coverage, r.coverage_uncompacted);
-      ok = false;
-    }
+    if (r.coverage_static + 1e-12 >= r.coverage_uncompacted) continue;
+    std::fprintf(stderr,
+                 "COVERAGE: %s static coverage %.4f below uncompacted %.4f\n",
+                 r.circuit.c_str(), r.coverage_static, r.coverage_uncompacted);
+    ok = false;
   }
   return ok;
 }
@@ -189,18 +162,14 @@ void write_json(const std::vector<Row>& rows,
         f,
         "    {\"circuit\": \"%s\", \"gates\": %d, \"faults\": %zu, "
         "\"patterns_uncompacted\": %ld, \"coverage_uncompacted\": %.4f, "
-        "\"patterns_static\": %ld, \"patterns_dynamic\": %ld, "
-        "\"coverage_dynamic\": %.4f, \"reduction_static\": %.3f, "
-        "\"reduction_dynamic\": %.3f, \"secondary_merged\": %ld, "
-        "\"pruned\": %ld, \"topup\": %ld, "
-        "\"tdv_bits_uncompacted\": %ld, \"tdv_bits_dynamic\": %ld, "
-        "\"static_ms\": %.1f, \"dynamic_ms\": %.1f}%s\n",
+        "\"patterns_static\": %ld, \"coverage_static\": %.4f, "
+        "\"reduction_static\": %.3f, \"pruned\": %ld, \"topup\": %ld, "
+        "\"tdv_bits_uncompacted\": %ld, \"tdv_bits_static\": %ld, "
+        "\"static_ms\": %.1f}%s\n",
         r.circuit.c_str(), r.gates, r.faults, r.patterns_uncompacted,
-        r.coverage_uncompacted, r.patterns_static, r.patterns_dynamic,
-        r.coverage_dynamic, r.reduction_static(), r.reduction_dynamic(),
-        r.secondary_merged, r.pruned, r.topup, r.tdv_bits_uncompacted,
-        r.tdv_bits_dynamic, r.static_ms, r.dynamic_ms,
-        i + 1 < rows.size() ? "," : "");
+        r.coverage_uncompacted, r.patterns_static, r.coverage_static,
+        r.reduction_static(), r.pruned, r.topup, r.tdv_bits_uncompacted,
+        r.tdv_bits_static, r.static_ms, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"xfill\": [\n");
   for (std::size_t i = 0; i < fills.size(); ++i) {
@@ -225,9 +194,9 @@ int main() {
   using namespace tsyn;
   bench::print_header(
       "EXP-COMPACTION",
-      "Claim: exploiting PODEM's don't-care bits (cube merging, dynamic\n"
-      "compaction, reverse-order pruning) cuts the shipped pattern count\n"
-      ">= 25% at no coverage loss, shrinking test time proportionally.");
+      "Claim: exploiting PODEM's don't-care bits (cube merging, X-fill,\n"
+      "reverse-order pruning) cuts the shipped pattern count >= 25% at no\n"
+      "coverage loss, shrinking test time proportionally.");
 
   const compaction::CompactionOptions defaults;
   std::vector<Row> rows;
@@ -237,17 +206,16 @@ int main() {
   rows.push_back(run_case("fir6_w4", cdfg::fir(6), 4));
   rows.push_back(run_case("dct4_w4", cdfg::dct4(), 4));
 
-  util::Table t({"circuit", "gates", "faults", "uncomp", "static", "dynamic",
-                 "red stat", "red dyn", "2nd", "prune", "topup", "cov"});
+  util::Table t({"circuit", "gates", "faults", "uncomp", "static", "red",
+                 "prune", "topup", "cov uncomp", "cov static"});
   for (const Row& r : rows)
     t.add_row({r.circuit, std::to_string(r.gates), std::to_string(r.faults),
                std::to_string(r.patterns_uncompacted),
                std::to_string(r.patterns_static),
-               std::to_string(r.patterns_dynamic),
                util::fmt(100 * r.reduction_static(), 1) + "%",
-               util::fmt(100 * r.reduction_dynamic(), 1) + "%",
-               std::to_string(r.secondary_merged), std::to_string(r.pruned),
-               std::to_string(r.topup), util::fmt(100 * r.coverage_dynamic, 1)});
+               std::to_string(r.pruned), std::to_string(r.topup),
+               util::fmt(100 * r.coverage_uncompacted, 1),
+               util::fmt(100 * r.coverage_static, 1)});
   bench::print_table(t);
 
   const std::vector<FillRow> fills = xfill_sweep(cdfg::diffeq(), 4);
@@ -260,8 +228,8 @@ int main() {
 
   write_json(rows, fills, defaults.fill_seed);
   std::printf(
-      "Wrote BENCH_compaction.json. Shape check: dynamic reduction should\n"
+      "Wrote BENCH_compaction.json. Shape check: static reduction should\n"
       "clear 25%% on every circuit. Exits 1 (COVERAGE: on stderr) if the\n"
-      "static or dynamic shipped coverage is below coverage_uncompacted.\n");
+      "static shipped coverage is below coverage_uncompacted.\n");
   return coverage_never_drops(rows) ? 0 : 1;
 }

@@ -16,25 +16,11 @@ namespace tsyn::compaction {
 
 namespace {
 
-using gl::AtpgCampaign;
 using gl::AtpgStatus;
 using gl::Bits;
 using gl::Fault;
 using gl::FaultSimOptions;
 using gl::Netlist;
-using gl::Podem;
-
-/// Dynamic compaction: how many still-undetected faults are probed as
-/// secondary targets per primary cube, how many may be merged into one
-/// cube, and the (cheap) per-probe backtrack budget. A probe that aborts
-/// just means "not merged here"; the fault keeps its own turn later.
-constexpr int kDynamicCandidateWindow = 96;
-constexpr int kDynamicMaxSecondary = 32;
-constexpr long kDynamicBacktrackLimit = 400;
-
-bool has_x(const TestCube& c) {
-  return std::find(c.begin(), c.end(), V::kX) != c.end();
-}
 
 /// Lane-extraction: one fully-specified pattern out of a 64-lane grading
 /// block (all lanes of graded_fill blocks are known bits by construction).
@@ -64,72 +50,6 @@ FaultSimOptions matrix_options(FaultSimOptions options, std::size_t blocks) {
   return options;
 }
 
-/// Dynamic-compaction generation: the serial PODEM campaign loop of
-/// run_combinational_atpg, except that every detected primary cube is
-/// re-entered (generate_multi_from_base) to fold secondary faults into its
-/// unspecified inputs before it is graded. Grading goes through the same
-/// gl::CampaignGrader (and so records graded_fill) so the campaign's
-/// detection decisions stay reproducible.
-AtpgCampaign run_dynamic_campaign(const Netlist& n,
-                                  const std::vector<Fault>& faults,
-                                  long backtrack_limit,
-                                  const FaultSimOptions& sim_options,
-                                  CompactionStats* stats) {
-  TSYN_SPAN("compaction.dynamic_generate");
-  static util::Counter& m_probes =
-      util::metrics().counter("compaction.dynamic.secondary_probes");
-  static util::Counter& m_merged =
-      util::metrics().counter("compaction.dynamic.secondary_merged");
-
-  AtpgCampaign campaign;
-  gl::CampaignGrader grader(n, faults, sim_options, campaign);
-
-  auto add_stats = [&](const gl::AtpgStats& s) {
-    campaign.total.decisions += s.decisions;
-    campaign.total.backtracks += s.backtracks;
-    campaign.total.implications += s.implications;
-  };
-
-  Podem podem(n);
-  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    if (grader.handled(fi)) continue;
-    const gl::AtpgResult r = podem.generate(faults[fi], backtrack_limit);
-    add_stats(r.stats);
-    grader.settle(fi, r.status);
-    if (r.status != AtpgStatus::kDetected) continue;
-
-    TestCube cube = r.pi_values;
-    int probes = 0;
-    int merged = 0;
-    for (std::size_t fj = fi + 1;
-         fj < faults.size() && probes < kDynamicCandidateWindow &&
-         merged < kDynamicMaxSecondary && has_x(cube);
-         ++fj) {
-      if (grader.handled(fj)) continue;
-      ++probes;
-      // A kDetected probe refines `cube` (base bits immutable) and its
-      // ternary PO difference holds for every completion, so the merged
-      // fault stays detected through fill and static merging. Anything
-      // else just means "not compatible here" — the fault keeps its own
-      // turn as a primary later.
-      const gl::AtpgResult r2 = podem.generate_multi_from_base(
-          {faults[fj]}, cube, kDynamicBacktrackLimit);
-      add_stats(r2.stats);
-      if (r2.status == AtpgStatus::kDetected) {
-        cube = r2.pi_values;
-        grader.settle(fj, AtpgStatus::kDetected);
-        ++merged;
-      }
-    }
-    m_probes.add(probes);
-    m_merged.add(merged);
-    stats->secondary_merged += merged;
-    grader.grade(cube);
-  }
-  grader.finish();
-  return campaign;
-}
-
 double grade_patterns(const Netlist& n, const std::vector<TestCube>& patterns,
                       const std::vector<Fault>& faults,
                       const FaultSimOptions& sim_options) {
@@ -145,7 +65,6 @@ const char* to_string(CompactMode mode) {
   switch (mode) {
     case CompactMode::kOff: return "off";
     case CompactMode::kStatic: return "static";
-    case CompactMode::kDynamic: return "dynamic";
   }
   return "?";
 }
@@ -153,7 +72,6 @@ const char* to_string(CompactMode mode) {
 bool parse_compact_mode(const std::string& text, CompactMode* out) {
   if (text == "off") *out = CompactMode::kOff;
   else if (text == "static") *out = CompactMode::kStatic;
-  else if (text == "dynamic") *out = CompactMode::kDynamic;
   else return false;
   return true;
 }
@@ -290,18 +208,19 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
   static util::Counter& m_topup =
       util::metrics().counter("compaction.topup_patterns");
 
+  // 1. Generation: the plain campaign in every mode.
   CompactedCampaign out;
+  {
+    observe::LedgerPhase ledger_phase("compact.generate");
+    out.campaign =
+        gl::run_combinational_atpg(n, faults, backtrack_limit, sim_options);
+  }
+  out.stats.cubes_generated = static_cast<long>(out.campaign.tests.size());
   if (copts.mode == CompactMode::kOff) {
     // No compaction: the campaign is the exact run_combinational_atpg
     // output (bit-identical, the --compact=off contract); the only new
     // work is making the shipped fill explicit.
-    {
-      observe::LedgerPhase ledger_phase("compact.generate");
-      out.campaign =
-          gl::run_combinational_atpg(n, faults, backtrack_limit, sim_options);
-    }
     out.cubes = out.campaign.tests;
-    out.stats.cubes_generated = static_cast<long>(out.cubes.size());
     out.stats.cubes_after_merge = out.stats.cubes_generated;
     out.patterns = out.cubes;
     apply_xfill(out.patterns, copts.xfill, copts.fill_seed);
@@ -313,35 +232,11 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
     out.baseline_patterns = static_cast<long>(out.patterns.size());
     return out;
   }
-
-  // 1. Generation (with dynamic compaction in kDynamic mode).
-  {
-    observe::LedgerPhase ledger_phase("compact.generate");
-    if (copts.mode == CompactMode::kStatic) {
-      out.campaign =
-          gl::run_combinational_atpg(n, faults, backtrack_limit, sim_options);
-    } else {
-      out.campaign = run_dynamic_campaign(n, faults, backtrack_limit,
-                                          sim_options, &out.stats);
-    }
-  }
-  out.stats.cubes_generated = static_cast<long>(out.campaign.tests.size());
   m_cubes_in.add(out.stats.cubes_generated);
-
-  // The measured baseline: the plain campaign's shipped pattern count (64
-  // random completions per cube — the graded_fill blocks its claimed
-  // coverage is certified against), and the union of detected sets as the
-  // coverage floor the top-up restores.
-  AtpgCampaign plain;
-  if (copts.mode == CompactMode::kDynamic) {
-    TSYN_SPAN("compaction.baseline");
-    observe::LedgerPhase ledger_phase("compact.baseline");
-    plain = gl::run_combinational_atpg(n, faults, backtrack_limit, sim_options);
-  }
-  // In kStatic the plain campaign IS the generator.
-  const AtpgCampaign& baseline =
-      copts.mode == CompactMode::kStatic ? out.campaign : plain;
-  out.baseline_patterns = 64 * static_cast<long>(baseline.tests.size());
+  // The measured baseline is the campaign's shipped pattern count: 64
+  // random completions per cube, the graded_fill blocks its claimed
+  // coverage is certified against.
+  out.baseline_patterns = 64 * static_cast<long>(out.campaign.tests.size());
 
   // 2. Static compaction.
   {
@@ -367,19 +262,15 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
       static_cast<long>(patterns.size()) - static_cast<long>(kept.size());
   m_pruned.add(out.stats.patterns_pruned);
 
-  // 5. Top-up: any fault the campaign (or the measured baseline) detected
-  //    that the filled pattern set misses was a lucky random-fill
-  //    detection; re-extract one detecting lane from the recorded grading
-  //    blocks so final coverage provably never drops. Pruning credits
-  //    every matrix-covered fault to a kept pattern, so "matrix row
-  //    nonzero" == "covered by the kept set".
+  // 5. Top-up: any fault the campaign detected that the filled pattern set
+  //    misses was a lucky random-fill detection; re-extract one detecting
+  //    lane from the recorded grading blocks so final coverage provably
+  //    never drops. Pruning credits every matrix-covered fault to a kept
+  //    pattern, so "matrix row nonzero" == "covered by the kept set".
   const std::size_t nb = num_blocks(patterns.size());
   std::vector<std::size_t> missing;
   for (std::size_t f = 0; f < faults.size(); ++f) {
-    const bool want =
-        out.campaign.status[f] == AtpgStatus::kDetected ||
-        baseline.status[f] == AtpgStatus::kDetected;
-    if (!want) continue;
+    if (out.campaign.status[f] != AtpgStatus::kDetected) continue;
     const std::uint64_t* row = matrix.data() + f * nb;
     if (std::all_of(row, row + nb, [](std::uint64_t w) { return w == 0; }))
       missing.push_back(f);
@@ -392,16 +283,7 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
   if (!missing.empty()) {
     TSYN_SPAN("compaction.topup");
     observe::LedgerPhase ledger_phase("compact.topup");
-    // The recorded blocks of the generating campaign, then of the
-    // measured baseline if it is a second campaign.
-    std::vector<std::vector<Bits>> joined;
-    if (&baseline != &out.campaign) {
-      joined = out.campaign.graded_fill;
-      joined.insert(joined.end(), baseline.graded_fill.begin(),
-                    baseline.graded_fill.end());
-    }
-    const std::vector<std::vector<Bits>>& blocks =
-        &baseline != &out.campaign ? joined : out.campaign.graded_fill;
+    const std::vector<std::vector<Bits>>& blocks = out.campaign.graded_fill;
     const std::size_t fill_blocks = blocks.size();
     std::vector<Fault> subset;
     subset.reserve(missing.size());
@@ -419,7 +301,7 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
     };
     // Candidates: every recorded lane, numbered 64 * block + lane, with
     // count[c] = how many still-uncovered missing faults lane c detects.
-    // Greedy set cover extracts the fewest lanes that restore the union
+    // Greedy set cover extracts the fewest lanes that restore the campaign
     // coverage, ties breaking to the earliest candidate (deterministic).
     std::vector<long> count(64 * fill_blocks, 0);
     for (std::size_t s = 0; s < missing.size(); ++s)
@@ -462,8 +344,8 @@ CompactedCampaign run_compacted_atpg(const Netlist& n,
       open.resize(still_open);
       topups.push_back(extract_lane(blocks[b], lane));
     }
-    // Every fault in the union set was detected by some recorded lane, so
-    // the cover always drains.
+    // Every missing fault was detected by some recorded lane, so the cover
+    // always drains.
     assert(open.empty());
   }
   out.stats.topup_patterns = static_cast<long>(topups.size());

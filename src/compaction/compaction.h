@@ -3,17 +3,13 @@
 //
 // The ATPG campaign emits one independent ternary cube per detected fault
 // and never exploits the don't-care bits PODEM leaves. This subsystem
-// consumes those cubes and minimizes the shipped test set in four passes:
+// consumes those cubes and minimizes the shipped test set in three passes:
 //
-//   1. dynamic compaction — after PODEM detects a primary fault, re-enter
-//      the generator with the partial cube as an immutable base
-//      (Podem::generate_multi_from_base) and target secondary faults into
-//      the unspecified inputs, so fewer cubes are emitted at all;
-//   2. static compaction — greedy compatible-cube merging (cube.h), most
+//   1. static compaction — greedy compatible-cube merging (cube.h), most
 //      specified cube first;
-//   3. X-fill — the surviving don't-cares become tester constants
+//   2. X-fill — the surviving don't-cares become tester constants
 //      (random / 0 / 1 / adjacent), gradeable for N-detect quality;
-//   4. reverse-order pruning — grade the filled patterns into a no-drop
+//   3. reverse-order pruning — grade the filled patterns into a no-drop
 //      detection matrix, credit every fault to the last pattern detecting
 //      it and drop every pattern that earns no credit.
 //
@@ -49,11 +45,10 @@ namespace tsyn::compaction {
 enum class CompactMode {
   kOff,     ///< plain run_combinational_atpg, bit-identical; no merging
   kStatic,  ///< static merging + fill + pruning on the campaign's cubes
-  kDynamic, ///< secondary-fault targeting during generation, then kStatic
 };
 
 const char* to_string(CompactMode mode);
-/// Parses "off", "static", "dynamic". Returns false on anything else.
+/// Parses "off" and "static". Returns false on anything else.
 bool parse_compact_mode(const std::string& text, CompactMode* out);
 
 struct CompactionOptions {
@@ -64,8 +59,7 @@ struct CompactionOptions {
 };
 
 struct CompactionStats {
-  long cubes_generated = 0;    ///< cubes out of generation (post-dynamic)
-  long secondary_merged = 0;   ///< faults folded into earlier cubes
+  long cubes_generated = 0;    ///< cubes out of generation
   long cubes_after_merge = 0;  ///< bins after static compaction
   long patterns_pruned = 0;    ///< dropped by reverse-order pruning
   long topup_patterns = 0;     ///< re-added (greedy set cover) to restore
@@ -74,9 +68,8 @@ struct CompactionStats {
 
 /// A campaign plus its compacted, shippable test set.
 struct CompactedCampaign {
-  /// The generating campaign. Mode kOff/kStatic: bit-identical to
-  /// run_combinational_atpg with the same arguments. Mode kDynamic: the
-  /// dynamic generator's statuses and effort (secondary probes included).
+  /// The generating campaign: bit-identical to run_combinational_atpg
+  /// with the same arguments.
   gl::AtpgCampaign campaign;
   /// Final merged cubes (ternary; == campaign.tests in kOff mode).
   std::vector<TestCube> cubes;
@@ -85,18 +78,14 @@ struct CompactedCampaign {
   /// Coverage of `patterns` on the fault list, bit-equal to a from-scratch
   /// gl::fault_coverage grade of them. Compacting modes derive it from the
   /// pruning matrix and the top-up cover, and grade only the residual
-  /// faults (neither campaign detected them) against the top-ups; kOff
-  /// grades the filled cubes. >= the campaign's fault_coverage and the
-  /// measured baseline's by construction.
+  /// faults (the campaign did not detect them) against the top-ups; kOff
+  /// grades the filled cubes. >= the campaign's fault_coverage by
+  /// construction.
   double pattern_coverage = 0;
   /// The uncompacted campaign's shipped pattern count at its claimed
   /// coverage: 64 fully-specified patterns per cube (the graded_fill
-  /// blocks its fault dropping is certified against). kStatic measures it
-  /// for free (the plain campaign is the generator); kDynamic runs the
-  /// plain campaign a second time, for a measured baseline instead of an
-  /// assumed one, and its detected set widens the coverage floor the
-  /// top-up restores. kOff mode reports patterns.size() — no compaction,
-  /// no reduction claimed.
+  /// blocks its fault dropping is certified against). kOff mode reports
+  /// patterns.size() — no compaction, no reduction claimed.
   long baseline_patterns = 0;
   CompactionStats stats;
 

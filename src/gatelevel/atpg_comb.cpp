@@ -414,24 +414,8 @@ AtpgResult Podem::generate(const Fault& fault, long backtrack_limit) {
 
 AtpgResult Podem::generate_multi(const std::vector<Fault>& sites,
                                  long backtrack_limit) {
-  return generate_multi_from_base(sites, {}, backtrack_limit);
-}
-
-AtpgResult Podem::generate_multi_from_base(const std::vector<Fault>& sites,
-                                           const std::vector<V>& base,
-                                           long backtrack_limit) {
   stats_ = {};
   std::fill(pi_assignment_.begin(), pi_assignment_.end(), V::kX);
-  if (!base.empty()) {
-    if (base.size() != g_.pis().size())
-      throw std::runtime_error("base cube size != primary input count");
-    // Base bits become pre-assigned givens. They are never pushed on the
-    // decision stack, so backtracking can neither flip nor unassign them;
-    // backtrace() already refuses assigned PIs, so the search only spends
-    // decisions on the cube's X bits.
-    for (std::size_t i = 0; i < base.size(); ++i)
-      pi_assignment_[g_.pis()[i]] = base[i];
-  }
   for (const Fault& f : sites) is_site_[f.node] = 1;
 
   struct Decision {
@@ -564,68 +548,7 @@ void publish_comb_campaign(const AtpgCampaign& campaign) {
 /// as 64 distinct random completions.
 constexpr std::uint64_t kAtpgGradeFillSeed = 0x7357;
 
-util::Progress& targets_progress() {
-  static util::Progress& p = util::progress("atpg.targets");
-  return p;
-}
-
 }  // namespace
-
-CampaignGrader::CampaignGrader(const Netlist& n,
-                               const std::vector<Fault>& faults,
-                               const FaultSimOptions& sim_options,
-                               AtpgCampaign& campaign)
-    : faults_(faults),
-      campaign_(campaign),
-      sim_(n, sim_options),
-      rng_(kAtpgGradeFillSeed),
-      handled_(faults.size(), false) {
-  targets_progress().add_total(static_cast<std::int64_t>(faults.size()));
-  campaign_.status.assign(faults.size(), AtpgStatus::kAborted);
-}
-
-void CampaignGrader::settle(std::size_t f, AtpgStatus status) {
-  campaign_.status[f] = status;
-  handled_[f] = true;
-  targets_progress().add(1);
-}
-
-void CampaignGrader::grade(const std::vector<V>& cube) {
-  campaign_.tests.push_back(cube);
-  std::vector<Bits> block(cube.size());
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    switch (cube[i]) {
-      case V::k0: block[i] = Bits::all0(); break;
-      case V::k1: block[i] = Bits::all1(); break;
-      case V::kX: block[i] = Bits::known(rng_.next_u64()); break;
-    }
-  }
-  std::vector<bool> drop = handled_;
-  sim_.run_block(block, faults_, drop);
-  campaign_.graded_fill.push_back(std::move(block));
-  std::int64_t closed = 0;
-  for (std::size_t j = 0; j < faults_.size(); ++j) {
-    if (!handled_[j] && drop[j]) {
-      handled_[j] = true;
-      campaign_.status[j] = AtpgStatus::kDetected;
-      ++closed;
-    }
-  }
-  if (closed) targets_progress().add(closed);
-}
-
-void CampaignGrader::finish() {
-  long detected = 0;
-  long untestable = 0;
-  for (AtpgStatus s : campaign_.status) {
-    if (s == AtpgStatus::kDetected) ++detected;
-    else if (s == AtpgStatus::kUntestable) ++untestable;
-  }
-  const double total = static_cast<double>(faults_.size());
-  campaign_.fault_coverage = total == 0 ? 1.0 : detected / total;
-  campaign_.fault_efficiency =
-      total == 0 ? 1.0 : (detected + untestable) / total;
-}
 
 AtpgCampaign run_combinational_atpg(const Netlist& n,
                                     const std::vector<Fault>& faults,
@@ -634,24 +557,68 @@ AtpgCampaign run_combinational_atpg(const Netlist& n,
   TSYN_SPAN("gl.atpg.comb");
   if (observe::ledger_enabled())
     observe::record_universe(static_cast<long>(faults.size()));
+  static util::Progress& progress = util::progress("atpg.targets");
+  progress.add_total(static_cast<std::int64_t>(faults.size()));
   AtpgCampaign campaign;
-  CampaignGrader grader(n, faults, sim_options, campaign);
+  campaign.status.assign(faults.size(), AtpgStatus::kAborted);
+  FaultSimulator sim(n, sim_options);
+  util::Rng rng(kAtpgGradeFillSeed);
+  // handled[f]: fault f has its status, its own PODEM verdict or a
+  // detection by an earlier cube's graded block.
+  std::vector<bool> handled(faults.size(), false);
   static util::Histogram& bt_hist =
       util::metrics().histogram("atpg.comb.backtracks_per_fault");
 
   Podem podem(n);
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    if (grader.handled(fi)) continue;
+    if (handled[fi]) continue;
     const AtpgResult r = podem.generate(faults[fi], backtrack_limit);
     campaign.total.decisions += r.stats.decisions;
     campaign.total.backtracks += r.stats.backtracks;
     campaign.total.implications += r.stats.implications;
     bt_hist.observe(r.stats.backtracks);
-    grader.settle(fi, r.status);
-    if (r.status == AtpgStatus::kDetected) grader.grade(r.pi_values);
+    campaign.status[fi] = r.status;
+    handled[fi] = true;
+    progress.add(1);
+    if (r.status != AtpgStatus::kDetected) continue;
+
+    // Grade the cube as 64 random completions of its X inputs against the
+    // still-unhandled faults, dropping every fault the block detects, and
+    // record the block (AtpgCampaign::graded_fill).
+    const std::vector<V>& cube = r.pi_values;
+    campaign.tests.push_back(cube);
+    std::vector<Bits> block(cube.size());
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      switch (cube[i]) {
+        case V::k0: block[i] = Bits::all0(); break;
+        case V::k1: block[i] = Bits::all1(); break;
+        case V::kX: block[i] = Bits::known(rng.next_u64()); break;
+      }
+    }
+    std::vector<bool> drop = handled;
+    sim.run_block(block, faults, drop);
+    campaign.graded_fill.push_back(std::move(block));
+    std::int64_t closed = 0;
+    for (std::size_t j = 0; j < faults.size(); ++j) {
+      if (!handled[j] && drop[j]) {
+        handled[j] = true;
+        campaign.status[j] = AtpgStatus::kDetected;
+        ++closed;
+      }
+    }
+    if (closed) progress.add(closed);
   }
 
-  grader.finish();
+  long detected = 0;
+  long untestable = 0;
+  for (AtpgStatus s : campaign.status) {
+    if (s == AtpgStatus::kDetected) ++detected;
+    else if (s == AtpgStatus::kUntestable) ++untestable;
+  }
+  const double total = static_cast<double>(faults.size());
+  campaign.fault_coverage = total == 0 ? 1.0 : detected / total;
+  campaign.fault_efficiency =
+      total == 0 ? 1.0 : (detected + untestable) / total;
   publish_comb_campaign(campaign);
   return campaign;
 }

@@ -14,7 +14,6 @@
 #include "gatelevel/faultsim.h"
 #include "gatelevel/netlist.h"
 #include "gatelevel/simgraph.h"
-#include "util/rng.h"
 
 namespace tsyn::gl {
 
@@ -58,19 +57,6 @@ class Podem {
   AtpgResult generate(const Fault& fault, long backtrack_limit = 10000);
   AtpgResult generate_multi(const std::vector<Fault>& sites,
                             long backtrack_limit = 10000);
-
-  /// Like generate_multi, but the search starts from a partial test cube
-  /// `base` (by PI position; kX = free). Specified base bits are immutable
-  /// givens: only the remaining X inputs are assigned and backtracked, so a
-  /// kDetected result's pi_values is a refinement of `base` (every
-  /// specified base bit is preserved). kUntestable here means untestable
-  /// UNDER the base cube — the fault may well be testable with other base
-  /// bits. This is the compatibility test dynamic compaction
-  /// (compaction/compaction.h) is built on: merge a secondary fault's test
-  /// into the unspecified bits of an already-generated cube.
-  AtpgResult generate_multi_from_base(const std::vector<Fault>& sites,
-                                      const std::vector<V>& base,
-                                      long backtrack_limit = 10000);
 
   /// PIs the generator must leave at X (e.g. unknowable initial state of a
   /// time-frame-0 pseudo input). Indices into primary_inputs().
@@ -155,46 +141,13 @@ struct AtpgCampaign {
   /// The exact 64-lane block each cube was graded with: specified bits are
   /// all0/all1 across lanes, X bits are random words drawn from one
   /// fixed-seed Rng stream across the whole campaign, consumed in test
-  /// order (CampaignGrader). graded_fill[i] corresponds to tests[i];
-  /// `status` marks a fault kDetected exactly when one of these blocks'
-  /// lanes detects it. Lane l of block i is therefore a fully-specified
+  /// order. graded_fill[i] corresponds to tests[i]; `status` marks a fault
+  /// kDetected exactly when one of these blocks' lanes detects it. Lane l of block i is therefore a fully-specified
   /// pattern the campaign actually takes credit for.
   std::vector<std::vector<Bits>> graded_fill;
   AtpgStats total;
   double fault_efficiency = 0;  ///< (detected + proven untestable) / total
   double fault_coverage = 0;    ///< detected / total
-};
-
-/// The grading half of a full-scan campaign, shared by
-/// run_combinational_atpg and compaction's dynamic generator. Each graded
-/// cube's X inputs are filled with random words (64 independent
-/// completions per cube) and the block is fault-simulated against the
-/// still-unhandled faults, which it drops; the block is recorded in
-/// AtpgCampaign::graded_fill so downstream consumers can reproduce the
-/// campaign's detection decisions bit-for-bit.
-class CampaignGrader {
- public:
-  /// Starts `campaign` over `faults`: every status kAborted, none handled.
-  /// `campaign` and `faults` must outlive the grader.
-  CampaignGrader(const Netlist& n, const std::vector<Fault>& faults,
-                 const FaultSimOptions& sim_options, AtpgCampaign& campaign);
-
-  /// Fault f has its status: its own PODEM verdict, or a detection.
-  bool handled(std::size_t f) const { return handled_[f]; }
-  /// Records fault f's PODEM verdict.
-  void settle(std::size_t f, AtpgStatus status);
-  /// Appends `cube` to the campaign's tests and grades its filled block;
-  /// every unhandled fault it detects becomes handled and kDetected.
-  void grade(const std::vector<V>& cube);
-  /// Sets the campaign's fault_coverage and fault_efficiency.
-  void finish();
-
- private:
-  const std::vector<Fault>& faults_;
-  AtpgCampaign& campaign_;
-  FaultSimulator sim_;
-  util::Rng rng_;
-  std::vector<bool> handled_;
 };
 
 /// `sim_options` controls the fault-dropping simulator's parallelism.

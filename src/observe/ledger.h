@@ -172,8 +172,7 @@ class LedgerPhase {
 
 // -- recording --------------------------------------------------------------
 
-/// One PODEM attempt on the fault (primary target or secondary probe) with
-/// the search effort it spent.
+/// One PODEM attempt on the fault with the search effort it spent.
 inline void record_targeted(const FaultKey& key, TargetOutcome outcome,
                             long decisions, long backtracks) {
   if (!ledger_enabled()) return;

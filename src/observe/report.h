@@ -23,8 +23,8 @@ namespace tsyn::observe {
 struct RunReport {
   std::string title;          ///< e.g. "diffeq w4 static"
   std::string behavior;       ///< benchmark / source spec
-  std::string compact_mode;   ///< off | static | dynamic | full
-  std::string xfill;          ///< random | zero | one | repeat
+  std::string compact_mode;   ///< off | static
+  std::string xfill;          ///< random | 0 | 1 | adjacent
   int width = 0;              ///< datapath bit width
   std::int64_t gates = 0;
   std::int64_t pis = 0;       ///< primary inputs incl. scan cells

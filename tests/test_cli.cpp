@@ -148,6 +148,17 @@ TEST_F(Cli, UsageNamesEveryCommandAndOption) {
   EXPECT_NE(bad.out.find("--undetected"), std::string::npos);
 }
 
+TEST_F(Cli, CompactAcceptsOffAndStaticOnly) {
+  const Outcome r = run("atpg bench:diffeq --compact dynamic", "2>&1");
+  EXPECT_EQ(r.code, 2);
+  EXPECT_EQ(r.out.rfind("error: --compact expects off|static", 0), 0u)
+      << r.out;
+  EXPECT_NE(r.out.find("usage: tsyn_cli"), std::string::npos);
+  const Outcome off = run("atpg bench:diffeq --compact off");
+  EXPECT_EQ(off.code, 0);
+  EXPECT_NE(off.out.find("compaction: mode off,"), std::string::npos);
+}
+
 TEST_F(Cli, StdoutOutputsStayPure) {
   const Outcome json = run("report bench:fir8 --width 2 --out -");
   ASSERT_EQ(json.code, 0);

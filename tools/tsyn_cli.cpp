@@ -432,12 +432,12 @@ int cmd_atpg(const Args& a) {
                c.stats.cubes_generated, 100 * c.campaign.fault_coverage,
                100 * c.campaign.fault_efficiency);
   std::fprintf(g_report,
-               "compaction: mode %s, fill %s; %ld secondary merged, "
-               "%ld -> %ld cubes, %ld pruned, %ld top-up\n",
+               "compaction: mode %s, fill %s; %ld -> %ld cubes, %ld pruned, "
+               "%ld top-up\n",
                compaction::to_string(copts.mode),
-               compaction::to_string(copts.xfill), c.stats.secondary_merged,
-               c.stats.cubes_generated, c.stats.cubes_after_merge,
-               c.stats.patterns_pruned, c.stats.topup_patterns);
+               compaction::to_string(copts.xfill), c.stats.cubes_generated,
+               c.stats.cubes_after_merge, c.stats.patterns_pruned,
+               c.stats.topup_patterns);
   std::fprintf(g_report,
                "patterns  : %zu shipped vs %ld baseline (%.1f%% reduction), "
                "%.2f%% coverage\n",
@@ -798,7 +798,7 @@ const Option kOptions[] = {
      .choices = "conventional|avra|tfb|xtfb|share"},
     {.name = "--compact", .value = nullptr, .commands = kFullScan,
      .help = "compaction (default off; report, explain: static)",
-     .text = &Args::compact, .choices = "off|static|dynamic"},
+     .text = &Args::compact, .choices = "off|static"},
     {.name = "--xfill", .value = nullptr, .commands = kFullScan,
      .help = "don't-care fill (default random)", .text = &Args::xfill,
      .choices = "random|0|1|zero|one|adjacent"},
